@@ -20,6 +20,7 @@ from .errors import (
     DegenerateCarrier,
     NoMalcevTerm,
     OutOfRange,
+    ParseError,
     SearchBudgetExceeded,
     SizeBudgetExceeded,
 )
@@ -100,11 +101,16 @@ def to_json(alg: FiniteAlgebra) -> str:
     )
 
 
-def from_json(text: str) -> FiniteAlgebra:
-    data = json.loads(text)
-    sig = [(o["name"], o["arity"]) for o in data["ops"]]
-    tables = [o["table"] for o in data["ops"]]
-    return make_algebra(data["carrier"], sig, tables)
+def from_json(text: str, source: str = "algebra JSON") -> FiniteAlgebra:
+    """Parse the algebra JSON schema; malformed input raises ParseError
+    naming the source and the missing or ill-typed field."""
+    try:
+        data = json.loads(text)
+        sig = [(o["name"], o["arity"]) for o in data["ops"]]
+        tables = [o["table"] for o in data["ops"]]
+        return make_algebra(data["carrier"], sig, tables)
+    except (ValueError, KeyError, TypeError) as e:
+        raise ParseError(f"{source}: {type(e).__name__}: {e}") from e
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from .cantor import (
     Clopen,
     PointContext,
     TailClopen,
+    merge_sibling_cells,
     point_in,
     prefix_overlap,
     split_cyclic,
@@ -103,7 +104,7 @@ class AutLabeling:
             tails = tuple((t[-1],) + t[:-1] for t in tails)
             tails = tuple(_primitive_tuple(t) for t in tails)
             d -= 1
-        merged = _merge_labeled(cells)
+        merged = merge_sibling_cells(cells)
         return AutLabeling(ctx, d, merged, tails)
 
     @staticmethod
@@ -283,21 +284,6 @@ def _whole_cell_label(cells: dict, cw: str):
 def _remove_cell(cells: dict, cw: str):
     for w in [w for w in cells if w.startswith(cw)]:
         del cells[w]
-
-
-def _merge_labeled(cells: dict):
-    cur = dict(cells)
-    while True:
-        merged = False
-        for w, m in sorted(cur.items()):
-            if w.endswith("0") and cur.get(w[:-1] + "1") == m:
-                del cur[w]
-                del cur[w[:-1] + "1"]
-                cur[w[:-1]] = m
-                merged = True
-                break
-        if not merged:
-            return tuple(sorted(cur.items()))
 
 
 def separating_element(k1: AutLabeling, k2: AutLabeling):

@@ -1,8 +1,8 @@
 """Exact clopen algebra of the Cantor space X = {0,1}^w, distinguished
 points, and clopens of the punctured space X° = X minus the points.
 
-Clopens are canonical prefix antichains.  Points are eventually periodic
-binary sequences.  A context fixes n distinguished points x_i = 1^(i-1) 0^w
+Clopens are canonical binary trees, read out as prefix antichains.  Points
+are eventually periodic binary sequences.  A context fixes n distinguished points x_i = 1^(i-1) 0^w
 whose punctured neighbourhoods decompose into the branch cells
 cell(i, j) = 1^(i-1) 0^j 1 . X (j >= 1); clopens of X° are stored as an
 exceptional clopen below a threshold plus one periodic inclusion word per
@@ -13,124 +13,128 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .errors import ContextMismatch, EmptyInput, EmptyOrFull, NotGood
 from .seqs import EPSet
 
 # ---------------------------------------------------------------------------
-# canonical antichain algebra on frozensets of binary words
-
-_FULL = frozenset({""})
-_EMPTY = frozenset()
-
-
-def _split0(ws):
-    return frozenset(w[1:] for w in ws if w[0] == "0")
+# clopens of X as binary trees
+#
+# A tree is False (empty), True (all of X) or a pair (t0, t1) of the parts
+# below the prefixes "0" and "1".  Canonical: two True or two False
+# siblings collapse into their parent; equal inner siblings stay apart,
+# since a subtree's position fixes the words it stands for.
 
 
-def _split1(ws):
-    return frozenset(w[1:] for w in ws if w[0] == "1")
-
-
-def _join(l, r):
-    if l == _FULL and r == _FULL:
-        return _FULL
-    return frozenset({"0" + w for w in l} | {"1" + w for w in r})
-
-
-def _canon(ws) -> frozenset:
-    ws = frozenset(ws)
-    if not ws:
-        return _EMPTY
-    if "" in ws:
-        return _FULL
-    return _join(_canon(_split0(ws)), _canon(_split1(ws)))
+def _node(t0, t1):
+    if t0 is t1 and (t0 is True or t0 is False):
+        return t0
+    return (t0, t1)
 
 
 def _union(a, b):
-    if a == _FULL or b == _FULL:
-        return _FULL
-    if not a:
-        return b
-    if not b:
+    if a is True or b is False or a is b:
         return a
-    return _join(_union(_split0(a), _split0(b)), _union(_split1(a), _split1(b)))
+    if b is True or a is False:
+        return b
+    return _node(_union(a[0], b[0]), _union(a[1], b[1]))
 
 
 def _inter(a, b):
-    if not a or not b:
-        return _EMPTY
-    if a == _FULL:
-        return b
-    if b == _FULL:
+    if a is False or b is True or a is b:
         return a
-    return _join(_inter(_split0(a), _split0(b)), _inter(_split1(a), _split1(b)))
+    if b is False or a is True:
+        return b
+    return _node(_inter(a[0], b[0]), _inter(a[1], b[1]))
 
 
 def _compl(a):
-    if a == _FULL:
-        return _EMPTY
-    if not a:
-        return _FULL
-    return _join(_compl(_split0(a)), _compl(_split1(a)))
+    if a is True or a is False:
+        return not a
+    return (_compl(a[0]), _compl(a[1]))
 
 
-@dataclass(frozen=True)
+def _words(t, prefix, out):
+    if t is True:
+        out.append(prefix)
+    elif t is not False:
+        _words(t[0], prefix + "0", out)
+        _words(t[1], prefix + "1", out)
+    return out
+
+
 class Clopen:
-    """Clopen subset of X as a canonical prefix antichain.
+    """Clopen subset of X, stored as a canonical binary tree.
 
-    No word is a prefix of another and no two sibling words p0, p1 are
+    Its boundary form ``words`` is the sorted canonical prefix antichain:
+    no word is a prefix of another and no two sibling words p0, p1 are
     both present.  The empty set is (), all of X is ("",).
     """
 
-    words: tuple[str, ...]
+    __slots__ = ("_t", "_words")
+
+    def __init__(self, tree):
+        self._t = tree
+        self._words = None
+
+    @property
+    def words(self) -> tuple[str, ...]:
+        if self._words is None:
+            self._words = tuple(_words(self._t, "", []))
+        return self._words
+
+    def __eq__(self, other):
+        if other.__class__ is not Clopen:
+            return NotImplemented
+        return self._t == other._t
+
+    def __hash__(self):
+        return hash(self._t)
+
+    def __repr__(self):
+        return f"Clopen(words={self.words!r})"
 
     @staticmethod
     def make(words: Iterable[str]) -> "Clopen":
+        t = False
         for w in words:
-            if any(c not in "01" for c in w):
+            if w.strip("01"):
                 raise ValueError(f"bad word {w!r}")
-        return Clopen(tuple(sorted(_canon(words))))
+            p = True
+            for c in reversed(w):
+                p = (p, False) if c == "0" else (False, p)
+            t = _union(t, p)
+        return Clopen(t)
 
     @staticmethod
     def empty() -> "Clopen":
-        return Clopen(())
+        return Clopen(False)
 
     @staticmethod
     def all() -> "Clopen":
-        return Clopen(("",))
-
-    def _set(self):
-        return frozenset(self.words)
+        return Clopen(True)
 
     def union(self, other: "Clopen") -> "Clopen":
-        return Clopen(tuple(sorted(_union(self._set(), other._set()))))
+        return Clopen(_union(self._t, other._t))
 
     def intersect(self, other: "Clopen") -> "Clopen":
-        return Clopen(tuple(sorted(_inter(self._set(), other._set()))))
+        return Clopen(_inter(self._t, other._t))
 
     def complement(self) -> "Clopen":
-        return Clopen(tuple(sorted(_compl(self._set()))))
+        return Clopen(_compl(self._t))
 
     def difference(self, other: "Clopen") -> "Clopen":
         return self.intersect(other.complement())
 
     def is_empty(self) -> bool:
-        return not self.words
+        return self._t is False
 
     def is_all(self) -> bool:
-        return self.words == ("",)
+        return self._t is True
 
     def is_subset(self, other: "Clopen") -> bool:
         return self.difference(other).is_empty()
-
-    def contains_word(self, w: str) -> bool:
-        """Whole-cell containment: cell(w) subset of self."""
-        return Clopen.make([w]).is_subset(self)
-
-    def meets_word(self, w: str) -> bool:
-        return not self.intersect(Clopen.make([w])).is_empty()
 
 
 def prefix_overlap(words) -> bool:
@@ -140,6 +144,23 @@ def prefix_overlap(words) -> bool:
         if b.startswith(a):
             return True
     return False
+
+
+def merge_sibling_cells(cells) -> tuple:
+    """Sorted (word, label) pairs of a labeled prefix antichain after
+    merging sibling cells p0, p1 with equal labels into p, bottom-up."""
+    cur = dict(cells)
+    by_len = {}
+    for w in cur:
+        by_len.setdefault(len(w), []).append(w)
+    for n in range(max(by_len, default=0), 0, -1):
+        for w in by_len.get(n, ()):
+            sib = w[:-1] + "1"
+            if w[-1] == "0" and sib in cur and cur[sib] == cur[w]:
+                del cur[sib]
+                cur[w[:-1]] = cur.pop(w)
+                by_len.setdefault(n - 1, []).append(w[:-1])
+    return tuple(sorted(cur.items()))
 
 
 def split(b: Clopen) -> tuple[Clopen, Clopen]:
@@ -198,7 +219,11 @@ class Point:
 
 
 def point_in(x: Point, b: Clopen) -> bool:
-    return any(x.startswith(w) for w in b.words)
+    t, i = b._t, 0
+    while t.__class__ is tuple:
+        t = t[x.bit(i) == "1"]
+        i += 1
+    return t
 
 
 def cell_witness(w: str) -> Point:
@@ -240,19 +265,12 @@ class PointContext:
         """1^(i-1) 0^d, the clopen of X containing x_i and cells j >= d."""
         return "1" * (i - 1) + "0" * d
 
-    def offbranch(self) -> Clopen:
-        """Region carrying no branch cells: 1^n . X (all of X when n = 0)."""
-        return Clopen.make(["1" * self.n])
-
     def region(self, d: int) -> Clopen:
         """Off-branch region plus the cells of tail index <= d."""
         out = Clopen.all()
         for i in range(1, self.n + 1):
             out = out.difference(Clopen.make([self.nbhd_word(i, d + 1)]))
         return out
-
-    def points_clopen_complement(self) -> Clopen:
-        return Clopen.all()
 
     def locate(self, x: Point):
         """("point", i) / ("cell", i, j, suffix) / ("off", None)."""
@@ -269,12 +287,6 @@ class PointContext:
         while rest.bit(zeros) == "0":
             zeros += 1
         return ("cell", i, zeros, rest.drop(zeros + 1))
-
-    def point_index(self, x: Point) -> Optional[int]:
-        for i in range(1, self.n + 1):
-            if self.point(i) == x:
-                return i
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -615,13 +627,3 @@ def _reduce_pairs(pairs):
         cur = sorted(bysrc.items())
         if not merged:
             return tuple(cur)
-
-
-def relative_pairs(abs_pairs, src_root: str, dst_root: str) -> list[tuple[str, str]]:
-    """Strip common roots off absolute pairs lying inside two cells."""
-    out = []
-    for p, q in abs_pairs:
-        if not (p.startswith(src_root) and q.startswith(dst_root)):
-            raise ValueError((p, q, src_root, dst_root))
-        out.append((p[len(src_root):], q[len(dst_root):]))
-    return out

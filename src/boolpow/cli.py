@@ -24,7 +24,7 @@ from . import power as bp
 from . import serialize as ser
 from .autgroup import PowerAutomorphism, characteristic
 from .cantor import Clopen, Point, PointContext, TailClopen
-from .errors import BoolpowError, ParseError
+from .errors import BoolpowError, ParseError, SizeBudgetExceeded
 from .homeo import EPHomeo, cross_branch_involution
 from .rand import random_point_fixing_homeo, suffix_twist, tail_shift
 
@@ -37,7 +37,7 @@ def _load_algebra(args) -> alg.FiniteAlgebra:
             raise ParseError(f"unknown builtin {args.builtin!r}") from e
     if args.alg:
         with open(args.alg) as fh:
-            return alg.from_json(fh.read())
+            return alg.from_json(fh.read(), args.alg)
     raise ParseError("need --builtin or --alg")
 
 
@@ -45,7 +45,10 @@ def _filters(args, algebra) -> tuple[int, ...]:
     if args.filters is not None:
         if args.filters.strip() == "":
             return ()
-        return tuple(int(x) for x in args.filters.split(","))
+        try:
+            return tuple(int(x) for x in args.filters.split(","))
+        except ValueError as e:
+            raise ParseError(f"--filters {args.filters!r}: {e}") from e
     return tuple(sorted(alg.idempotents(algebra)))
 
 
@@ -71,6 +74,12 @@ def cmd_inspect_algebra(args):
 def cmd_build_power(args):
     a = _load_algebra(args)
     ctx = bp.make_context(a, _filters(args, a))
+    # past this depth the 2^depth - n free cells alone exceed the budget
+    too_deep = args.depth > args.budget.bit_length() + ctx.n
+    if too_deep or bp.element_count(ctx, args.depth) > args.budget:
+        raise SizeBudgetExceeded(
+            f"depth {args.depth} has more than --budget {args.budget} elements"
+        )
     elems = bp.enumerate_elements(ctx, args.depth)
     sample = [ser.element_to_obj(f) for f in elems[:4]]
     round_trips = all(
@@ -333,6 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag in ("depth", "points", "rank", "steps", "budget"):
+            if getattr(args, flag) < 0:
+                raise ParseError(f"--{flag} must be non-negative")
         report, ok = COMMANDS[args.command](args)
     except BoolpowError as e:
         report, ok = {"error": f"{type(e).__name__}: {e}"}, False

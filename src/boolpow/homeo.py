@@ -21,6 +21,7 @@ from .cantor import (
     Table,
     TailClopen,
     _reduce_pairs,
+    prefix_overlap,
     type_of,
 )
 from .errors import (
@@ -345,25 +346,17 @@ def _validate(ctx, pairs, pieces):
         image_cells += [ctx.cellword(t, j) for j in leftover]
     # tabular part must tile exactly the complement of the tails
     srcs = [p for p, _ in pairs]
-    if _has_prefix_overlap(srcs):
+    if prefix_overlap(srcs):
         raise OverlappingDomains("tabular sources overlap")
     want_dom = Clopen.make(["1" * ctx.n] + leftover_cells)
     if Clopen.make(srcs) != want_dom:
         raise NotBijective("tabular sources do not tile the exceptional region")
     dsts = [q for _, q in pairs]
-    if _has_prefix_overlap(dsts):
+    if prefix_overlap(dsts):
         raise NotBijective("tabular images overlap")
     want_img = Clopen.make(["1" * ctx.n] + image_cells)
     if Clopen.make(dsts) != want_img:
         raise NotBijective("tabular images do not tile the exceptional region")
-
-
-def _has_prefix_overlap(words) -> bool:
-    ws = sorted(words)
-    for a, b in zip(ws, ws[1:]):
-        if b.startswith(a):
-            return True
-    return False
 
 
 def _divisors(m):

@@ -11,7 +11,14 @@ from typing import Callable, Optional, Sequence
 
 from . import algebra as alg
 from .algebra import Endomap, FiniteAlgebra
-from .cantor import Clopen, Point, PointContext, point_in, prefix_overlap
+from .cantor import (
+    Clopen,
+    Point,
+    PointContext,
+    merge_sibling_cells,
+    point_in,
+    prefix_overlap,
+)
 from .errors import (
     ContextMismatch,
     EmptyRestriction,
@@ -74,7 +81,7 @@ class PowerElement:
             raise ValueError("overlapping cells")
         if Clopen.make(words) != support:
             raise ValueError("cells do not tile the support")
-        cells = _merge_cells(cells)
+        cells = merge_sibling_cells(cells)
         el = PowerElement(ctx, cells, support)
         for i in range(1, ctx.points.n + 1):
             x = ctx.points.point(i)
@@ -115,21 +122,6 @@ class PowerElement:
             part = Clopen.make([w]).intersect(b)
             cells += [(u, a) for u in part.words]
         return PowerElement.make(self.ctx, cells, self.support.intersect(b))
-
-
-def _merge_cells(cells):
-    cur = dict(cells)
-    while True:
-        merged = False
-        for w, a in sorted(cur.items()):
-            if w.endswith("0") and cur.get(w[:-1] + "1") == a:
-                del cur[w]
-                del cur[w[:-1] + "1"]
-                cur[w[:-1]] = a
-                merged = True
-                break
-        if not merged:
-            return tuple(sorted(cur.items()))
 
 
 def refine(elems: Sequence[PowerElement]) -> list[tuple[str, tuple[int, ...]]]:
@@ -669,15 +661,29 @@ def element_from_tuple(ctx, cellwords, labs) -> PowerElement:
     return PowerElement.make(ctx, list(zip(cellwords, labs)))
 
 
-def enumerate_elements(ctx: PowerContext, depth: int) -> list[PowerElement]:
-    """All elements constant on the level-`depth` cells."""
-    words = ["".join(bits) for bits in product("01", repeat=depth)]
+def _forced_cells(ctx: PowerContext, depth: int) -> Optional[dict]:
+    """Level-`depth` cells holding a distinguished point, with the label
+    its filter forces; None when two points force one cell differently."""
     forced = {}
     for i in range(1, ctx.points.n + 1):
         w = ctx.points.point(i).prefix(depth)
-        if w in forced and forced[w] != ctx.filters[i - 1]:
-            return []
-        forced[w] = ctx.filters[i - 1]
+        if forced.setdefault(w, ctx.filters[i - 1]) != ctx.filters[i - 1]:
+            return None
+    return forced
+
+
+def element_count(ctx: PowerContext, depth: int) -> int:
+    """len(enumerate_elements(ctx, depth)), without enumerating."""
+    forced = _forced_cells(ctx, depth)
+    return 0 if forced is None else ctx.algebra.size ** (2**depth - len(forced))
+
+
+def enumerate_elements(ctx: PowerContext, depth: int) -> list[PowerElement]:
+    """All elements constant on the level-`depth` cells."""
+    forced = _forced_cells(ctx, depth)
+    if forced is None:
+        return []
+    words = ["".join(bits) for bits in product("01", repeat=depth)]
     free = [w for w in words if w not in forced]
     out = []
     for labs in product(range(ctx.algebra.size), repeat=len(free)):

@@ -193,3 +193,41 @@ def test_tailclopen_json_roundtrip():
     pctx = PointContext(2)
     c = TailClopen.make(pctx, 1, Clopen.make(["11", "011"]), ("10", "1"))
     assert ser.tailclopen_from_obj(pctx, ser.tailclopen_to_obj(c)) == c
+
+
+@pytest.mark.parametrize(
+    "argv, alg_text",
+    [
+        (["build-power", "--builtin", "gf2-ring", "--depth", "-3"], None),
+        (["build-power", "--builtin", "gf2-ring", "--filters", "0,abc"], None),
+        (["factor-homeo", "--points", "-1"], None),
+        (["inspect-algebra"], '{"carrier": "x"}'),
+        (["inspect-algebra"], "not json {"),
+    ],
+    ids=["negative-depth", "bad-filters", "negative-points", "no-ops", "not-json"],
+)
+def test_bad_input_is_parse_error(tmp_path, capsys, argv, alg_text):
+    if alg_text is not None:
+        f = tmp_path / "alg.json"
+        f.write_text(alg_text)
+        argv = argv + ["--alg", str(f)]
+    code, rep = run(capsys, *argv)
+    assert code == 1
+    assert rep["ok"] is False
+    assert rep["error"].startswith("ParseError: ")
+
+
+@pytest.mark.parametrize("depth", ["6", "1000000"])
+def test_build_power_budget_checked_first(capsys, depth):
+    code, rep = run(
+        capsys,
+        "build-power",
+        "--builtin",
+        "gf2-ring",
+        "--filters",
+        "0",
+        "--depth",
+        depth,
+    )
+    assert code == 1
+    assert rep["error"].startswith("SizeBudgetExceeded: ")

@@ -309,3 +309,10 @@ def test_enumerate_elements_counts():
     assert len(bp.enumerate_elements(CTX_GF2_1, 2)) == 2 ** 3
     assert len(bp.enumerate_elements(CTX_RED_2, 2)) == 2 ** 2
     assert len(bp.enumerate_elements(bp.make_context(GF4, ()), 1)) == 16
+
+
+def test_element_count_without_enumerating():
+    # gf2-ring, one point: 2^6 level-6 cells, one forced, 2^63 elements
+    assert bp.element_count(CTX_GF2_1, 6) == 2**63
+    for ctx, depth in [(CTX_GF2_1, 3), (CTX_RED_2, 0), (CTX_RED_2, 2)]:
+        assert bp.element_count(ctx, depth) == len(bp.enumerate_elements(ctx, depth))

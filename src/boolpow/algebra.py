@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import islice, product
+from operator import add
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -467,6 +468,70 @@ def subalgebra_generated(alg: FiniteAlgebra, gens: Iterable[int]) -> frozenset[i
     return frozenset(closed)
 
 
+def pointwise_closure(alg: FiniteAlgebra, gens, budget: int) -> dict:
+    """Subuniverse of A^L generated by the vectors `gens` (tuples of length
+    L) under the pointwise basic operations.
+
+    Returns a dict from each member, in discovery order, to how it was
+    first produced: None for a generator, (k, args) for operation k applied
+    to the members args (() for a constant).  No generators give {}.
+    Semi-naive: when member i leaves the FIFO frontier, each operand
+    position pos takes it in turn, with the positions before pos drawing
+    from members 0..i-1 and those after from members 0..i, so every
+    ordered argument tuple is evaluated exactly once.  Raises
+    SizeBudgetExceeded exactly when the closure has more than `budget`
+    members.
+    """
+    found: dict = {}
+    members: list = []
+    size = alg.size
+
+    def admit(vec, record):
+        if len(members) >= budget:
+            raise SizeBudgetExceeded(f"closure passed {budget} members")
+        found[vec] = record
+        members.append(vec)
+
+    for g in gens:
+        g = tuple(g)
+        if g not in found:
+            admit(g, None)
+    if not members:
+        return found
+    width = len(members[0])
+    for k, (_, arity) in enumerate(alg.signature):
+        if arity == 0 and (c := (alg.tables[k][0],) * width) not in found:
+            admit(c, (k, ()))
+
+    def walk(k, get, pools, base, off, args):
+        # off[c] is the table offset of the operands fixed so far at
+        # coordinate c; the last operand completes the index
+        lim = pools[len(args)]
+        pool = (base,) if lim is None else islice(members, lim)
+        if len(args) + 1 == len(pools):
+            for x in pool:
+                v = tuple(map(get, map(add, off, x)))
+                if v not in found:
+                    admit(v, (k, args + (x,)))
+        else:
+            for x in pool:
+                nxt = tuple([(o + y) * size for o, y in zip(off, x)])
+                walk(k, get, pools, base, nxt, args + (x,))
+
+    ops = [
+        (k, arity, alg.tables[k].__getitem__)
+        for k, (_, arity) in enumerate(alg.signature)
+        if arity
+    ]
+    zero = (0,) * width
+    for i, base in enumerate(members):  # members grows as the frontier
+        for k, arity, get in ops:
+            for pos in range(arity):
+                pools = [i] * pos + [None] + [i + 1] * (arity - 1 - pos)
+                walk(k, get, pools, base, zero, ())
+    return found
+
+
 def subalgebras(alg: FiniteAlgebra, budget: int = 1 << 16) -> list[frozenset[int]]:
     """All nonempty closed subsets.
 
@@ -519,14 +584,6 @@ class Endomap:
 
 def identity_endomap(alg: FiniteAlgebra) -> Endomap:
     return Endomap(tuple(alg.carrier), True)
-
-
-def preserves_operations(alg: FiniteAlgebra, mapping: Sequence[int]) -> bool:
-    for k, (_, arity) in enumerate(alg.signature):
-        for args in product(alg.carrier, repeat=arity):
-            if mapping[alg.apply(k, args)] != alg.apply(k, [mapping[a] for a in args]):
-                return False
-    return True
 
 
 def automorphisms(alg: FiniteAlgebra, budget: int = 1 << 20) -> list[Endomap]:

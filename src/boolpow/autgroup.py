@@ -42,10 +42,6 @@ def _ident(size: int) -> Mapping:
     return tuple(range(size))
 
 
-def _aut_mappings(algebra) -> set[Mapping]:
-    return {a.mapping for a in alg.automorphisms(algebra)}
-
-
 @dataclass(frozen=True)
 class AutLabeling:
     """Locally constant map X° -> Aut A with periodic branch tails whose
@@ -59,7 +55,7 @@ class AutLabeling:
     @staticmethod
     def make(ctx, threshold, exc_cells, tails) -> "AutLabeling":
         pts = ctx.points
-        auts = _aut_mappings(ctx.algebra)
+        auts = ctx.aut_mappings
         exc_cells = [(str(w), tuple(m)) for w, m in exc_cells]
         tails = tuple(tuple(tuple(m) for m in t) for t in tails)
         if len(tails) != pts.n:
@@ -395,10 +391,6 @@ class PowerAutomorphism:
     def h_part(self) -> EPHomeo:
         return self.homeo
 
-    def p_part(self) -> AutLabeling:
-        """Defined for kernel members (identity homeo part)."""
-        return self.labeling
-
     def in_kernel(self) -> bool:
         return self.homeo.is_identity()
 
@@ -580,10 +572,10 @@ def verify_stabilizer_containment(
     n = ctx.points.n
     m = len(blocks)
     # distinct-orbit hypothesis
-    auts = alg.automorphisms(ctx.algebra)
+    auts = ctx.aut_mappings
     for i in range(n):
         for j in range(i + 1, n):
-            if any(a(ctx.filters[i]) == ctx.filters[j] for a in auts):
+            if any(m[ctx.filters[i]] == ctx.filters[j] for m in auts):
                 raise OrbitCollision((ctx.filters[i], ctx.filters[j]))
     cover = Clopen.empty()
     for k, b in enumerate(blocks):

@@ -266,11 +266,17 @@ class PointContext:
         return "1" * (i - 1) + "0" * d
 
     def region(self, d: int) -> Clopen:
-        """Off-branch region plus the cells of tail index <= d."""
-        out = Clopen.all()
-        for i in range(1, self.n + 1):
-            out = out.difference(Clopen.make([self.nbhd_word(i, d + 1)]))
-        return out
+        """Off-branch region plus the cells of tail index <= d: X minus
+        every nbhd_word(i, d + 1), built as one tree."""
+        if d < 0:  # nbhd_word(1, d + 1) is all of X
+            return Clopen.all() if self.n == 0 else Clopen.empty()
+        below = False  # X minus 0^d, the part kept below each 1^(i-1) 0
+        for _ in range(d):
+            below = (below, True)
+        t = True  # the off-branch part below 1^n
+        for _ in range(self.n):
+            t = (below, t)
+        return Clopen(t)
 
     def locate(self, x: Point):
         """("point", i) / ("cell", i, j, suffix) / ("off", None)."""

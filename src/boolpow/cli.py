@@ -24,7 +24,7 @@ from . import power as bp
 from . import serialize as ser
 from .autgroup import PowerAutomorphism, characteristic
 from .cantor import Clopen, Point, PointContext, TailClopen
-from .errors import BoolpowError, ParseError, SizeBudgetExceeded
+from .errors import BoolpowError, ParseError
 from .homeo import EPHomeo, cross_branch_involution
 from .rand import random_point_fixing_homeo, suffix_twist, tail_shift
 
@@ -74,12 +74,7 @@ def cmd_inspect_algebra(args):
 def cmd_build_power(args):
     a = _load_algebra(args)
     ctx = bp.make_context(a, _filters(args, a))
-    # past this depth the 2^depth - n free cells alone exceed the budget
-    too_deep = args.depth > args.budget.bit_length() + ctx.n
-    if too_deep or bp.element_count(ctx, args.depth) > args.budget:
-        raise SizeBudgetExceeded(
-            f"depth {args.depth} has more than --budget {args.budget} elements"
-        )
+    bp.check_element_budget(ctx, args.depth, args.budget)
     elems = bp.enumerate_elements(ctx, args.depth)
     sample = [ser.element_to_obj(f) for f in elems[:4]]
     round_trips = all(
@@ -155,10 +150,13 @@ def cmd_extend_homogeneity(args):
 def cmd_fraisse_chain(args):
     a = _load_algebra(args)
     ctx = bp.make_context(a, _filters(args, a))
+    # the depth of chain[0], known before the chain is built
+    first = fr.first_stage_depth(ctx)
+    cover_depth = max(min(args.depth, 2 + ctx.points.n), first)
+    bp.check_element_budget(ctx, cover_depth, args.budget)
     chain = fr.limit_chain(ctx, args.depth)
     commutes = fr.chain_commutes(chain)
-    cover_depth = min(args.depth, 2 + ctx.points.n)
-    covers = fr.chain_covers(ctx, chain, max(cover_depth, chain[0].depth))
+    covers = fr.chain_covers(ctx, chain, cover_depth)
     report = {
         "stages": [
             {"depth": st.depth, "arity": st.bp.u} for st in chain
@@ -174,12 +172,12 @@ def cmd_free_algebra(args):
     k = args.rank
     rep = fa.clone_generate(a, k, budget=args.budget)
     sk = fa.proper_tuples(a, k)
-    rpt = fa.verify_rank_factorization(a, k)
+    rpt = fa.verify_rank_factorization(a, k, rep=rep)
     class_sizes = {}
     idems = sorted(alg.idempotents(a))
     for f in rep.elements:
         if all(f.value(t, a.size) in idems for t in sk):
-            cls = fa.kernel_class(rep, f)
+            cls = fa.kernel_class(rep, f, sk)
             key = ",".join(str(f.value(t, a.size)) for t in sk)
             class_sizes[key] = len(cls)
     report = {
@@ -202,6 +200,7 @@ def cmd_reduce_idempotents(args):
     ctx = bp.make_context(a, _filters(args, a))
     red, iso = bp.reduce_idempotents(ctx)
     depth = max(2, fr.first_stage_depth(red))
+    bp.check_element_budget(ctx, depth, args.budget)
     elems = bp.enumerate_elements(ctx, depth)
     ok = True
     seen = set()
@@ -277,6 +276,7 @@ def cmd_factor_homeo(args):
 def cmd_bergman_growth(args):
     a = _load_algebra(args)
     ctx = bp.make_context(a, _filters(args, a))
+    bp.check_element_budget(ctx, args.depth, args.budget)
     pctx = ctx.points
     gens = []
     if args.gens:

@@ -259,7 +259,7 @@ class BPEmbedding:
 
     @staticmethod
     def make(ctx, u, cells, blocks) -> "BPEmbedding":
-        auts = {a.mapping for a in alg.automorphisms(ctx.algebra)}
+        auts = ctx.aut_mappings
         cells = tuple((c, tuple(m), int(j)) for c, m, j in cells)
         blocks = tuple(blocks)
         if len(blocks) != ctx.points.n:

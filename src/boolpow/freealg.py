@@ -64,48 +64,24 @@ class FreeAlgebraRep:
 def clone_generate(
     algebra: FiniteAlgebra, k: int, budget: int = 100_000
 ) -> FreeAlgebraRep:
-    """Breadth-first closure of the projections under the pointwise basic
-    operations, with witness terms."""
+    """Closure of the projections under the pointwise basic operations
+    (one semi-naive algebra.pointwise_closure), with witness terms."""
     tuples = list(product(range(algebra.size), repeat=k))
-    projections = []
-    for j in range(k):
-        projections.append(
-            (tuple(t[j] for t in tuples), ("var", j))
-        )
-    visited = dict(projections)
-    frontier = list(visited)
-    while frontier:
-        base = frontier.pop(0)
-        base_term = visited[base]
-        for opk, (name, arity) in enumerate(algebra.signature):
-            if arity == 0:
-                vec = tuple(algebra.tables[opk][0] for _ in tuples)
-                if vec not in visited:
-                    visited[vec] = (name, ())
-                    frontier.append(vec)
-                continue
-            pool = list(visited.items())
-            for pos in range(arity):
-                for others in product(pool, repeat=arity - 1):
-                    combo = others[:pos] + ((base, base_term),) + others[pos:]
-                    vec = tuple(
-                        algebra.apply(opk, [c[0][i] for c in combo])
-                        for i in range(len(tuples))
-                    )
-                    if vec not in visited:
-                        if len(visited) >= budget:
-                            raise SizeBudgetExceeded(
-                                f"clone closure passed {budget} functions"
-                            )
-                        visited[vec] = (name, tuple(c[1] for c in combo))
-                        frontier.append(vec)
+    projections = [tuple(t[j] for t in tuples) for j in range(k)]
+    found = alg.pointwise_closure(algebra, projections, budget)
+    witness = {p: ("var", j) for j, p in enumerate(projections)}
+    for vec, record in found.items():
+        if record is not None:
+            opk, args = record
+            name = algebra.signature[opk][0]
+            witness[vec] = (name, tuple(witness[a] for a in args))
     elements = tuple(
         sorted(
-            (TermFunction(k, t, w) for t, w in visited.items()),
+            (TermFunction(k, t, witness[t]) for t in found),
             key=lambda f: f.table,
         )
     )
-    gens = tuple(TermFunction(k, t, w) for t, w in projections)
+    gens = tuple(TermFunction(k, p, witness[p]) for p in projections)
     return FreeAlgebraRep(algebra, k, elements, gens)
 
 
@@ -149,13 +125,15 @@ def _restrict_vector(f: TermFunction, size: int, domain) -> tuple[int, ...]:
 
 
 def kernel_class(
-    rep: FreeAlgebraRep, e: TermFunction, k: Optional[int] = None
+    rep: FreeAlgebraRep,
+    e: TermFunction,
+    sk: Optional[Sequence[tuple[int, ...]]] = None,
 ) -> list[TermFunction]:
     """All term functions agreeing with e on the generating-deficient
-    transversal tuples; e must take idempotent values there."""
+    transversal tuples sk (proper_tuples at the rank of rep when None); e
+    must take idempotent values there."""
     A = rep.algebra
-    k = rep.rank if k is None else k
-    sk = proper_tuples(A, k)
+    sk = proper_tuples(A, rep.rank) if sk is None else sk
     idems = alg.idempotents(A)
     for t in sk:
         if e.value(t, A.size) not in idems:
@@ -189,15 +167,20 @@ class RankFactorizationReport:
 
 
 def verify_rank_factorization(
-    algebra: FiniteAlgebra, k: int, level: Optional[int] = None, budget: int = 1 << 22
+    algebra: FiniteAlgebra,
+    k: int,
+    level: Optional[int] = None,
+    budget: int = 1 << 22,
+    rep: Optional[FreeAlgebraRep] = None,
 ) -> RankFactorizationReport:
     """Check, by enumeration over the level-(k+1) transversal, that the
     rank-k free algebra is exactly: functions constant on every cylinder
     over a generating transversal tuple whose restriction to the deficient
     part lies in the restricted free algebra; and that it factors as a
-    full power times that restriction."""
+    full power times that restriction.  rep is the rank-k clone when the
+    caller has built it already."""
     level = k + 1 if level is None else level
-    rep = clone_generate(algebra, k)
+    rep = clone_generate(algebra, k) if rep is None else rep
     R_m = orbit_transversal(algebra, level)
     R_k = orbit_transversal(algebra, k)
     S_k = set(proper_tuples(algebra, k))
@@ -441,7 +424,8 @@ def loop_ring_split(algebra: FiniteAlgebra, k: int):
         if y not in F:
             raise AssertionError("y-generator escaped the clone")
         ys.append(y)
-    H = _pointwise_closure(algebra, R_k, ys)
+    # F is closed and holds every y, so H fits in len(F) members
+    H = set(alg.pointwise_closure(algebra, ys, budget=len(F)))
     ebar = tuple(e for _ in R_k)
     inter = N & H
     products = {
@@ -457,26 +441,3 @@ def loop_ring_split(algebra: FiniteAlgebra, k: int):
         product_covers=products == F,
     )
     return sorted(N), sorted(H), report
-
-
-def _pointwise_closure(algebra, domain, gens):
-    closed = set(gens)
-    for kop, (_, arity) in enumerate(algebra.signature):
-        if arity == 0:
-            closed.add(tuple(algebra.tables[kop][0] for _ in domain))
-    changed = True
-    while changed:
-        changed = False
-        base = list(closed)
-        for kop, (_, arity) in enumerate(algebra.signature):
-            if arity == 0:
-                continue
-            for combo in product(base, repeat=arity):
-                v = tuple(
-                    algebra.apply(kop, [c[i] for c in combo])
-                    for i in range(len(domain))
-                )
-                if v not in closed:
-                    closed.add(v)
-                    changed = True
-    return closed

@@ -56,9 +56,6 @@ class TailPiece:
     def domain_epset(self) -> EPSet:
         return EPSet.from_ap(self.first, self.step)
 
-    def image_epset(self) -> EPSet:
-        return EPSet.from_ap(self.ifirst, self.istep)
-
     def inverted(self) -> "TailPiece":
         return TailPiece(
             self.target,

@@ -6,6 +6,7 @@ isomorphisms that add, twist, relocate and merge filtering points.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Callable, Optional, Sequence
 
@@ -50,6 +51,12 @@ class PowerContext:
     @property
     def n(self) -> int:
         return self.points.n
+
+    @cached_property
+    def aut_mappings(self) -> tuple[tuple[int, ...], ...]:
+        """Automorphisms of the algebra as mapping tuples, in the order
+        algebra.automorphisms finds them; searched once per context."""
+        return tuple(a.mapping for a in alg.automorphisms(self.algebra))
 
 
 def make_context(algebra: FiniteAlgebra, filters: Sequence[int]) -> PowerContext:
@@ -101,13 +108,6 @@ class PowerElement:
             if x.startswith(w):
                 return a
         raise ValueError("point outside the support")
-
-    def value_on_word(self, w: str) -> Optional[int]:
-        """Label when cell(w) is inside one cell of the partition."""
-        for u, a in self.cells:
-            if w.startswith(u):
-                return a
-        return None
 
     def fiber(self, a: int) -> Clopen:
         out = Clopen.empty()
@@ -568,16 +568,16 @@ def reduce_idempotents(ctx: PowerContext):
     representative idempotent, relocate it to the last position, and merge
     it into the representative's point.
     """
-    auts = alg.automorphisms(ctx.algebra)
+    auts = ctx.aut_mappings
     iso = ElementIso.identity(ctx)
     cur = ctx
     while True:
         dup = None
         for j in range(2, cur.points.n + 1):
             for i in range(1, j):
-                for a in auts:
-                    if a(cur.filters[j - 1]) == cur.filters[i - 1]:
-                        dup = (i, j, a)
+                for m in auts:
+                    if m[cur.filters[j - 1]] == cur.filters[i - 1]:
+                        dup = (i, j, Endomap(m, True))
                         break
                 if dup:
                     break
@@ -611,35 +611,9 @@ def generated_subalgebra(elems: Sequence[PowerElement], budget: int = 200_000):
     ctx = elems[0].ctx
     refined = refine(elems)
     cellwords = [w for w, _ in refined]
-    gens = {
-        tuple(labs[t] for _, labs in refined) for t in range(len(elems))
-    }
+    gens = [tuple(labs[t] for _, labs in refined) for t in range(len(elems))]
     A = ctx.algebra
-    closed = set()
-    frontier = list(gens)
-    while frontier:
-        t = frontier.pop()
-        if t in closed:
-            continue
-        closed.add(t)
-        if len(closed) > budget:
-            raise SizeBudgetExceeded("generated subalgebra too large")
-        base = list(closed)
-        for k, (_, arity) in enumerate(A.signature):
-            if arity == 0:
-                c = tuple(A.tables[k][0] for _ in cellwords)
-                if c not in closed:
-                    frontier.append(c)
-                continue
-            for combo in product(base, repeat=arity):
-                if t not in combo:
-                    continue
-                val = tuple(
-                    A.apply(k, [c[pos] for c in combo])
-                    for pos in range(len(cellwords))
-                )
-                if val not in closed:
-                    frontier.append(val)
+    closed = alg.pointwise_closure(A, gens, budget)
     tuples = sorted(closed)
     index = {t: k for k, t in enumerate(tuples)}
     tables = []
@@ -657,10 +631,6 @@ def generated_subalgebra(elems: Sequence[PowerElement], budget: int = 200_000):
     return sub, tuples, cellwords
 
 
-def element_from_tuple(ctx, cellwords, labs) -> PowerElement:
-    return PowerElement.make(ctx, list(zip(cellwords, labs)))
-
-
 def _forced_cells(ctx: PowerContext, depth: int) -> Optional[dict]:
     """Level-`depth` cells holding a distinguished point, with the label
     its filter forces; None when two points force one cell differently."""
@@ -676,6 +646,17 @@ def element_count(ctx: PowerContext, depth: int) -> int:
     """len(enumerate_elements(ctx, depth)), without enumerating."""
     forced = _forced_cells(ctx, depth)
     return 0 if forced is None else ctx.algebra.size ** (2**depth - len(forced))
+
+
+def check_element_budget(ctx: PowerContext, depth: int, budget: int) -> None:
+    """Raise SizeBudgetExceeded when enumerate_elements(ctx, depth) would
+    return more than `budget` elements; run it before enumerating."""
+    # past this depth the 2^depth - n free cells alone exceed the budget
+    too_deep = depth > budget.bit_length() + ctx.n
+    if too_deep or element_count(ctx, depth) > budget:
+        raise SizeBudgetExceeded(
+            f"depth {depth} has more than --budget {budget} elements"
+        )
 
 
 def enumerate_elements(ctx: PowerContext, depth: int) -> list[PowerElement]:

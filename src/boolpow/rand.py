@@ -7,19 +7,10 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from . import algebra as alg
 from .autgroup import AutLabeling, PowerAutomorphism
 from .cantor import Clopen, PointContext, Table, TailClopen, is_good
 from .homeo import EPHomeo, TailPiece, orbit_witness
 from .power import PowerContext
-
-
-def random_clopen(rng: random.Random, depth: int = 3) -> Clopen:
-    words = []
-    for k in range(2**depth):
-        if rng.random() < 0.5:
-            words.append(format(k, f"0{depth}b"))
-    return Clopen.make(words)
 
 
 def random_tailclopen(
@@ -161,7 +152,7 @@ def random_block_preserving_homeo(
 
 
 def random_labeling(ctx: PowerContext, rng: random.Random) -> AutLabeling:
-    auts = [a.mapping for a in alg.automorphisms(ctx.algebra)]
+    auts = ctx.aut_mappings
     pts = ctx.points
     d = rng.randint(0, 1)
     cells = []

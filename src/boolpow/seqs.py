@@ -178,17 +178,6 @@ class EPSet:
             (self.hlen + 1 + i, self.wlen) for i in _bit_positions(self.wbits)
         ]
 
-    def count_upto(self, j: int) -> int:
-        if j <= self.hlen:
-            return (self.hbits & ((1 << j) - 1)).bit_count()
-        beyond = j - self.hlen
-        full, rem = divmod(beyond, self.wlen)
-        return (
-            self.hbits.bit_count()
-            + full * self.wbits.bit_count()
-            + (self.wbits & ((1 << rem) - 1)).bit_count()
-        )
-
     def kth_one(self, k: int) -> int:
         """0-based rank; the set must be infinite."""
         if self.is_finite():

@@ -178,6 +178,19 @@ def test_region_partition():
         ).words
 
 
+@pytest.mark.parametrize("n", range(5))
+def test_region_matches_make_difference(n):
+    # the one-pass tree against X minus each neighbourhood in turn
+    ctx = PointContext(n)
+    for d in range(-1, 7):
+        want = Clopen.all()
+        for i in range(1, n + 1):
+            want = want.difference(Clopen.make([ctx.nbhd_word(i, d + 1)]))
+        got = ctx.region(d)
+        assert got == want
+        assert got.words == want.words
+
+
 # --- tail clopens ---------------------------------------------------------
 
 

@@ -231,3 +231,31 @@ def test_build_power_budget_checked_first(capsys, depth):
     )
     assert code == 1
     assert rep["error"].startswith("SizeBudgetExceeded: ")
+
+
+@pytest.mark.parametrize(
+    "argv,count",
+    [
+        # two of the four level-2 cells hold a point: 2^2 elements
+        (["reduce-idempotents", "--builtin", "gf2-ring", "--filters", "0,0"], 4),
+        # cover depth min(3, 2 + 2) = 3, two points: 2^(8 - 2) elements
+        (["fraisse-chain", "--builtin", "gf2-idempotent-reduct", "--depth", "3"], 64),
+        (["bergman-growth", "--builtin", "gf2-idempotent-reduct", "--depth", "3"], 64),
+    ],
+    ids=["reduce-idempotents", "fraisse-chain", "bergman-growth"],
+)
+def test_enumerating_commands_check_budget(capsys, argv, count):
+    code, rep = run(capsys, *argv, "--budget", str(count))
+    assert code == 0
+    code, rep = run(capsys, *argv, "--budget", str(count - 1))
+    assert code == 1
+    assert rep["error"].startswith("SizeBudgetExceeded: ")
+
+
+def test_bergman_growth_budget_checked_first(capsys):
+    # 2^(2^1000000 - 1) elements: only a check made before enumerating ends
+    code, rep = run(
+        capsys, "bergman-growth", "--builtin", "gf2-ring", "--depth", "1000000"
+    )
+    assert code == 1
+    assert rep["error"].startswith("SizeBudgetExceeded: ")

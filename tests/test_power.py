@@ -9,6 +9,7 @@ from boolpow.errors import (
     EmptyRestriction,
     FilterViolation,
     IdempotentMismatch,
+    SizeBudgetExceeded,
 )
 from boolpow.homeo import EPHomeo
 
@@ -316,3 +317,14 @@ def test_element_count_without_enumerating():
     assert bp.element_count(CTX_GF2_1, 6) == 2**63
     for ctx, depth in [(CTX_GF2_1, 3), (CTX_RED_2, 0), (CTX_RED_2, 2)]:
         assert bp.element_count(ctx, depth) == len(bp.enumerate_elements(ctx, depth))
+
+
+def test_check_element_budget_arithmetic():
+    # gf2-ring, one point, depth 3: 2^(8 - 1) elements
+    bp.check_element_budget(CTX_GF2_1, 3, 128)
+    with pytest.raises(SizeBudgetExceeded):
+        bp.check_element_budget(CTX_GF2_1, 3, 127)
+    # 2^63 elements, and a depth too large to count
+    for depth in (6, 10**6):
+        with pytest.raises(SizeBudgetExceeded):
+            bp.check_element_budget(CTX_GF2_1, depth, 200_000)

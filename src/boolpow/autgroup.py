@@ -7,8 +7,8 @@ space, with stabilizer-valued labels along every branch tail.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
-from math import lcm
 from typing import Sequence
 
 from . import algebra as alg
@@ -34,6 +34,7 @@ from .errors import (
 )
 from .homeo import EPHomeo
 from .power import PowerContext, PowerElement
+from .seqs import EPSeq, common_threshold
 
 Mapping = tuple[int, ...]
 
@@ -79,29 +80,22 @@ class AutLabeling:
             raise ValueError("overlapping label cells")
         if Clopen.make(words) != pts.region(threshold):
             raise ValueError("label cells do not tile the exceptional region")
-        # canonical form: primitive words, minimal threshold, merged cells
-        tails = tuple(_primitive_tuple(t) for t in tails)
-        d = threshold
-        cells = dict(exc_cells)
-        while d > 0:
-            boundary = []
-            ok = True
-            for i in range(1, pts.n + 1):
-                cw = pts.cellword(i, d)
-                label = _whole_cell_label(cells, cw)
-                if label is None or label != tails[i - 1][-1]:
-                    ok = False
-                    break
-                boundary.append((i, cw, label))
-            if not ok:
-                break
-            for i, cw, label in boundary:
-                _remove_cell(cells, cw)
-            tails = tuple((t[-1],) + t[:-1] for t in tails)
-            tails = tuple(_primitive_tuple(t) for t in tails)
-            d -= 1
-        merged = merge_sibling_cells(cells)
-        return AutLabeling(ctx, d, merged, tails)
+        # canonical form: merged cells, then the minimal threshold, where
+        # each branch reads its whole-cell labels (no region cell has a
+        # proper prefix inside the region) followed by its tail word
+        merged = merge_sibling_cells(exc_cells)
+        cells = dict(merged)
+        cws = [
+            [pts.cellword(i, j) for j in range(1, threshold + 1)]
+            for i in range(1, pts.n + 1)
+        ]
+        d, tails = common_threshold(
+            (tuple(map(cells.get, cw)), t) for cw, t in zip(cws, tails)
+        )
+        if d < threshold:
+            folded = {w for cw in cws for w in cw[d:]}
+            merged = tuple(c for c in merged if c[0] not in folded)
+        return AutLabeling(ctx, d, merged, tuple(tails))
 
     @staticmethod
     def identity(ctx) -> "AutLabeling":
@@ -153,26 +147,20 @@ class AutLabeling:
         for tc, m in raised:
             exc_cells += [(w, m) for w in tc.exceptional.words]
         tails = []
-        for i in range(1, pts.n + 1):
-            L = lcm(*[len(tc.tails[i - 1]) for tc, _ in raised])
-            word = []
-            for o in range(L):
-                hits = [
-                    m
-                    for tc, m in raised
-                    if tc.tails[i - 1][o % len(tc.tails[i - 1])] == "1"
-                ]
-                if len(hits) != 1:
-                    raise ValueError("fibers do not partition a branch tail")
-                word.append(hits[0])
-            tails.append(tuple(word))
+        for i in range(pts.n):
+            labels = EPSeq((), (None,))
+            for tc, m in raised:
+                fiber = EPSeq((), tc.tails[i])  # tail words are primitive
+                labels = labels.zip_with(partial(_claim, m=m), fiber)
+            if None in labels.word:
+                raise ValueError("fibers do not partition a branch tail")
+            tails.append(labels.word)
         return AutLabeling.make(ctx, d, exc_cells, tails)
 
     def multiply(self, other: "AutLabeling") -> "AutLabeling":
         """Pointwise composition x -> self(x) o other(x)."""
         if self.ctx != other.ctx:
             raise ContextMismatch((self.ctx, other.ctx))
-        pts = self.ctx.points
         d = max(self.threshold, other.threshold)
         a = self._raised(d)
         b = other._raised(d)
@@ -183,15 +171,10 @@ class AutLabeling:
                     cells.append((w2, _comp(m1, m2)))
                 elif w1.startswith(w2) and w1 != w2:
                     cells.append((w1, _comp(m1, m2)))
-        tails = []
-        for i in range(pts.n):
-            L = lcm(len(a.tails[i]), len(b.tails[i]))
-            tails.append(
-                tuple(
-                    _comp(a.tails[i][o % len(a.tails[i])], b.tails[i][o % len(b.tails[i])])
-                    for o in range(L)
-                )
-            )
+        tails = [
+            EPSeq((), t1).zip_with(_comp, EPSeq((), t2)).word
+            for t1, t2 in zip(a.tails, b.tails)
+        ]
         return AutLabeling.make(self.ctx, d, cells, tails)
 
     def invert(self) -> "AutLabeling":
@@ -206,17 +189,18 @@ class AutLabeling:
         return AutLabeling.from_fibers(self.ctx, fibers)
 
     def _raised(self, d: int) -> "AutLabeling":
+        """Same labeling re-expressed at threshold d >= current (not
+        canonical)."""
+        if d == self.threshold:
+            return self
         pts = self.ctx.points
         cells = list(self.exc_cells)
-        tails = list(self.tails)
-        for j in range(self.threshold + 1, d + 1):
-            for i in range(1, pts.n + 1):
-                cells.append((pts.cellword(i, j), self.tail_label(i, j)))
-        sh = d - self.threshold
-        for i in range(pts.n):
-            t = tails[i]
-            k = sh % len(t)
-            tails[i] = t[k:] + t[:k]
+        tails = []
+        for i, t in enumerate(self.tails, start=1):
+            s = EPSeq((), t)  # stored tail words are primitive
+            for j in range(1, d - self.threshold + 1):
+                cells.append((pts.cellword(i, self.threshold + j), s.at(j)))
+            tails.append(s.shift(d - self.threshold).word)
         return AutLabeling(self.ctx, d, tuple(cells), tuple(tails))
 
     def act(self, f: PowerElement) -> PowerElement:
@@ -247,6 +231,10 @@ def _comp(m1: Mapping, m2: Mapping) -> Mapping:
     return tuple(m1[m2[a]] for a in range(len(m1)))
 
 
+def _pair(m1: Mapping, m2: Mapping):
+    return m1, m2
+
+
 def _inv(m: Mapping) -> Mapping:
     out = [0] * len(m)
     for a, b in enumerate(m):
@@ -254,40 +242,20 @@ def _inv(m: Mapping) -> Mapping:
     return tuple(out)
 
 
-def _primitive_tuple(t):
-    n = len(t)
-    for d in range(1, n):
-        if n % d == 0 and t == t[:d] * (n // d):
-            return t[:d]
-    return t
-
-
-def _whole_cell_label(cells: dict, cw: str):
-    """Label when cell(cw) is covered by equally-labeled cells."""
-    labels = set()
-    covered = Clopen.empty()
-    for w, m in cells.items():
-        if w.startswith(cw):
-            labels.add(m)
-            covered = covered.union(Clopen.make([w]))
-        elif cw.startswith(w):
-            return m
-    if len(labels) == 1 and covered == Clopen.make([cw]):
-        return labels.pop()
-    return None
-
-
-def _remove_cell(cells: dict, cw: str):
-    for w in [w for w in cells if w.startswith(cw)]:
-        del cells[w]
+def _claim(label, bit: str, m: Mapping):
+    """One fiber's tail bit folded into a branch label: m where the bit
+    is set, on a position no other fiber holds."""
+    if bit != "1":
+        return label
+    if label is not None:
+        raise ValueError("fibers do not partition a branch tail")
+    return m
 
 
 def separating_element(k1: AutLabeling, k2: AutLabeling):
     """An element on which two distinct labelings act differently, or
     None when they are equal; its depth is bounded by the labelings'
     thresholds and periods."""
-    from math import lcm as _lcm
-
     from .power import _complement_fill
 
     if k1.ctx != k2.ctx:
@@ -310,10 +278,9 @@ def separating_element(k1: AutLabeling, k2: AutLabeling):
                 w = w1 if len(w1) >= len(w2) else w2
                 a = next(x for x in ctx.algebra.carrier if m1[x] != m2[x])
                 return build(w, a)
-    for i in range(1, ctx.points.n + 1):
-        t1, t2 = a1.tails[i - 1], a2.tails[i - 1]
-        for o in range(_lcm(len(t1), len(t2))):
-            m1, m2 = t1[o % len(t1)], t2[o % len(t2)]
+    for i, (t1, t2) in enumerate(zip(a1.tails, a2.tails), start=1):
+        both = EPSeq((), t1).zip_with(_pair, EPSeq((), t2))
+        for o, (m1, m2) in enumerate(both.word):
             if m1 != m2:
                 w = ctx.points.cellword(i, D + 1 + o)
                 a = next(x for x in ctx.algebra.carrier if m1[x] != m2[x])

@@ -12,11 +12,11 @@ branch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from itertools import count
 from typing import Iterable
 
 from .errors import ContextMismatch, EmptyInput, EmptyOrFull, NotGood
-from .seqs import EPSet
+from .seqs import EPSeq, EPSet, common_threshold
 
 # ---------------------------------------------------------------------------
 # clopens of X as binary trees
@@ -146,9 +146,23 @@ def prefix_overlap(words) -> bool:
     return False
 
 
-def merge_sibling_cells(cells) -> tuple:
+def _equal(a, b):
+    return a if a == b else None
+
+
+def image_join(q0: str, q1: str):
+    """Table pairs p0 -> q0, p1 -> q1 join into p -> q when q0, q1 are
+    the sibling words q0, q1."""
+    if q0[-1:] == "0" and q1 == q0[:-1] + "1":
+        return q0[:-1]
+    return None
+
+
+def merge_sibling_cells(cells, join=_equal) -> tuple:
     """Sorted (word, label) pairs of a labeled prefix antichain after
-    merging sibling cells p0, p1 with equal labels into p, bottom-up."""
+    merging sibling cells p0, p1 into p, bottom-up, wherever
+    join(label of p0, label of p1) is not None; that is p's label.  By
+    default equal labels merge."""
     cur = dict(cells)
     by_len = {}
     for w in cur:
@@ -156,10 +170,12 @@ def merge_sibling_cells(cells) -> tuple:
     for n in range(max(by_len, default=0), 0, -1):
         for w in by_len.get(n, ()):
             sib = w[:-1] + "1"
-            if w[-1] == "0" and sib in cur and cur[sib] == cur[w]:
-                del cur[sib]
-                cur[w[:-1]] = cur.pop(w)
-                by_len.setdefault(n - 1, []).append(w[:-1])
+            if w[-1] == "0" and sib in cur:
+                label = join(cur[w], cur[sib])
+                if label is not None:
+                    del cur[w], cur[sib]
+                    cur[w[:-1]] = label
+                    by_len.setdefault(n - 1, []).append(w[:-1])
     return tuple(sorted(cur.items()))
 
 
@@ -187,15 +203,8 @@ class Point:
     def make(pre: str, per: str) -> "Point":
         if not per or any(c not in "01" for c in pre + per):
             raise ValueError((pre, per))
-        n = len(per)
-        for d in range(1, n):
-            if n % d == 0 and per == (per[:d] * (n // d)):
-                per = per[:d]
-                break
-        while pre and pre[-1] == per[-1]:
-            per = per[-1] + per[:-1]
-            pre = pre[:-1]
-        return Point(pre, per)
+        s = EPSeq.make(pre, per)
+        return Point(s.head, s.word)
 
     def bit(self, i: int) -> str:
         if i < len(self.pre):
@@ -248,7 +257,7 @@ class PointContext:
     def point(self, i: int) -> Point:
         if not 1 <= i <= self.n:
             raise IndexError(i)
-        return Point.make("1" * (i - 1), "0")
+        return Point("1" * (i - 1), "0")  # canonical as it stands
 
     def points(self) -> list[Point]:
         return [self.point(i) for i in range(1, self.n + 1)]
@@ -295,6 +304,21 @@ class PointContext:
         return ("cell", i, zeros, rest.drop(zeros + 1))
 
 
+def _cell_labels(t, i: int, d: int) -> tuple:
+    """For j = 1..d: "1" or "0" when tree t holds all or none of
+    cell(i, j), None when it splits that cell."""
+    for _ in range(i - 1):
+        if t.__class__ is tuple:
+            t = t[1]
+    out = []
+    for _ in range(d):
+        if t.__class__ is tuple:
+            t = t[0]
+        c = t[1] if t.__class__ is tuple else t
+        out.append(None if c.__class__ is tuple else "01"[c])
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # clopens of the punctured space
 
@@ -331,29 +355,15 @@ class TailClopen:
                 raise ValueError(f"bad tail word {w!r}")
         if not exceptional.is_subset(ctx.region(threshold)):
             raise ValueError("exceptional part leaks into a branch tail")
-        tails = tuple(_primitive_str(w) for w in tails)
-        # minimal threshold: pull whole cells at the boundary back into tails
-        d, exc = threshold, exceptional
-        while d > 0:
-            ok = True
-            for i in range(1, ctx.n + 1):
-                cell = ctx.cell(i, d)
-                part = exc.intersect(cell)
-                whole = part == cell
-                if not (whole or part.is_empty()):
-                    ok = False
-                    break
-                if ("1" if whole else "0") != tails[i - 1][-1]:
-                    ok = False
-                    break
-            if not ok:
-                break
-            for i in range(1, ctx.n + 1):
-                exc = exc.difference(ctx.cell(i, d))
-            tails = tuple(w[-1] + w[:-1] for w in tails)
-            d -= 1
-        tails = tuple(_primitive_str(w) for w in tails)
-        return TailClopen(ctx, d, exc, tails)
+        # minimal threshold: each branch reads its whole-cell labels up to
+        # the threshold followed by its tail word
+        d, words = common_threshold(
+            (_cell_labels(exceptional._t, i, threshold), tuple(w))
+            for i, w in enumerate(tails, start=1)
+        )
+        if d < threshold:
+            exceptional = exceptional.intersect(ctx.region(d))
+        return TailClopen(ctx, d, exceptional, tuple(map("".join, words)))
 
     @staticmethod
     def empty(ctx) -> "TailClopen":
@@ -389,17 +399,16 @@ class TailClopen:
         """Same set re-expressed at threshold d >= current (not canonical)."""
         if d < self.threshold:
             raise ValueError(d)
+        if d == self.threshold:
+            return self
         exc = self.exceptional
-        tails = list(self.tails)
-        for j in range(self.threshold + 1, d + 1):
-            for i in range(1, self.ctx.n + 1):
-                if self.tail_bit(i, j) == "1":
-                    exc = exc.union(self.ctx.cell(i, j))
-        sh = d - self.threshold
-        for i in range(self.ctx.n):
-            w = tails[i]
-            k = sh % len(w)
-            tails[i] = w[k:] + w[:k]
+        tails = []
+        for i, w in enumerate(self.tails, start=1):
+            s = EPSeq((), w)  # stored tail words are primitive
+            for j in range(1, d - self.threshold + 1):
+                if s.at(j) == "1":
+                    exc = exc.union(self.ctx.cell(i, self.threshold + j))
+            tails.append(s.shift(d - self.threshold).word)
         return TailClopen(self.ctx, d, exc, tuple(tails))
 
     def _binop(self, other, excfn, bitfn) -> "TailClopen":
@@ -408,12 +417,10 @@ class TailClopen:
         d = max(self.threshold, other.threshold)
         a, b = self.raised(d), other.raised(d)
         exc = excfn(a.exceptional, b.exceptional)
-        tails = []
-        for i in range(self.ctx.n):
-            L = lcm(len(a.tails[i]), len(b.tails[i]))
-            w1 = (a.tails[i] * (L // len(a.tails[i])))
-            w2 = (b.tails[i] * (L // len(b.tails[i])))
-            tails.append("".join(bitfn(x, y) for x, y in zip(w1, w2)))
+        tails = [
+            "".join(EPSeq((), x).zip_with(bitfn, EPSeq((), y)).word)
+            for x, y in zip(a.tails, b.tails)
+        ]
         return TailClopen.make(self.ctx, d, exc, tails)
 
     def union(self, other) -> "TailClopen":
@@ -473,14 +480,6 @@ class TailClopen:
         return point_in(x, self.exceptional)
 
 
-def _primitive_str(w: str) -> str:
-    n = len(w)
-    for d in range(1, n):
-        if n % d == 0 and w == w[:d] * (n // d):
-            return w[:d]
-    return w
-
-
 def type_of(c: TailClopen) -> ClopenType:
     """Branches whose point is a limit point of c (ins) and of X° minus c
     (outs); requires c proper and nonempty."""
@@ -504,32 +503,28 @@ def is_good(c: TailClopen) -> bool:
     return t.ins == allb and t.outs == allb
 
 
+def deal_cyclic(word: str, parts: int, r: int) -> str:
+    """Share r of the ones of a periodic 0/1 word dealt out cyclically by
+    rank among `parts` shares (the first one has rank 0), as a word over
+    `parts` periods."""
+    rank = count()
+    return "".join(
+        "1" if c == "1" and next(rank) % parts == r else "0"
+        for c in word * parts
+    )
+
+
 def split_cyclic(c: TailClopen, parts: int, exceptional_to: int = 0):
     """Partition c into `parts` disjoint pieces: the whole tail cells of c
     are dealt out cyclically by rank on every branch, and the exceptional
     content of c goes to piece `exceptional_to`."""
     if parts < 1:
         raise ValueError(parts)
-    ctx = c.ctx
-    d = c.threshold
     out = []
     for r in range(parts):
-        tails = []
-        for i in range(ctx.n):
-            w = c.tails[i]
-            L = len(w) * parts
-            ww = w * parts
-            bits = []
-            rank = 0
-            for o in range(L):
-                if ww[o] == "1":
-                    bits.append("1" if rank % parts == r else "0")
-                    rank += 1
-                else:
-                    bits.append("0")
-            tails.append("".join(bits) if "1" in "".join(bits) else "0")
+        tails = [deal_cyclic(w, parts, r) for w in c.tails]
         exc = c.exceptional if r == exceptional_to else Clopen.empty()
-        out.append(TailClopen.make(ctx, d, exc, tails))
+        out.append(TailClopen.make(c.ctx, c.threshold, exc, tails))
     return out
 
 
@@ -565,7 +560,7 @@ class Table:
             raise ValueError("overlapping image cells")
         if not Clopen.make(dsts).is_all():
             raise ValueError("image cells do not cover X")
-        return Table(_reduce_pairs(pairs))
+        return Table(merge_sibling_cells(pairs, image_join))
 
     @staticmethod
     def identity() -> "Table":
@@ -575,7 +570,8 @@ class Table:
         return self.pairs == (("", ""),)
 
     def inverse(self) -> "Table":
-        return Table(_reduce_pairs([(q, p) for p, q in self.pairs]))
+        inv = [(q, p) for p, q in self.pairs]
+        return Table(merge_sibling_cells(inv, image_join))
 
     def compose(self, first: "Table") -> "Table":
         """self after first."""
@@ -586,7 +582,7 @@ class Table:
                     out.append((p + p2[len(q):], q2))
                 elif q.startswith(p2):
                     out.append((p, q2 + q[len(p2):]))
-        return Table(_reduce_pairs(out))
+        return Table(merge_sibling_cells(out, image_join))
 
     def apply_point(self, x: Point) -> Point:
         for p, q in self.pairs:
@@ -614,22 +610,3 @@ class Table:
                 elif p.startswith(w) and p != w:
                     out.append((p, q))
         return out
-
-
-def _reduce_pairs(pairs):
-    cur = sorted(set(pairs))
-    while True:
-        bysrc = dict(cur)
-        merged = False
-        for p, q in list(bysrc.items()):
-            if p.endswith("0") and q.endswith("0"):
-                p2, q2 = p[:-1] + "1", q[:-1] + "1"
-                if bysrc.get(p2) == q2:
-                    del bysrc[p]
-                    del bysrc[p2]
-                    bysrc[p[:-1]] = q[:-1]
-                    merged = True
-                    break
-        cur = sorted(bysrc.items())
-        if not merged:
-            return tuple(cur)

@@ -41,6 +41,17 @@ def _load_algebra(args) -> alg.FiniteAlgebra:
     raise ParseError("need --builtin or --alg")
 
 
+def _load_json(path: str, parse):
+    """parse(obj) for the JSON object in the file at path; content that is
+    not JSON or lacks a field raises ParseError naming the file."""
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        return parse(json.loads(text))
+    except (ValueError, KeyError, TypeError, IndexError) as e:
+        raise ParseError(f"{path}: {type(e).__name__}: {e}") from e
+
+
 def _filters(args, algebra) -> tuple[int, ...]:
     if args.filters is not None:
         if args.filters.strip() == "":
@@ -93,10 +104,8 @@ def cmd_build_power(args):
 def cmd_amalgamate(args):
     a = _load_algebra(args)
     if args.emb1 and args.emb2:
-        with open(args.emb1) as fh:
-            phi = ser.embedding_from_obj(a, json.load(fh))
-        with open(args.emb2) as fh:
-            psi = ser.embedding_from_obj(a, json.load(fh))
+        phi = _load_json(args.emb1, lambda obj: ser.embedding_from_obj(a, obj))
+        psi = _load_json(args.emb2, lambda obj: ser.embedding_from_obj(a, obj))
     else:
         phi = fr.PowerEmbedding.identity(a, 1)
         psi = fr.PowerEmbedding.identity(a, 1)
@@ -251,8 +260,7 @@ def cmd_factor_homeo(args):
     pctx = PointContext(n)
     gp = fz.good_partition(pctx)
     if args.sigma:
-        with open(args.sigma) as fh:
-            sigma = ser.homeo_from_obj(pctx, json.load(fh))
+        sigma = _load_json(args.sigma, lambda obj: ser.homeo_from_obj(pctx, obj))
     else:
         rng = random.Random(args.seed)
         sigma = random_point_fixing_homeo(pctx, rng, moves=2)
@@ -278,14 +286,12 @@ def cmd_bergman_growth(args):
     ctx = bp.make_context(a, _filters(args, a))
     bp.check_element_budget(ctx, args.depth, args.budget)
     pctx = ctx.points
-    gens = []
     if args.gens:
-        with open(args.gens) as fh:
-            data = json.load(fh)
-        for obj in data:
-            gens.append(ser.homeo_from_obj(pctx, obj))
+        gens = _load_json(
+            args.gens, lambda objs: [ser.homeo_from_obj(pctx, o) for o in objs]
+        )
     else:
-        gens.append(suffix_twist(pctx, 1))
+        gens = [suffix_twist(pctx, 1)]
         if pctx.n:
             base = pctx.cellword(1, 1)
             from .rand import cell_swap
@@ -316,25 +322,45 @@ COMMANDS = {
 }
 
 
+FLAGS = {
+    "alg": {"help": "algebra JSON file"},
+    "builtin": {"help": "built-in algebra name"},
+    "filters": {"help": "comma-separated filter idempotents"},
+    "rank": {"type": int, "default": 2},
+    "depth": {"type": int, "default": 3},
+    "budget": {"type": int, "default": 200_000},
+    "seed": {"type": int, "default": 0},
+    "steps": {"type": int, "default": 6},
+    "points": {"type": int, "default": 1},
+    "sigma": {"help": "homeomorphism JSON file"},
+    "gens": {"help": "generator list JSON file"},
+    "emb1": {"help": "embedding JSON file"},
+    "emb2": {"help": "embedding JSON file"},
+}
+
+# the flags each subcommand reads, besides --out
+_ALG = ("alg", "builtin")
+COMMAND_FLAGS = {
+    "inspect-algebra": _ALG + ("budget",),
+    "build-power": _ALG + ("filters", "depth", "budget"),
+    "amalgamate": _ALG + ("emb1", "emb2"),
+    "extend-homogeneity": _ALG + ("filters", "depth", "seed"),
+    "fraisse-chain": _ALG + ("filters", "depth", "budget"),
+    "free-algebra": _ALG + ("rank", "budget"),
+    "reduce-idempotents": _ALG + ("filters", "budget"),
+    "demo-example-2-3": ("depth",),
+    "factor-homeo": ("points", "seed", "sigma"),
+    "bergman-growth": _ALG + ("filters", "depth", "budget", "steps", "gens"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="boolpow")
     sub = p.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         sp = sub.add_parser(name)
-        sp.add_argument("--alg", help="algebra JSON file")
-        sp.add_argument("--builtin", help="built-in algebra name")
-        sp.add_argument("--filters", help="comma-separated filter idempotents")
-        sp.add_argument("--rank", type=int, default=2)
-        sp.add_argument("--depth", type=int, default=3)
-        sp.add_argument("--budget", type=int, default=200_000)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--steps", type=int, default=6)
-        sp.add_argument("--points", type=int, default=1)
-        sp.add_argument("--sigma", help="homeomorphism JSON file")
-        sp.add_argument("--partition", help="partition JSON file (unused: standard)")
-        sp.add_argument("--gens", help="generator list JSON file")
-        sp.add_argument("--emb1", help="embedding JSON file")
-        sp.add_argument("--emb2", help="embedding JSON file")
+        for flag in COMMAND_FLAGS[name]:
+            sp.add_argument(f"--{flag}", **FLAGS[flag])
         sp.add_argument("--out", help="write the report here instead of stdout")
     return p
 
@@ -343,7 +369,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         for flag in ("depth", "points", "rank", "steps", "budget"):
-            if getattr(args, flag) < 0:
+            if getattr(args, flag, 0) < 0:  # only the flags it has
                 raise ParseError(f"--{flag} must be non-negative")
         report, ok = COMMANDS[args.command](args)
     except BoolpowError as e:

@@ -10,7 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cantor import Clopen, PointContext, TailClopen, is_good, type_of
+from .cantor import (
+    Clopen,
+    PointContext,
+    TailClopen,
+    deal_cyclic,
+    is_good,
+    type_of,
+)
 from .errors import (
     EmptyGeneratorSet,
     NoPoints,
@@ -61,24 +68,11 @@ def _accumulation_set(c: TailClopen) -> frozenset[int]:
 
 def _alternate_subset(d: TailClopen, branches) -> TailClopen:
     """Every other whole tail cell of d on the given branches."""
-    ctx = d.ctx
-    tails = []
-    for i in range(1, ctx.n + 1):
-        w = d.tails[i - 1]
-        if i not in branches:
-            tails.append("0")
-            continue
-        ww = w * 2
-        bits = []
-        rank = 0
-        for o in range(len(ww)):
-            if ww[o] == "1":
-                bits.append("1" if rank % 2 == 0 else "0")
-                rank += 1
-            else:
-                bits.append("0")
-        tails.append("".join(bits))
-    return TailClopen.make(ctx, d.threshold, Clopen.empty(), tails)
+    tails = [
+        deal_cyclic(w, 2, 0) if i in branches else "0"
+        for i, w in enumerate(d.tails, start=1)
+    ]
+    return TailClopen.make(d.ctx, d.threshold, Clopen.empty(), tails)
 
 
 def _first_cell(d: TailClopen) -> TailClopen:

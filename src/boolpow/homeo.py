@@ -20,7 +20,8 @@ from .cantor import (
     PointContext,
     Table,
     TailClopen,
-    _reduce_pairs,
+    image_join,
+    merge_sibling_cells,
     prefix_overlap,
     type_of,
 )
@@ -31,7 +32,7 @@ from .errors import (
     OverlappingDomains,
     TypeMismatch,
 )
-from .seqs import EPSet, ap_intersect, match_ones
+from .seqs import EPSet, ap_intersect, divisors, match_ones
 
 
 @dataclass(frozen=True)
@@ -52,9 +53,6 @@ class TailPiece:
 
     def image_of(self, j: int) -> int:
         return self.ifirst + (j - self.first) // self.step * self.istep
-
-    def domain_epset(self) -> EPSet:
-        return EPSet.from_ap(self.first, self.step)
 
     def inverted(self) -> "TailPiece":
         return TailPiece(
@@ -187,37 +185,30 @@ class EPHomeo:
                         )
                 j += piece.step
             # whole cells beyond the threshold, by word
-            ineps = b.tail_epset(i).intersect(piece.domain_epset())
-            for j in ineps.finite_part():
+            ones, aps = b.tail_epset(i).on_ap(piece.first, piece.step)
+            for j in ones:
                 singles.append((piece.target, piece.image_of(j)))
-            for f, s in ineps.periodic_aps():
+            for f, s in aps:
                 ap_images.setdefault(piece.target, []).append(
                     (piece.image_of(f), piece.istep * (s // piece.step))
                 )
         # assemble the image
         epsets = {}
         for t in range(1, ctx.n + 1):
-            e = EPSet.constant(False)
-            for f, s in ap_images.get(t, []):
-                e = e.union(EPSet.from_ap(f, s))
-            for tt, jj in singles:
-                if tt == t:
-                    e = e.union(EPSet.singleton(jj))
-            epsets[t] = e
+            epsets[t] = EPSet.from_aps(
+                ap_images.get(t, []), [jj for tt, jj in singles if tt == t]
+            )
         depth = _max_branch_index(ctx, partial)
         for t, e in epsets.items():
-            depth = max(depth, e.hlen)
+            depth = max(depth, len(e.head))
         exc = partial
         tails = []
         for t in range(1, ctx.n + 1):
             e = epsets[t]
             for j in range(1, depth + 1):
-                if e.bit(j):
+                if e.at(j):
                     exc = exc.union(ctx.cell(t, j))
-            L = e.wlen
-            tails.append(
-                "".join("1" if e.bit(depth + 1 + k) else "0" for k in range(L))
-            )
+            tails.append("".join("01"[b] for b in e.shift(depth).word))
         return TailClopen.make(ctx, depth, exc, tails)
 
     def apply_clopen_in_X(self, b: Clopen) -> Clopen:
@@ -356,18 +347,6 @@ def _validate(ctx, pairs, pieces):
         raise NotBijective("tabular images do not tile the exceptional region")
 
 
-def _divisors(m):
-    small, big = [], []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            small.append(d)
-            if d != m // d:
-                big.append(m // d)
-        d += 1
-    return small + big[::-1]
-
-
 def _canonicalize(ctx, pairs, pieces):
     pairs = list(pairs)
     out = []
@@ -385,7 +364,7 @@ def _canonicalize(ctx, pairs, pieces):
         D = [data[owner[r]] for r in range(M)]
         # minimal modulus: owner data d-periodic with integral image step
         chosen = M
-        for d in _divisors(M):
+        for d in divisors(M):
             if d < M and any(D[r] != D[(r + d) % M] for r in range(M)):
                 continue
             if all(
@@ -444,7 +423,7 @@ def _canonicalize(ctx, pairs, pieces):
                 c[1], c[4] = j, jj
         out += [TailPiece(*c) for c in classes]
     out.sort(key=lambda p: (p.branch, p.first))
-    return list(_reduce_pairs(pairs)), out
+    return list(merge_sibling_cells(pairs, image_join)), out
 
 
 def _pairs_on(h: EPHomeo, w: str):
@@ -566,8 +545,8 @@ def orbit_witness(c1: TailClopen, c2: TailClopen) -> EPHomeo:
             j1, j2 = in1.kth_one(0), in2.kth_one(0)
             E1 = E1.union(ctx.cell(i, j1))
             E2 = E2.union(ctx.cell(i, j2))
-            in1 = in1.difference(_singleton(j1))
-            in2 = in2.difference(_singleton(j2))
+            in1 = in1.difference(EPSet.singleton(j1))
+            in2 = in2.difference(EPSet.singleton(j2))
             singles, aps = match_ones(in1, in2)
             pairs += [
                 (ctx.cellword(i, j), ctx.cellword(i, jj)) for j, jj in singles
@@ -580,8 +559,8 @@ def orbit_witness(c1: TailClopen, c2: TailClopen) -> EPHomeo:
             j1, j2 = out1.kth_one(0), out2.kth_one(0)
             F1 = F1.union(ctx.cell(i, j1))
             F2 = F2.union(ctx.cell(i, j2))
-            out1 = out1.difference(_singleton(j1))
-            out2 = out2.difference(_singleton(j2))
+            out1 = out1.difference(EPSet.singleton(j1))
+            out2 = out2.difference(EPSet.singleton(j2))
             singles, aps = match_ones(out1, out2)
             pairs += [
                 (ctx.cellword(i, j), ctx.cellword(i, jj)) for j, jj in singles
@@ -593,10 +572,6 @@ def orbit_witness(c1: TailClopen, c2: TailClopen) -> EPHomeo:
     pairs += _match_clopens(E1, E2)
     pairs += _match_clopens(F1, F2)
     return EPHomeo.make(ctx, pairs, pieces)
-
-
-def _singleton(j):
-    return EPSet.singleton(j)
 
 
 def _match_clopens(u: Clopen, v: Clopen):
@@ -624,16 +599,14 @@ def restrict_homeo(h: EPHomeo, d: TailClopen):
         pairs += _pairs_on(h, w)
     for i in range(1, ctx.n + 1):
         ineps = d.tail_epset(i)
-        cover = EPSet.constant(False)
         for piece in h.branch_pieces(i):
-            cover = cover.union(piece.domain_epset())
-            sub = ineps.intersect(piece.domain_epset())
-            for j in sub.finite_part():
+            ones, aps = ineps.on_ap(piece.first, piece.step)
+            for j in ones:
                 cw = ctx.cellword(i, j)
                 cw2 = ctx.cellword(piece.target, piece.image_of(j))
                 for a, bb in piece.cellmap.pairs:
                     pairs.append((cw + a, cw2 + bb))
-            for f, s in sub.periodic_aps():
+            for f, s in aps:
                 pieces.append(
                     TailPiece(
                         i,
@@ -645,8 +618,9 @@ def restrict_homeo(h: EPHomeo, d: TailClopen):
                         piece.cellmap,
                     )
                 )
+        cover = EPSet.from_aps([(p.first, p.step) for p in h.branch_pieces(i)])
         for j in cover.complement().finite_part():
-            if ineps.bit(j):
+            if ineps.at(j):
                 pairs += _pairs_on(h, ctx.cellword(i, j))
     return pairs, pieces
 

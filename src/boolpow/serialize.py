@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from .algebra import FiniteAlgebra, from_json as algebra_from_json, to_json as algebra_to_json
-from .cantor import Clopen, Point, PointContext, Table, TailClopen
+from .cantor import Clopen, PointContext, Table, TailClopen
 from .fraisse import PowerEmbedding
 from .homeo import EPHomeo, TailPiece
-from .power import PowerContext, PowerCongruence, PowerElement
+from .power import PowerContext, PowerElement
 
 
 def clopen_to_obj(b: Clopen):
@@ -15,14 +15,6 @@ def clopen_to_obj(b: Clopen):
 
 def clopen_from_obj(obj) -> Clopen:
     return Clopen.make(obj)
-
-
-def point_to_obj(x: Point):
-    return {"pre": x.pre, "per": x.per}
-
-
-def point_from_obj(obj) -> Point:
-    return Point.make(obj["pre"], obj["per"])
 
 
 def tailclopen_to_obj(c: TailClopen):
@@ -86,14 +78,6 @@ def element_from_obj(ctx: PowerContext, obj) -> PowerElement:
     return PowerElement.make(
         ctx, [(c["prefix"], c["label"]) for c in obj["cells"]]
     )
-
-
-def congruence_to_obj(t: PowerCongruence):
-    return {"support": clopen_to_obj(t.support)}
-
-
-def congruence_from_obj(ctx: PowerContext, obj) -> PowerCongruence:
-    return PowerCongruence(ctx, clopen_from_obj(obj["support"]))
 
 
 def embedding_to_obj(e: PowerEmbedding):

@@ -335,7 +335,7 @@ def test_table_apply_clopen():
 
 def test_epset_basic():
     s = EPSet.from_ap(3, 2)
-    assert [s.bit(j) for j in range(1, 8)] == [
+    assert [s.at(j) for j in range(1, 8)] == [
         False,
         False,
         True,
@@ -370,8 +370,8 @@ def test_match_ones_simple():
     for (f, s), (f2, s2) in pieces:
         for t in range(6):
             seen[f + t * s] = f2 + t * s2
-    ones_a = [j for j in range(1, 40) if a.bit(j)]
-    ones_b = [j for j in range(1, 40) if b.bit(j)]
+    ones_a = [j for j in range(1, 40) if a.at(j)]
+    ones_b = [j for j in range(1, 40) if b.at(j)]
     for k in range(12):
         assert seen[ones_a[k]] == ones_b[k]
 
@@ -383,4 +383,4 @@ def test_match_ones_simple():
 def test_epset_canonical_bits_stable(head, word):
     s = EPSet.make(head, word)
     for j in range(1, len(head) + 1):
-        assert s.bit(j) == head[j - 1]
+        assert s.at(j) == head[j - 1]

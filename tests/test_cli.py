@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,7 +7,7 @@ from boolpow import algebra as alg
 from boolpow import power as bp
 from boolpow import serialize as ser
 from boolpow.cantor import Clopen, PointContext, TailClopen
-from boolpow.cli import main
+from boolpow.cli import COMMANDS, build_parser, main
 from boolpow.homeo import EPHomeo
 from boolpow.rand import random_point_fixing_homeo, tail_shift
 
@@ -195,26 +196,86 @@ def test_tailclopen_json_roundtrip():
     assert ser.tailclopen_from_obj(pctx, ser.tailclopen_to_obj(c)) == c
 
 
-@pytest.mark.parametrize(
-    "argv, alg_text",
-    [
-        (["build-power", "--builtin", "gf2-ring", "--depth", "-3"], None),
-        (["build-power", "--builtin", "gf2-ring", "--filters", "0,abc"], None),
-        (["factor-homeo", "--points", "-1"], None),
-        (["inspect-algebra"], '{"carrier": "x"}'),
-        (["inspect-algebra"], "not json {"),
-    ],
-    ids=["negative-depth", "bad-filters", "negative-points", "no-ops", "not-json"],
+# a homeomorphism whose cell map lists the source cell "0" twice
+OVERLAPPING_CELLMAP = json.dumps(
+    {
+        "pairs": [["1", "1"]],
+        "tails": [
+            {
+                "branch": 1,
+                "target": 1,
+                "modulus": 1,
+                "affine": [1, 1, 1],
+                "cellmaps": [["0", "0"], ["0", "1"]],
+            }
+        ],
+    }
 )
-def test_bad_input_is_parse_error(tmp_path, capsys, argv, alg_text):
-    if alg_text is not None:
-        f = tmp_path / "alg.json"
-        f.write_text(alg_text)
-        argv = argv + ["--alg", str(f)]
+
+
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        (["build-power", "--builtin", "gf2-ring", "--depth", "-3"], {}),
+        (["build-power", "--builtin", "gf2-ring", "--filters", "0,abc"], {}),
+        (["factor-homeo", "--points", "-1"], {}),
+        (["inspect-algebra"], {"--alg": '{"carrier": "x"}'}),
+        (["inspect-algebra"], {"--alg": "not json {"}),
+        (["factor-homeo"], {"--sigma": "not json {"}),
+        (["factor-homeo"], {"--sigma": "{}"}),
+        (["factor-homeo"], {"--sigma": OVERLAPPING_CELLMAP}),
+        (
+            ["bergman-growth", "--builtin", "gf2-idempotent-reduct"],
+            {"--gens": '[{"pairs": []}]'},
+        ),
+        (["amalgamate", "--builtin", "gf2-ring"], {"--emb1": "{}", "--emb2": "{}"}),
+    ],
+    ids=[
+        "negative-depth",
+        "bad-filters",
+        "negative-points",
+        "no-ops",
+        "not-json",
+        "sigma-not-json",
+        "sigma-no-tails",
+        "sigma-overlapping-cellmap",
+        "gens-entry-no-tails",
+        "embedding-no-coords",
+    ],
+)
+def test_bad_input_is_parse_error(tmp_path, capsys, argv, files):
+    for flag, text in files.items():
+        f = tmp_path / f"{flag.strip('-')}.json"
+        f.write_text(text)
+        argv = argv + [flag, str(f)]
     code, rep = run(capsys, *argv)
     assert code == 1
     assert rep["ok"] is False
     assert rep["error"].startswith("ParseError: ")
+    if files:
+        assert str(tmp_path) in rep["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["demo-example-2-3", "--partition", "x"],
+        ["demo-example-2-3", "--seed", "1"],
+        ["factor-homeo", "--builtin", "gf2-ring"],
+    ],
+)
+def test_unread_flag_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [ln.split() for ln in readme.splitlines() if ln.startswith("boolpow ")]
+    assert len(lines) == len(COMMANDS)
+    for words in lines:
+        build_parser().parse_args(words[1:])
 
 
 @pytest.mark.parametrize("depth", ["6", "1000000"])

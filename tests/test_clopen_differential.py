@@ -1,6 +1,7 @@
 """Differential tests of the tree-backed ``Clopen`` and of the shared
 sibling-merge helper against the frozenset-of-words algebra and the
-restart-after-every-merge loop they replaced, kept here as oracles."""
+restart-after-every-merge loops they replaced (for labeled cells and for
+table pairs), kept here as oracles."""
 
 from dataclasses import dataclass
 from itertools import product
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from boolpow.cantor import Clopen, merge_sibling_cells
+from boolpow.cantor import Clopen, Table, image_join, merge_sibling_cells
 
 # ---------------------------------------------------------------------------
 # oracle: canonical antichain algebra on frozensets of binary words
@@ -117,6 +118,27 @@ def oracle_merge(cells):
             return tuple(sorted(cur.items()))
 
 
+def oracle_reduce_pairs(pairs):
+    """The pair-merge loop of ``Table`` and ``homeo`` before they shared
+    ``merge_sibling_cells``."""
+    cur = sorted(set(pairs))
+    while True:
+        bysrc = dict(cur)
+        merged = False
+        for p, q in list(bysrc.items()):
+            if p.endswith("0") and q.endswith("0"):
+                p2, q2 = p[:-1] + "1", q[:-1] + "1"
+                if bysrc.get(p2) == q2:
+                    del bysrc[p]
+                    del bysrc[p2]
+                    bysrc[p[:-1]] = q[:-1]
+                    merged = True
+                    break
+        cur = sorted(bysrc.items())
+        if not merged:
+            return tuple(cur)
+
+
 # ---------------------------------------------------------------------------
 # strategies: word lists may overlap (one word a prefix of another), and
 # mirrored lists put equal subtrees side by side under some prefix
@@ -206,3 +228,55 @@ def test_merge_sibling_cells_full_levels(depth, seed, k):
     # every level-`depth` cell labeled, as enumerate_elements builds them
     cells = [(w, (seed >> i) % k) for i, w in enumerate(_level_words(depth))]
     assert merge_sibling_cells(cells) == oracle_merge(cells)
+
+
+@st.composite
+def partitions(draw, max_depth=3):
+    """A complete prefix partition of X."""
+
+    def cut(prefix):
+        if len(prefix) < max_depth and draw(st.booleans()):
+            return cut(prefix + "0") + cut(prefix + "1")
+        return [prefix]
+
+    return cut("")
+
+
+@st.composite
+def table_pairs(draw):
+    """Pairs of a bijection of X, each pair split 0-2 levels into aligned
+    children (so merges have work), some pairs listed twice."""
+    srcs, dsts = draw(partitions()), draw(partitions())
+    for short, other in ((srcs, dsts), (dsts, srcs)):
+        while len(short) < len(other):
+            w = short.pop()
+            short += [w + "0", w + "1"]
+    pairs = []
+    for p, q in zip(srcs, draw(st.permutations(dsts))):
+        us = [""]
+        for _ in range(draw(st.integers(0, 2))):
+            us = [u + b for u in us for b in "01"]
+        pairs += [(p + u, q + u) for u in us]
+    dups = draw(st.lists(st.sampled_from(pairs), max_size=3))
+    return draw(st.permutations(pairs + dups))
+
+
+@given(table_pairs())
+def test_merge_table_pairs_matches_oracle(pairs):
+    assert merge_sibling_cells(pairs, image_join) == oracle_reduce_pairs(pairs)
+    t = Table.make(set(pairs))
+    assert t.pairs == oracle_reduce_pairs(pairs)
+    assert t.inverse().pairs == oracle_reduce_pairs([(q, p) for p, q in pairs])
+
+
+@given(table_pairs(), table_pairs())
+def test_table_compose_matches_oracle(p1, p2):
+    a, b = Table.make(set(p1)), Table.make(set(p2))
+    out = []  # the composed pairs, duplicates included, before merging
+    for p, q in b.pairs:
+        for p2, q2 in a.pairs:
+            if p2.startswith(q):
+                out.append((p + p2[len(q):], q2))
+            elif q.startswith(p2):
+                out.append((p, q2 + q[len(p2):]))
+    assert a.compose(b).pairs == oracle_reduce_pairs(out)

@@ -136,6 +136,20 @@ class Clopen:
     def is_subset(self, other: "Clopen") -> bool:
         return self.difference(other).is_empty()
 
+    def covers(self, w: str) -> bool:
+        """Whether the cell w.X lies inside this clopen."""
+        t = self._t
+        for c in w:
+            if t.__class__ is not tuple:
+                break
+            t = t[c == "1"]
+        return t is True
+
+    def measure(self, depth: int) -> int:
+        """The number of length-``depth`` cells inside, 2^depth times the
+        Haar measure; ``depth`` is at least the longest word."""
+        return sum(1 << (depth - len(w)) for w in self.words)
+
 
 def prefix_overlap(words) -> bool:
     """Whether two of the cells intersect (one word prefixes another)."""
@@ -212,7 +226,7 @@ class Point:
         return self.per[(i - len(self.pre)) % len(self.per)]
 
     def startswith(self, w: str) -> bool:
-        return all(self.bit(i) == c for i, c in enumerate(w))
+        return self.prefix(len(w)) == w
 
     def drop(self, k: int) -> "Point":
         if k <= len(self.pre):
@@ -224,7 +238,10 @@ class Point:
         return Point.make(w + self.pre, self.per)
 
     def prefix(self, k: int) -> str:
-        return "".join(self.bit(i) for i in range(k))
+        k = max(k, 0)
+        # ceil((k - len(pre)) / len(per)) periods reach past k
+        reps = -((len(self.pre) - k) // len(self.per))
+        return (self.pre + self.per * reps)[:k]
 
 
 def point_in(x: Point, b: Clopen) -> bool:

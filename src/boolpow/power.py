@@ -12,14 +12,7 @@ from typing import Callable, Optional, Sequence
 
 from . import algebra as alg
 from .algebra import Endomap, FiniteAlgebra
-from .cantor import (
-    Clopen,
-    Point,
-    PointContext,
-    merge_sibling_cells,
-    point_in,
-    prefix_overlap,
-)
+from .cantor import Clopen, Point, PointContext, point_in
 from .errors import (
     ContextMismatch,
     EmptyRestriction,
@@ -78,18 +71,53 @@ class PowerElement:
 
     @staticmethod
     def make(ctx, cells, support: Optional[Clopen] = None) -> "PowerElement":
+        """Validate and canonicalize (word, label) cells in one sorted scan.
+
+        Errors come in this order: a label outside the carrier, two cells
+        that meet, a word not over 01, cells that do not tile the support,
+        a wrong value at a retained point.  Cells tile the support when
+        each lies inside it and their measures add up to its measure: the
+        part of the support they miss is clopen with measure 0, so empty.
+        """
         support = Clopen.all() if support is None else support
         cells = [(str(w), int(a)) for w, a in cells]
+        labels = range(ctx.algebra.size)
         for _, a in cells:
-            if a not in range(ctx.algebra.size):
+            if a not in labels:
                 raise FilterViolation(f"label {a} outside carrier")
-        words = [w for w, _ in cells]
-        if prefix_overlap(words):
-            raise ValueError("overlapping cells")
-        if Clopen.make(words) != support:
+        ordered = sorted(cells)
+        # in sorted order a word prefixing a later one prefixes the next
+        for (u, _), (v, _) in zip(ordered, ordered[1:]):
+            if v.startswith(u):
+                raise ValueError("overlapping cells")
+        for w, _ in cells:
+            if w.strip("01"):
+                raise ValueError(f"bad word {w!r}")
+        words = [w for w, _ in ordered]
+        depth = max(map(len, words), default=0)
+        if support.is_all():
+            inside, full = True, 1 << depth
+        else:
+            inside = all(map(support.covers, words))
+            depth = max([depth, *map(len, support.words)])
+            full = support.measure(depth)
+        kraft = sum(map((1 << depth).__rshift__, map(len, words)))
+        if not inside or kraft != full:
             raise ValueError("cells do not tile the support")
-        cells = merge_sibling_cells(cells)
-        el = PowerElement(ctx, cells, support)
+        merged = []
+        for w, a in ordered:
+            # sorted order is left to right: the cell of a merged p0 is on
+            # top of the stack when p1 arrives
+            while (
+                w[-1:] == "1"
+                and merged
+                and merged[-1][1] == a
+                and merged[-1][0] == w[:-1] + "0"
+            ):
+                merged.pop()
+                w = w[:-1]
+            merged.append((w, a))
+        el = PowerElement(ctx, tuple(merged), support)
         for i in range(1, ctx.points.n + 1):
             x = ctx.points.point(i)
             if point_in(x, support) and el.value_at(x) != ctx.filters[i - 1]:
@@ -104,17 +132,14 @@ class PowerElement:
         return PowerElement.make(ctx, [(w, a) for w in support.words], support)
 
     def value_at(self, x: Point) -> int:
+        p = x.prefix(max((len(w) for w, _ in self.cells), default=0))
         for w, a in self.cells:
-            if x.startswith(w):
+            if p.startswith(w):
                 return a
         raise ValueError("point outside the support")
 
     def fiber(self, a: int) -> Clopen:
-        out = Clopen.empty()
-        for w, b in self.cells:
-            if b == a:
-                out = out.union(Clopen.make([w]))
-        return out
+        return Clopen.make([w for w, b in self.cells if b == a])
 
     def restrict(self, b: Clopen) -> "PowerElement":
         cells = []
@@ -183,11 +208,7 @@ class PowerCongruence:
 def equalizer(f: PowerElement, g: PowerElement) -> Clopen:
     if f.ctx != g.ctx or f.support != g.support:
         raise ContextMismatch("equalizer needs a common context/support")
-    out = Clopen.empty()
-    for w, (a, b) in refine([f, g]):
-        if a == b:
-            out = out.union(Clopen.make([w]))
-    return out
+    return Clopen.make([w for w, (a, b) in refine([f, g]) if a == b])
 
 
 def principal_congruence(f: PowerElement, g: PowerElement) -> PowerCongruence:

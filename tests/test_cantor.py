@@ -106,6 +106,19 @@ def test_point_canonical():
     assert Point.make("1", "0") != Point.make("", "0")
 
 
+@given(
+    points,
+    st.integers(min_value=-2, max_value=12),
+    st.text(alphabet="012", max_size=3),
+)
+def test_prefix_and_startswith_match_bits(x, k, tail):
+    # the bit-by-bit forms the slicing ones replaced
+    bits = "".join(x.bit(i) for i in range(k))
+    assert x.prefix(k) == bits
+    w = bits + tail
+    assert x.startswith(w) == all(x.bit(i) == c for i, c in enumerate(w))
+
+
 @given(points, clopens)
 def test_ultrafilter_duality(x, b):
     # membership in b matches membership of b in the ultrafilter of x:

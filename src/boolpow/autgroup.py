@@ -33,7 +33,7 @@ from .errors import (
     TailLabelViolation,
 )
 from .homeo import EPHomeo
-from .power import PowerContext, PowerElement
+from .power import PowerContext, PowerElement, meet
 from .seqs import EPSeq, common_threshold
 
 Mapping = tuple[int, ...]
@@ -128,10 +128,7 @@ class AutLabeling:
         return out
 
     def fiber(self, m: Mapping) -> TailClopen:
-        exc = Clopen.empty()
-        for w, mm in self.exc_cells:
-            if mm == m:
-                exc = exc.union(Clopen.make([w]))
+        exc = Clopen.make([w for w, mm in self.exc_cells if mm == m])
         tails = []
         for t in self.tails:
             tails.append("".join("1" if mm == m else "0" for mm in t))
@@ -164,13 +161,10 @@ class AutLabeling:
         d = max(self.threshold, other.threshold)
         a = self._raised(d)
         b = other._raised(d)
-        cells = []
-        for w1, m1 in a.exc_cells:
-            for w2, m2 in b.exc_cells:
-                if w2.startswith(w1):
-                    cells.append((w2, _comp(m1, m2)))
-                elif w1.startswith(w2) and w1 != w2:
-                    cells.append((w1, _comp(m1, m2)))
+        cells = [
+            (w, _comp(m1, m2))
+            for w, m1, m2 in meet(sorted(a.exc_cells), sorted(b.exc_cells))
+        ]
         tails = [
             EPSeq((), t1).zip_with(_comp, EPSeq((), t2)).word
             for t1, t2 in zip(a.tails, b.tails)
@@ -210,20 +204,19 @@ class AutLabeling:
         if f.ctx != ctx:
             raise ContextMismatch((f.ctx, ctx))
         pts = ctx.points
-        out = []
-        for w, m in self.exc_cells:
-            part = f.restrict(Clopen.make([w]))
-            out += [(u, m[a]) for u, a in part.cells]
+        # the labeling as one partition of X: its exceptional cells, the
+        # tail cells below T_i, and the neighbourhood of x_i inside f's cell
+        # there, where f is e_i and every tail label fixes e_i
+        part = list(self.exc_cells)
         for i in range(1, pts.n + 1):
-            e = ctx.filters[i - 1]
             pw = next(w for w, _ in f.cells if pts.point(i).startswith(w))
-            depth_f = len(pw) - (i - 1)
-            T = max(self.threshold + 1, depth_f)
-            out.append((pts.nbhd_word(i, T), e))
-            for j in range(self.threshold + 1, T):
-                m = self.tail_label(i, j)
-                part = f.restrict(pts.cell(i, j))
-                out += [(u, m[a]) for u, a in part.cells]
+            T = max(self.threshold + 1, len(pw) - (i - 1))
+            part += [
+                (pts.cellword(i, j), self.tail_label(i, j))
+                for j in range(self.threshold + 1, T)
+            ]
+            part.append((pts.nbhd_word(i, T), self.tail_label(i, T)))
+        out = [(w, m[a]) for w, m, a in meet(sorted(part), f.cells)]
         return PowerElement.make(ctx, out)
 
 
@@ -293,23 +286,20 @@ def separating_element(k1: AutLabeling, k2: AutLabeling):
 
 
 def element_through_homeo(f: PowerElement, h: EPHomeo) -> PowerElement:
-    """f o h^{-1}: push every value fiber forward through h."""
+    """f o h^{-1}: push every cell of f forward through h; the images of a
+    partition partition X, and make merges them back to canonical form."""
     ctx = f.ctx
     if not h.extends_to_X():
         raise NotExtendable("element transport needs a point-fixing extension")
-    cells = []
-    for a in range(ctx.algebra.size):
-        fib = f.fiber(a)
-        if fib.is_empty():
-            continue
-        img = h.apply(TailClopen.from_clopen(ctx.points, fib)).to_clopen()
-        # restore the point memberships: x_i goes where it came from
-        for i in range(1, ctx.points.n + 1):
-            x = ctx.points.point(i)
-            if point_in(x, fib) and not point_in(x, img):
-                raise AssertionError("point membership lost in transport")
-        cells += [(w, a) for w in img.words]
-    return PowerElement.make(ctx, cells)
+    # h fixes the points: x_i stays in the image of the cell holding it
+    for i in range(1, ctx.points.n + 1):
+        x = ctx.points.point(i)
+        w = next(w for w, _ in f.cells if x.startswith(w))
+        if not point_in(x, h.cell_image(w)):
+            raise AssertionError("point membership lost in transport")
+    return PowerElement.make(
+        ctx, [(u, a) for w, a in f.cells for u in h.cell_image(w).words]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ approximations of the automorphism group.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 from .cantor import (
@@ -267,17 +268,19 @@ def bergman_growth(
         perms.add(tuple(images))
     ident = tuple(range(len(elems)))
     ball = {ident} | perms
+    # p -> p o q for each q; below two elements ident is the only one
+    times = [itemgetter(*q) for q in perms] if len(ident) > 1 else []
     sizes = [len(ball)]
     stabilized = None
+    # semi-naive: a word of length k + 1 ends in one of length k, so only
+    # the words new at step k need extending
+    frontier = ball
     for step in range(2, steps + 1):
-        new = set(ball)
-        for p in ball:
-            for q in perms:
-                new.add(tuple(p[q[i]] for i in range(len(q))))
-        if len(new) == len(ball):
+        frontier = {q(p) for p in frontier for q in times} - ball
+        if not frontier:
             stabilized = step - 1
-            sizes.append(len(new))
+            sizes.append(len(ball))
             break
-        ball = new
+        ball |= frontier
         sizes.append(len(ball))
     return sizes, stabilized

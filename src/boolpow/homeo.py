@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .cantor import (
@@ -124,11 +125,27 @@ class EPHomeo:
         pm = self.point_map()
         return pm is not None and all(pm[i] == i for i in pm)
 
+    @cached_property
     def tabular_domain(self) -> Clopen:
-        out = Clopen.empty()
-        for p, _ in self.pairs:
-            out = out.union(Clopen.make([p]))
-        return out
+        return Clopen.make([p for p, _ in self.pairs])
+
+    @cached_property
+    def _tabular_tail(self) -> TailClopen:
+        """The tabular domain as a clopen of X°."""
+        return TailClopen.from_clopen(self.ctx, self.tabular_domain)
+
+    @cached_property
+    def _cell_images(self) -> dict[str, Clopen]:
+        return {}
+
+    def cell_image(self, w: str) -> Clopen:
+        """h(cell(w)) in X, distinguished points included; remembered per
+        homeomorphism, so a partition is pushed forward cell by cell."""
+        img = self._cell_images.get(w)
+        if img is None:
+            img = self.apply_clopen_in_X(Clopen.make([w]))
+            self._cell_images[w] = img
+        return img
 
     # -- action -------------------------------------------------------------
 
@@ -163,8 +180,7 @@ class EPHomeo:
         singles: list[tuple[int, int]] = []  # whole image cells
         ap_images: dict[int, list[tuple[int, int]]] = {}
         # content inside the tabular region
-        tab = self.tabular_domain()
-        content = b.intersect(TailClopen.from_clopen(ctx, tab)).to_clopen()
+        content = b.intersect(self._tabular_tail).to_clopen()
         partial = partial.union(_apply_pairs_clopen(self.pairs, content))
         for piece in self.pieces:
             i = piece.branch

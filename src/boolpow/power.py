@@ -149,6 +149,37 @@ class PowerElement:
         return PowerElement.make(self.ctx, cells, self.support.intersect(b))
 
 
+def meet(xs, ys) -> list[tuple[str, object, object]]:
+    """Common refinement of two sorted labeled prefix antichains that tile
+    the same set, as sorted (word, x label, y label) triples.
+
+    One linear scan: in sorted order the cells inside a shorter word come
+    next to each other, so the shorter side advances once the longer side
+    has left its cell.
+    """
+    out = []
+    i = j = 0
+    while i < len(xs) and j < len(ys):
+        (u, a), (v, b) = xs[i], ys[j]
+        if len(u) <= len(v):
+            if not v.startswith(u):
+                raise ValueError("the cells do not tile the same set")
+            out.append((v, a, b))
+            j += 1
+            if j == len(ys) or not ys[j][0].startswith(u):
+                i += 1
+        else:
+            if not u.startswith(v):
+                raise ValueError("the cells do not tile the same set")
+            out.append((u, a, b))
+            i += 1
+            if i == len(xs) or not xs[i][0].startswith(v):
+                j += 1
+    if i < len(xs) or j < len(ys):
+        raise ValueError("the cells do not tile the same set")
+    return out
+
+
 def refine(elems: Sequence[PowerElement]) -> list[tuple[str, tuple[int, ...]]]:
     """Common refinement of equal-support elements, with label tuples."""
     first = elems[0]
@@ -156,14 +187,7 @@ def refine(elems: Sequence[PowerElement]) -> list[tuple[str, tuple[int, ...]]]:
     for e in elems[1:]:
         if e.ctx != first.ctx or e.support != first.support:
             raise ContextMismatch("refinement needs a common context/support")
-        new = []
-        for w, labs in out:
-            for w2, a in e.cells:
-                if w2.startswith(w):
-                    new.append((w2, labs + (a,)))
-                elif w.startswith(w2) and w != w2:
-                    new.append((w, labs + (a,)))
-        out = new
+        out = [(w, labs + (a,)) for w, labs, a in meet(out, e.cells)]
     return out
 
 

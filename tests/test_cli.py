@@ -170,6 +170,13 @@ def test_bergman_growth(capsys):
     assert rep["monotone"]
 
 
+def test_bergman_growth_gf4_matches_golden(capsys):
+    golden = Path(__file__).parent / "golden" / "bergman-growth-gf4-d3.json"
+    argv = ["bergman-growth", "--builtin", "gf4-idempotent-reduct"]
+    assert main(argv + ["--depth", "3", "--steps", "8"]) == 0
+    assert capsys.readouterr().out == golden.read_text()
+
+
 def test_seed_determinism(capsys):
     c1, rep1 = run(capsys, "factor-homeo", "--points", "1", "--seed", "3")
     c2, rep2 = run(capsys, "factor-homeo", "--points", "1", "--seed", "3")

@@ -159,6 +159,59 @@ def test_bergman_growth_with_characteristic():
     assert all(a <= b for a, b in zip(sizes, sizes[1:]))
 
 
+def naive_ball_sizes(ctx, gens, depth, steps):
+    """Word-ball sizes by the naive loop, which extends the whole ball at
+    every step; the oracle for the frontier-only loop."""
+    from boolpow.autgroup import PowerAutomorphism
+
+    gens = [PowerAutomorphism.from_homeo(ctx, g) for g in gens]
+    elems = bp.enumerate_elements(ctx, depth)
+    index = {f: i for i, f in enumerate(elems)}
+    perms = {
+        tuple(index[g.apply(f)] for f in elems)
+        for g in gens + [g.inverse() for g in gens]
+    }
+    ball = {tuple(range(len(elems)))} | perms
+    sizes = [len(ball)]
+    for step in range(2, steps + 1):
+        new = set(ball)
+        for p in ball:
+            for q in perms:
+                new.add(tuple(p[q[i]] for i in range(len(q))))
+        sizes.append(len(new))
+        if len(new) == len(ball):
+            return sizes, step - 1
+        ball = new
+    return sizes, None
+
+
+def _cli_default_generators(pctx):
+    """The generators the bergman-growth subcommand uses without --gens."""
+    base = pctx.cellword(1, 1)
+    return [suffix_twist(pctx, 1), cell_swap(pctx, base + "0", base + "1")]
+
+
+@pytest.mark.parametrize(
+    "algebra, gens, depth, steps",
+    [
+        ("gf2-idempotent-reduct", None, 3, 8),
+        ("gf4-idempotent-reduct", None, 3, 8),
+        # a ball that keeps growing for ten steps
+        ("gf2-ring", [("10", "11"), ("100", "010"), ("010", "011"), ("011", "001")], 3, 12),
+    ],
+)
+def test_bergman_growth_matches_naive_ball(algebra, gens, depth, steps):
+    a = alg.builtin(algebra)
+    filters = (0,) if gens else tuple(sorted(alg.idempotents(a)))
+    ctx = bp.make_context(a, filters)
+    if gens is None:
+        gens = _cli_default_generators(ctx.points)
+    else:
+        gens = [cell_swap(ctx.points, u, v) for u, v in gens]
+    want = naive_ball_sizes(ctx, gens, depth, steps)
+    assert fz.bergman_growth(ctx, gens, depth, steps) == want
+
+
 def test_bergman_growth_empty_generators():
     ctx = bp.make_context(GF2, (0,))
     with pytest.raises(EmptyGeneratorSet):

@@ -17,6 +17,7 @@ from .cantor import (
     Clopen,
     PointContext,
     TailClopen,
+    meet,
     merge_sibling_cells,
     point_in,
     prefix_overlap,
@@ -33,7 +34,7 @@ from .errors import (
     TailLabelViolation,
 )
 from .homeo import EPHomeo
-from .power import PowerContext, PowerElement, meet
+from .power import PowerContext, PowerElement
 from .seqs import EPSeq, common_threshold
 
 Mapping = tuple[int, ...]
@@ -83,7 +84,7 @@ class AutLabeling:
         # canonical form: merged cells, then the minimal threshold, where
         # each branch reads its whole-cell labels (no region cell has a
         # proper prefix inside the region) followed by its tail word
-        merged = merge_sibling_cells(exc_cells)
+        merged = merge_sibling_cells(sorted(exc_cells))
         cells = dict(merged)
         cws = [
             [pts.cellword(i, j) for j in range(1, threshold + 1)]
@@ -263,14 +264,10 @@ def separating_element(k1: AutLabeling, k2: AutLabeling):
         cells += _complement_fill(ctx, rest)
         return PowerElement.make(ctx, cells)
 
-    for w1, m1 in a1.exc_cells:
-        for w2, m2 in a2.exc_cells:
-            if m1 == m2:
-                continue
-            if w2.startswith(w1) or w1.startswith(w2):
-                w = w1 if len(w1) >= len(w2) else w2
-                a = next(x for x in ctx.algebra.carrier if m1[x] != m2[x])
-                return build(w, a)
+    for w, m1, m2 in meet(sorted(a1.exc_cells), sorted(a2.exc_cells)):
+        if m1 != m2:
+            a = next(x for x in ctx.algebra.carrier if m1[x] != m2[x])
+            return build(w, a)
     for i, (t1, t2) in enumerate(zip(a1.tails, a2.tails), start=1):
         both = EPSeq((), t1).zip_with(_pair, EPSeq((), t2))
         for o, (m1, m2) in enumerate(both.word):

@@ -160,39 +160,6 @@ def prefix_overlap(words) -> bool:
     return False
 
 
-def _equal(a, b):
-    return a if a == b else None
-
-
-def image_join(q0: str, q1: str):
-    """Table pairs p0 -> q0, p1 -> q1 join into p -> q when q0, q1 are
-    the sibling words q0, q1."""
-    if q0[-1:] == "0" and q1 == q0[:-1] + "1":
-        return q0[:-1]
-    return None
-
-
-def merge_sibling_cells(cells, join=_equal) -> tuple:
-    """Sorted (word, label) pairs of a labeled prefix antichain after
-    merging sibling cells p0, p1 into p, bottom-up, wherever
-    join(label of p0, label of p1) is not None; that is p's label.  By
-    default equal labels merge."""
-    cur = dict(cells)
-    by_len = {}
-    for w in cur:
-        by_len.setdefault(len(w), []).append(w)
-    for n in range(max(by_len, default=0), 0, -1):
-        for w in by_len.get(n, ()):
-            sib = w[:-1] + "1"
-            if w[-1] == "0" and sib in cur:
-                label = join(cur[w], cur[sib])
-                if label is not None:
-                    del cur[w], cur[sib]
-                    cur[w[:-1]] = label
-                    by_len.setdefault(n - 1, []).append(w[:-1])
-    return tuple(sorted(cur.items()))
-
-
 def split(b: Clopen) -> tuple[Clopen, Clopen]:
     """Split a nonempty clopen into two disjoint nonempty clopens."""
     if b.is_empty():
@@ -200,6 +167,72 @@ def split(b: Clopen) -> tuple[Clopen, Clopen]:
     w = min(b.words, key=lambda x: (len(x), x))
     first = Clopen.make([w + "0"])
     return first, b.difference(first)
+
+
+# ---------------------------------------------------------------------------
+# labeled prefix antichains
+#
+# A labeled antichain is a sorted list of (word, label) cells, no word a
+# prefix of another.  In sorted order the cells are read left to right, so
+# the cells inside one word come next to each other.
+
+
+def merge_sibling_cells(cells) -> tuple:
+    """The sorted labeled antichain `cells` with sibling cells p0, p1 of
+    equal label merged into p, repeatedly, in one stack scan: the cell of
+    a merged p0 is on top of the stack when p1 arrives."""
+    merged = []
+    for w, a in cells:
+        while (
+            w[-1:] == "1"
+            and merged
+            and merged[-1][1] == a
+            and merged[-1][0] == w[:-1] + "0"
+        ):
+            merged.pop()
+            w = w[:-1]
+        merged.append((w, a))
+    return tuple(merged)
+
+
+def meet(xs, ys) -> list[tuple[str, object, object]]:
+    """Common refinement of two sorted labeled antichains that tile the
+    same set, as sorted (word, x label, y label) triples.
+
+    One linear scan: the shorter side advances once the longer side has
+    left its cell.  Raises ValueError when the cells do not nest.
+    """
+    out = []
+    i = j = 0
+    while i < len(xs) and j < len(ys):
+        (u, a), (v, b) = xs[i], ys[j]
+        if len(u) <= len(v):
+            if not v.startswith(u):
+                raise ValueError("the cells do not tile the same set")
+            out.append((v, a, b))
+            j += 1
+            if j == len(ys) or not ys[j][0].startswith(u):
+                i += 1
+        else:
+            if not u.startswith(v):
+                raise ValueError("the cells do not tile the same set")
+            out.append((u, a, b))
+            i += 1
+            if i == len(xs) or not xs[i][0].startswith(v):
+                j += 1
+    if i < len(xs) or j < len(ys):
+        raise ValueError("the cells do not tile the same set")
+    return out
+
+
+def transport(cells, pairs) -> list[tuple[str, object]]:
+    """The sorted labeled cells carried through the sorted prefix pairs
+    p.s -> q.s, whose sources tile the same set: each piece w of the
+    common refinement goes to q + w[len(p):] with its label (unsorted)."""
+    return [
+        (q + w[len(p):], a)
+        for w, a, (p, q) in meet(cells, [(p, (p, q)) for p, q in pairs])
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +590,25 @@ def split_good(c: TailClopen) -> tuple[TailClopen, TailClopen]:
 # tabular bijections of X (finite prefix exchanges)
 
 
+def merge_sibling_pairs(pairs) -> tuple:
+    """Sorted prefix pairs after joining p0 -> q0, p1 -> q1 into p -> q
+    wherever q0, q1 are the sibling words q0, q1; one stack scan over the
+    sorted, de-duplicated pairs, as in merge_sibling_cells."""
+    merged = []
+    for p, q in sorted(set(pairs)):
+        while (
+            p[-1:] == "1"
+            and q[-1:] == "1"
+            and merged
+            and merged[-1][0] == p[:-1] + "0"
+            and merged[-1][1] == q[:-1] + "0"
+        ):
+            merged.pop()
+            p, q = p[:-1], q[:-1]
+        merged.append((p, q))
+    return tuple(merged)
+
+
 @dataclass(frozen=True)
 class Table:
     """Bijection of X given by pairs (p, q): p.s -> q.s; the p's and the
@@ -577,7 +629,7 @@ class Table:
             raise ValueError("overlapping image cells")
         if not Clopen.make(dsts).is_all():
             raise ValueError("image cells do not cover X")
-        return Table(merge_sibling_cells(pairs, image_join))
+        return Table(merge_sibling_pairs(pairs))
 
     @staticmethod
     def identity() -> "Table":
@@ -587,19 +639,19 @@ class Table:
         return self.pairs == (("", ""),)
 
     def inverse(self) -> "Table":
-        inv = [(q, p) for p, q in self.pairs]
-        return Table(merge_sibling_cells(inv, image_join))
+        return Table(merge_sibling_pairs([(q, p) for p, q in self.pairs]))
 
     def compose(self, first: "Table") -> "Table":
-        """self after first."""
-        out = []
-        for p, q in first.pairs:
-            for p2, q2 in self.pairs:
-                if p2.startswith(q):
-                    out.append((p + p2[len(q):], q2))
-                elif q.startswith(p2):
-                    out.append((p, q2 + q[len(p2):]))
-        return Table(merge_sibling_cells(out, image_join))
+        """self after first: first's image cells met with self's source
+        cells."""
+        images = sorted((q, (p, q)) for p, q in first.pairs)
+        sources = [(p, (p, q)) for p, q in self.pairs]
+        return Table(
+            merge_sibling_pairs(
+                (p + w[len(q):], q2 + w[len(p2):])
+                for w, (p, q), (p2, q2) in meet(images, sources)
+            )
+        )
 
     def apply_point(self, x: Point) -> Point:
         for p, q in self.pairs:
@@ -607,23 +659,3 @@ class Table:
                 return x.drop(len(p)).prepend(q)
         raise AssertionError("incomplete table")
 
-    def apply_clopen(self, b: Clopen) -> Clopen:
-        out = []
-        for w in b.words:
-            for p, q in self.pairs:
-                if w.startswith(p):
-                    out.append(q + w[len(p):])
-                elif p.startswith(w) and p != w:
-                    out.append(q)
-        return Clopen.make(out)
-
-    def restrict(self, b: Clopen) -> list[tuple[str, str]]:
-        """Absolute (src, dst) prefix pairs covering exactly b."""
-        out = []
-        for w in b.words:
-            for p, q in self.pairs:
-                if w.startswith(p):
-                    out.append((w, q + w[len(p):]))
-                elif p.startswith(w) and p != w:
-                    out.append((p, q))
-        return out

@@ -35,6 +35,8 @@ def _load_algebra(args) -> alg.FiniteAlgebra:
             return alg.builtin(args.builtin)
         except KeyError as e:
             raise ParseError(f"unknown builtin {args.builtin!r}") from e
+        except ValueError as e:  # a parameter that is not an integer
+            raise ParseError(f"builtin {args.builtin!r}: {e}") from e
     if args.alg:
         with open(args.alg) as fh:
             return alg.from_json(fh.read(), args.alg)

@@ -21,8 +21,7 @@ from .cantor import (
     PointContext,
     Table,
     TailClopen,
-    image_join,
-    merge_sibling_cells,
+    merge_sibling_pairs,
     prefix_overlap,
     type_of,
 )
@@ -176,12 +175,11 @@ class EPHomeo:
         if b.ctx != self.ctx:
             raise ContextMismatch((b.ctx, self.ctx))
         ctx = self.ctx
-        partial = Clopen.empty()  # image clopen parts away from whole cells
         singles: list[tuple[int, int]] = []  # whole image cells
         ap_images: dict[int, list[tuple[int, int]]] = {}
-        # content inside the tabular region
-        content = b.intersect(self._tabular_tail).to_clopen()
-        partial = partial.union(_apply_pairs_clopen(self.pairs, content))
+        # words away from whole cells: the content inside the tabular
+        # region, then the partial cells of the pieces
+        words = list(b.intersect(self._tabular_tail).to_clopen().words)
         for piece in self.pieces:
             i = piece.branch
             # partial/whole cells at indices covered by the piece but at or
@@ -189,16 +187,10 @@ class EPHomeo:
             j = piece.first
             while j <= b.threshold:
                 part = b.exceptional.intersect(ctx.cell(i, j))
-                if not part.is_empty():
-                    jj = piece.image_of(j)
-                    if part == ctx.cell(i, j):
-                        singles.append((piece.target, jj))
-                    else:
-                        rel = _strip_root(part, ctx.cellword(i, j))
-                        img = piece.cellmap.apply_clopen(rel)
-                        partial = partial.union(
-                            _prepend_root(img, ctx.cellword(piece.target, jj))
-                        )
+                if part == ctx.cell(i, j):
+                    singles.append((piece.target, piece.image_of(j)))
+                else:
+                    words += part.words
                 j += piece.step
             # whole cells beyond the threshold, by word
             ones, aps = b.tail_epset(i).on_ap(piece.first, piece.step)
@@ -208,6 +200,7 @@ class EPHomeo:
                 ap_images.setdefault(piece.target, []).append(
                     (piece.image_of(f), piece.istep * (s // piece.step))
                 )
+        partial = Clopen.make([q for w in words for _, q in _pairs_on(self, w)])
         # assemble the image
         epsets = {}
         for t in range(1, ctx.n + 1):
@@ -439,7 +432,7 @@ def _canonicalize(ctx, pairs, pieces):
                 c[1], c[4] = j, jj
         out += [TailPiece(*c) for c in classes]
     out.sort(key=lambda p: (p.branch, p.first))
-    return list(merge_sibling_cells(pairs, image_join)), out
+    return list(merge_sibling_pairs(pairs)), out
 
 
 def _pairs_on(h: EPHomeo, w: str):
@@ -474,33 +467,6 @@ def _pairs_on(h: EPHomeo, w: str):
             elif u.startswith(a) and u != a:
                 out.append((cw + u, cw2 + b + u[len(a):]))
     return out
-
-
-def _apply_pairs_clopen(pairs, b: Clopen) -> Clopen:
-    out = []
-    for w in b.words:
-        for p, q in pairs:
-            if w.startswith(p):
-                out.append(q + w[len(p):])
-            elif p.startswith(w) and p != w:
-                out.append(q)
-    return Clopen.make(out)
-
-
-def _strip_root(b: Clopen, root: str) -> Clopen:
-    out = []
-    for w in b.words:
-        if w.startswith(root):
-            out.append(w[len(root):])
-        elif root.startswith(w):
-            out.append("")
-        else:
-            raise ValueError((w, root))
-    return Clopen.make(out)
-
-
-def _prepend_root(b: Clopen, root: str) -> Clopen:
-    return Clopen.make([root + w for w in b.words])
 
 
 def _max_branch_index(ctx, b: Clopen) -> int:

@@ -12,7 +12,15 @@ from typing import Callable, Optional, Sequence
 
 from . import algebra as alg
 from .algebra import Endomap, FiniteAlgebra
-from .cantor import Clopen, Point, PointContext, point_in
+from .cantor import (
+    Clopen,
+    Point,
+    PointContext,
+    merge_sibling_cells,
+    meet,
+    point_in,
+    transport,
+)
 from .errors import (
     ContextMismatch,
     EmptyRestriction,
@@ -104,20 +112,7 @@ class PowerElement:
         kraft = sum(map((1 << depth).__rshift__, map(len, words)))
         if not inside or kraft != full:
             raise ValueError("cells do not tile the support")
-        merged = []
-        for w, a in ordered:
-            # sorted order is left to right: the cell of a merged p0 is on
-            # top of the stack when p1 arrives
-            while (
-                w[-1:] == "1"
-                and merged
-                and merged[-1][1] == a
-                and merged[-1][0] == w[:-1] + "0"
-            ):
-                merged.pop()
-                w = w[:-1]
-            merged.append((w, a))
-        el = PowerElement(ctx, tuple(merged), support)
+        el = PowerElement(ctx, merge_sibling_cells(ordered), support)
         for i in range(1, ctx.points.n + 1):
             x = ctx.points.point(i)
             if point_in(x, support) and el.value_at(x) != ctx.filters[i - 1]:
@@ -147,37 +142,6 @@ class PowerElement:
             part = Clopen.make([w]).intersect(b)
             cells += [(u, a) for u in part.words]
         return PowerElement.make(self.ctx, cells, self.support.intersect(b))
-
-
-def meet(xs, ys) -> list[tuple[str, object, object]]:
-    """Common refinement of two sorted labeled prefix antichains that tile
-    the same set, as sorted (word, x label, y label) triples.
-
-    One linear scan: in sorted order the cells inside a shorter word come
-    next to each other, so the shorter side advances once the longer side
-    has left its cell.
-    """
-    out = []
-    i = j = 0
-    while i < len(xs) and j < len(ys):
-        (u, a), (v, b) = xs[i], ys[j]
-        if len(u) <= len(v):
-            if not v.startswith(u):
-                raise ValueError("the cells do not tile the same set")
-            out.append((v, a, b))
-            j += 1
-            if j == len(ys) or not ys[j][0].startswith(u):
-                i += 1
-        else:
-            if not u.startswith(v):
-                raise ValueError("the cells do not tile the same set")
-            out.append((u, a, b))
-            i += 1
-            if i == len(xs) or not xs[i][0].startswith(v):
-                j += 1
-    if i < len(xs) or j < len(ys):
-        raise ValueError("the cells do not tile the same set")
-    return out
 
 
 def refine(elems: Sequence[PowerElement]) -> list[tuple[str, tuple[int, ...]]]:
@@ -267,49 +231,42 @@ class RestrictionMap:
     src: PowerContext
     dst: PowerContext
     b: Clopen
-    pairs: tuple[tuple[str, str], ...]  # partition of b <-> partition of X
+    pairs: tuple[tuple[str, str], ...]  # partition of b <-> of X, sorted
 
     def forward(self, f: PowerElement) -> PowerElement:
-        cells = []
-        for w, a in f.restrict(self.b).cells:
-            for p, q in self.pairs:
-                if w.startswith(p):
-                    cells.append((q + w[len(p):], a))
-                elif p.startswith(w) and p != w:
-                    cells.append((q, a))
-        return PowerElement.make(self.dst, cells)
+        return PowerElement.make(
+            self.dst, transport(f.restrict(self.b).cells, self.pairs)
+        )
 
     def backward(self, g: PowerElement) -> PowerElement:
         """Section of the quotient: the restricted values pulled back onto
         b, the filter idempotents elsewhere (one block per point)."""
-        cells = []
-        for w, a in g.cells:
-            for p, q in self.pairs:
-                if w.startswith(q):
-                    cells.append((p + w[len(q):], a))
-                elif q.startswith(w) and q != w:
-                    cells.append((p, a))
-        outside = Clopen.all().difference(self.b)
-        # fill the complement: constant filter value around each missing
-        # point, arbitrary (first) filter or 0 elsewhere
-        fill = _complement_fill(self.src, outside)
-        return PowerElement.make(self.src, cells + fill)
+        back = sorted((q, p) for p, q in self.pairs)
+        fill = _complement_fill(self.src, Clopen.all().difference(self.b))
+        return PowerElement.make(self.src, transport(g.cells, back) + fill)
+
+
+def _one_point_words(points, words) -> list[str]:
+    """The words, each split into its halves until it holds at most one
+    of the points; in sorted order when the words are."""
+    out = []
+    for w in words:
+        if sum(x.startswith(w) for x in points) > 1:
+            out += _one_point_words(points, [w + "0", w + "1"])
+        else:
+            out.append(w)
+    return out
 
 
 def _complement_fill(ctx, outside: Clopen):
-    if outside.is_empty():
-        return []
-    remaining = outside
-    fill = []
-    for i in range(1, ctx.points.n + 1):
-        x = ctx.points.point(i)
-        if point_in(x, remaining):
-            # the whole remaining part around x_i gets e_i; carve the cell
-            cellw = next(w for w in remaining.words if x.startswith(w))
-            fill.append((cellw, ctx.filters[i - 1]))
-            remaining = remaining.difference(Clopen.make([cellw]))
+    """Cells tiling `outside`: the filter value on a cell around each
+    point in it, an arbitrary one (the first filter, or 0) elsewhere."""
+    pts = ctx.points.points()
     default = ctx.filters[0] if ctx.filters else 0
-    fill += [(w, default) for w in remaining.words]
+    fill = []
+    for w in _one_point_words(pts, outside.words):
+        held = [e for x, e in zip(pts, ctx.filters) if x.startswith(w)]
+        fill.append((w, held[0] if held else default))
     return fill
 
 
@@ -324,19 +281,17 @@ def restrict(ctx: PowerContext, b: Clopen) -> tuple[PowerContext, RestrictionMap
     Cantor space; retained points become the standard points there."""
     if b.is_empty():
         raise EmptyRestriction("restriction to the empty clopen")
-    retained = [
-        i
-        for i in range(1, ctx.points.n + 1)
-        if point_in(ctx.points.point(i), b)
-    ]
+    pts = ctx.points.points()
+    words = _one_point_words(pts, b.words)
+    point_cells = {}  # retained point index -> the word holding it
+    for i, x in enumerate(pts, start=1):
+        w = next((w for w in words if x.startswith(w)), None)
+        if w is not None:
+            point_cells[i] = w
+    retained = list(point_cells)
+    leftover = [w for w in words if w not in point_cells.values()]
     n2 = len(retained)
-    point_cells = {}
-    for i in retained:
-        x = ctx.points.point(i)
-        point_cells[i] = next(w for w in b.words if x.startswith(w))
-    leftover = sorted(set(b.words) - set(point_cells.values()))
     pairs = []
-    dstctx = PointContext(n2)
     if leftover:
         for k, i in enumerate(retained, start=1):
             pairs.append((point_cells[i], "1" * (k - 1) + "0"))
@@ -347,8 +302,8 @@ def restrict(ctx: PowerContext, b: Clopen) -> tuple[PowerContext, RestrictionMap
             tgt = "1" * (k - 1) + ("0" if k < n2 else "")
             pairs.append((point_cells[i], tgt))
     filters = tuple(ctx.filters[i - 1] for i in retained)
-    dst = PowerContext(ctx.algebra, dstctx, filters)
-    return dst, RestrictionMap(ctx, dst, b, tuple(pairs))
+    dst = PowerContext(ctx.algebra, PointContext(n2), filters)
+    return dst, RestrictionMap(ctx, dst, b, tuple(sorted(pairs)))
 
 
 # ---------------------------------------------------------------------------
@@ -447,20 +402,14 @@ def restriction_iso(
         raise PointMismatch("h does not carry b1 onto b2")
     hinv = h.inverse()
 
-    def fwd(f: PowerElement) -> PowerElement:
-        cells = []
-        for w, a in f.cells:  # f has support b1
-            img = h.apply_clopen_in_X(Clopen.make([w]))
-            cells += [(u, alpha(a)) for u in img.words]
+    def fwd(f: PowerElement) -> PowerElement:  # f has support b1
+        cells = [(u, alpha(a)) for w, a in f.cells for u in h.cell_image(w).words]
         return PowerElement.make(ctx, cells, b2)
 
     ainv = alpha.inverse()
 
     def bwd(g: PowerElement) -> PowerElement:
-        cells = []
-        for w, a in g.cells:
-            img = hinv.apply_clopen_in_X(Clopen.make([w]))
-            cells += [(u, ainv(a)) for u in img.words]
+        cells = [(u, ainv(a)) for w, a in g.cells for u in hinv.cell_image(w).words]
         return PowerElement.make(ctx, cells, b1)
 
     sub1 = PowerContext(ctx.algebra, ctx.points, ctx.filters)
@@ -481,15 +430,14 @@ def twist_iso(ctx: PowerContext, j: int, alpha: Endomap) -> ElementIso:
     new_filters = list(ctx.filters)
     new_filters[j - 1] = alpha(ctx.filters[j - 1])
     dst = PowerContext(ctx.algebra, ctx.points, tuple(new_filters))
+    # the block/outside partition of X
+    part = sorted(
+        [(w, True) for w in block.words]
+        + [(w, False) for w in block.complement().words]
+    )
 
     def apply_block(f, a_map, target):
-        cells = []
-        for w, a in f.cells:
-            cell = Clopen.make([w])
-            inside = cell.intersect(block)
-            outside = cell.difference(block)
-            cells += [(u, a_map(a)) for u in inside.words]
-            cells += [(u, a) for u in outside.words]
+        cells = [(w, a_map(a) if inb else a) for w, a, inb in meet(f.cells, part)]
         return PowerElement.make(target, cells)
 
     return ElementIso(
@@ -510,22 +458,11 @@ def swap_points_iso(ctx: PowerContext, j: int) -> ElementIso:
     new_filters = list(ctx.filters)
     new_filters[j - 1], new_filters[m - 1] = new_filters[m - 1], new_filters[j - 1]
     dst = PowerContext(ctx.algebra, ctx.points, tuple(new_filters))
-
-    def swap_word(w):
-        # refine until the word lies in one block
-        if w.startswith(pj):
-            return [pm + w[len(pj):]]
-        if w.startswith(pm):
-            return [pj + w[len(pm):]]
-        if pj.startswith(w) or pm.startswith(w):
-            return [u for c in "01" for u in swap_word(w + c)]
-        return [w]
+    rest = Clopen.make([pj, pm]).complement().words
+    pairs = sorted([(pj, pm), (pm, pj)] + [(w, w) for w in rest])
 
     def act(f, target):
-        cells = []
-        for w, a in f.cells:
-            cells += [(u, a) for u in swap_word(w)]
-        return PowerElement.make(target, cells)
+        return PowerElement.make(target, transport(f.cells, pairs))
 
     return ElementIso(ctx, dst, lambda f: act(f, dst), lambda g: act(g, ctx))
 
@@ -544,65 +481,47 @@ def merge_last_iso(ctx: PowerContext, i: int) -> ElementIso:
         ctx.algebra, PointContext(m - 1), ctx.filters[:-1]
     )
     src_pts, dst_pts = ctx.points, dst.points
-    prei = "1" * (i - 1)
 
+    def interleave(J):
+        """Prefix pairs source -> target away from the neighbourhood of
+        x_i at depth J in the target: cell j of branch i goes to cell 2j
+        of branch i and cell j of branch m to cell 2j - 1, below J; the
+        other blocks stay and the off-branch region shifts.  Also returns
+        the two source neighbourhoods and the target one."""
+        ki, km = (J + 1) // 2, (J + 2) // 2
+        pairs = [
+            (src_pts.cellword(i, j), dst_pts.cellword(i, 2 * j))
+            for j in range(1, ki)
+        ]
+        pairs += [
+            (src_pts.cellword(m, j), dst_pts.cellword(i, 2 * j - 1))
+            for j in range(1, km)
+        ]
+        pairs += [("1" * (k - 1) + "0",) * 2 for k in range(1, m) if k != i]
+        pairs.append(("1" * m, "1" * (m - 1)))
+        nbhds = [src_pts.nbhd_word(i, ki), src_pts.nbhd_word(m, km)]
+        return pairs, nbhds, dst_pts.nbhd_word(i, J)
+
+    def reach(f, k):
+        """Zeros after 1^(k-1) in the cell of f holding x_k."""
+        w = next(w for w, _ in f.cells if f.ctx.points.point(k).startswith(w))
+        return len(w) - (k - 1)
+
+    # f is e on the point neighbourhoods, which lie inside f's cells there:
+    # they are dropped and refilled with e-cells on the other side
     def fwd(f: PowerElement) -> PowerElement:
-        ai = len(next(w for w in _cellwords(f) if src_pts.point(i).startswith(w))) - (i - 1)
-        am = len(next(w for w in _cellwords(f) if src_pts.point(m).startswith(w))) - (m - 1)
-        J = max(2 * ai, 2 * am - 1, 1)
-        cells = [(prei + "0" * J, e)]
-        for l in range(1, J):
-            if l % 2 == 0:
-                srcw = src_pts.cellword(i, l // 2)
-            else:
-                srcw = src_pts.cellword(m, (l + 1) // 2)
-            dstw = dst_pts.cellword(i, l)
-            part = f.restrict(Clopen.make([srcw]))
-            cells += [(dstw + w[len(srcw):], a) for w, a in part.cells]
-        # other branches and the off-branch shift
-        for k in range(1, m):
-            if k == i:
-                continue
-            blk = "1" * (k - 1) + "0"
-            part = f.restrict(Clopen.make([blk]))
-            cells += [(w, a) for w, a in part.cells]
-        off = f.restrict(Clopen.make(["1" * m]))
-        cells += [("1" * (m - 1) + w[m:], a) for w, a in off.cells]
-        return PowerElement.make(dst, cells)
+        pairs, nbhds, nb = interleave(max(2 * reach(f, i), 2 * reach(f, m) - 1, 1))
+        pairs = sorted(pairs + [(w, nb) for w in nbhds])
+        cells = [c for c in transport(f.cells, pairs) if c[0] != nb]
+        return PowerElement.make(dst, cells + [(nb, e)])
 
     def bwd(g: PowerElement) -> PowerElement:
-        a = len(next(w for w in _cellwords(g) if dst_pts.point(i).startswith(w))) - (i - 1)
-        Ki = (a + 1) // 2
-        Km = (a + 2) // 2
-        cells = [
-            (prei + "0" * max(Ki, 1), e),
-            ("1" * (m - 1) + "0" * max(Km, 1), e),
-        ]
-        for j in range(1, max(Ki, 1)):
-            srcw = src_pts.cellword(i, j)
-            dstw = dst_pts.cellword(i, 2 * j)
-            part = g.restrict(Clopen.make([dstw]))
-            cells += [(srcw + w[len(dstw):], aa) for w, aa in part.cells]
-        for j in range(1, max(Km, 1)):
-            srcw = src_pts.cellword(m, j)
-            dstw = dst_pts.cellword(i, 2 * j - 1)
-            part = g.restrict(Clopen.make([dstw]))
-            cells += [(srcw + w[len(dstw):], aa) for w, aa in part.cells]
-        for k in range(1, m):
-            if k == i:
-                continue
-            blk = "1" * (k - 1) + "0"
-            part = g.restrict(Clopen.make([blk]))
-            cells += [(w, aa) for w, aa in part.cells]
-        offg = g.restrict(Clopen.make(["1" * (m - 1)]))
-        cells += [("1" * m + w[m - 1:], aa) for w, aa in offg.cells]
-        return PowerElement.make(ctx, cells)
+        pairs, nbhds, nb = interleave(max(reach(g, i), 1))
+        back = sorted([(q, p) for p, q in pairs] + [(nb, nbhds[0])])
+        cells = [c for c in transport(g.cells, back) if c[0] != nbhds[0]]
+        return PowerElement.make(ctx, cells + [(w, e) for w in nbhds])
 
     return ElementIso(ctx, dst, fwd, bwd)
-
-
-def _cellwords(f: PowerElement):
-    return [w for w, _ in f.cells]
 
 
 def reduce_idempotents(ctx: PowerContext):

@@ -222,6 +222,21 @@ def test_p_injective_on_kernel():
     assert ag.separating_element(k, k) is None
 
 
+def test_separating_element_on_three_points():
+    # a complement cell holding x_2 and x_3 with different filters
+    ctx = bp.make_context(GF4, (0, 1, 0))
+    rng = random.Random(0)
+    for _ in range(40):
+        k1 = random_automorphism(ctx, rng, moves=1).labeling
+        k2 = random_automorphism(ctx, rng, moves=1).labeling
+        for a, b in ((k1, k2), (k2, k2)):
+            f = ag.separating_element(a, b)
+            if a == b:
+                assert f is None
+            else:
+                assert a.act(f) != b.act(f)
+
+
 def test_kernel_induced_point_action_trivial():
     rng = random.Random(47)
     k = random_labeling(CTX4, rng)

@@ -338,9 +338,19 @@ def test_table_compose_shift():
 
 
 def test_table_apply_clopen():
+    # a table acts on clopens as the cellmap of a suffix twist: inside
+    # every cell of the branch, through EPHomeo.apply
+    from boolpow.rand import suffix_twist
+
     t = Table.make([("0", "1"), ("1", "0")])
-    assert t.apply_clopen(Clopen.make(["01"])) == Clopen.make(["11"])
-    assert t.apply_clopen(Clopen.all()).is_all()
+    ctx = PointContext(1)
+    h = suffix_twist(ctx, 1, t)
+    assert h.pieces[0].cellmap == t
+    for j in (1, 2, 5):
+        cw = ctx.cellword(1, j)
+        img = h.apply(Clopen.make([cw + "01"]))
+        assert img == TailClopen.from_clopen(ctx, Clopen.make([cw + "11"]))
+        assert h.apply(ctx.cell(1, j)) == TailClopen.from_clopen(ctx, ctx.cell(1, j))
 
 
 # --- eventually periodic sets ----------------------------------------------

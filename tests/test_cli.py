@@ -236,6 +236,8 @@ OVERLAPPING_CELLMAP = json.dumps(
             {"--gens": '[{"pairs": []}]'},
         ),
         (["amalgamate", "--builtin", "gf2-ring"], {"--emb1": "{}", "--emb2": "{}"}),
+        (["inspect-algebra", "--builtin", "cyclic-group x"], {}),
+        (["inspect-algebra", "--builtin", "zero-ring y"], {}),
     ],
     ids=[
         "negative-depth",
@@ -248,6 +250,8 @@ OVERLAPPING_CELLMAP = json.dumps(
         "sigma-overlapping-cellmap",
         "gens-entry-no-tails",
         "embedding-no-coords",
+        "builtin-parameter-not-int",
+        "builtin-zero-ring-parameter-not-int",
     ],
 )
 def test_bad_input_is_parse_error(tmp_path, capsys, argv, files):

@@ -1,7 +1,8 @@
 """Differential test of the one-pass ``PowerElement.make`` against the
 make it replaced, kept here as the oracle: a ``Clopen`` tree rebuilt from
 the cell words and compared with the support, ``prefix_overlap`` and
-``merge_sibling_cells``, and a bit-by-bit value lookup at each point.
+the bottom-up dict merge of sibling cells, and a bit-by-bit value lookup
+at each point.
 
 Inputs are labeled prefix antichains tiling all of X or a random support,
 on gf2-ring (filter 0) and gf4-idempotent-reduct (filters 0, 1), as given
@@ -17,12 +18,7 @@ from hypothesis import strategies as st
 
 from boolpow import algebra as alg
 from boolpow import power as bp
-from boolpow.cantor import (
-    Clopen,
-    merge_sibling_cells,
-    point_in,
-    prefix_overlap,
-)
+from boolpow.cantor import Clopen, point_in, prefix_overlap
 from boolpow.errors import FilterViolation
 
 CTXS = {
@@ -36,6 +32,23 @@ DEFECTS = ("none", "overlap", "gap", "outside", "char", "label", "point")
 # oracle: the make of the tree-backed Clopen
 
 
+def old_merge(cells):
+    """Sibling cells p0, p1 of equal label merged into p, bottom-up."""
+    cur = dict(cells)
+    by_len = {}
+    for w in cur:
+        by_len.setdefault(len(w), []).append(w)
+    for n in range(max(by_len, default=0), 0, -1):
+        for w in by_len.get(n, ()):
+            sib = w[:-1] + "1"
+            if w[-1] == "0" and sib in cur and cur[w] == cur[sib]:
+                label = cur[w]
+                del cur[w], cur[sib]
+                cur[w[:-1]] = label
+                by_len.setdefault(n - 1, []).append(w[:-1])
+    return tuple(sorted(cur.items()))
+
+
 def old_make(ctx, cells, support=None):
     support = Clopen.all() if support is None else support
     cells = [(str(w), int(a)) for w, a in cells]
@@ -47,7 +60,7 @@ def old_make(ctx, cells, support=None):
         raise ValueError("overlapping cells")
     if Clopen.make(words) != support:
         raise ValueError("cells do not tile the support")
-    cells = merge_sibling_cells(cells)
+    cells = old_merge(cells)
     for i in range(1, ctx.points.n + 1):
         x = ctx.points.point(i)
         if point_in(x, support):

@@ -134,6 +134,46 @@ def test_restrict_keeps_point():
     assert rmap.forward(s) == bp.apply_operation("add", [g, rmap.forward(h)])
 
 
+@pytest.mark.parametrize(
+    "algebra, filters, words",
+    [
+        (GF2, (0, 0, 0), ["1"]),  # the word 1 holds x_2 and x_3
+        (GF2, (0, 0, 0), [""]),
+        (GF4, (0, 1, 0), ["1"]),
+        (GF4, (0, 1, 0), ["01", "1"]),
+        (GF4, (0, 1, 0), ["0"]),  # the complement 1 holds x_2 and x_3
+        (GF4, (1, 0, 1), ["", "0"]),
+    ],
+    ids=["gf2-000-b1", "gf2-000-all", "gf4-010-b1", "gf4-010-b01-1", "gf4-010-b0",
+         "gf4-101-all"],
+)
+def test_restrict_with_two_points_in_one_word(algebra, filters, words):
+    ctx = bp.make_context(algebra, filters)
+    b = Clopen.make(words)
+    dst, rmap = bp.restrict(ctx, b)
+    kept = [e for x, e in zip(ctx.points.points(), filters) if point_in(x, b)]
+    assert dst.filters == tuple(kept)
+    elems = bp.enumerate_elements(ctx, 3)
+    for f in elems:
+        assert rmap.backward(rmap.forward(f)).restrict(b) == f.restrict(b)
+    # homomorphism on samples, in every operation
+    for k, (op, arity) in enumerate(algebra.signature):
+        for fs in zip(*[elems[t::7][:12] for t in range(arity)]):
+            want = bp.apply_operation(op, [rmap.forward(f) for f in fs])
+            assert rmap.forward(bp.apply_operation(op, list(fs))) == want
+
+
+def test_complement_fill_carves_one_cell_per_point():
+    ctx = bp.make_context(GF4, (0, 1, 0))
+    fill = bp._complement_fill(ctx, Clopen.make(["1"]))
+    # x_2 = 10^w needs 1 and x_3 = 110^w needs 0
+    assert bp.PowerElement.make(ctx, [("0", 0)] + fill).cells == (
+        ("0", 0),
+        ("10", 1),
+        ("11", 0),
+    )
+
+
 def test_restrict_without_points():
     b = Clopen.make(["11"])  # no distinguished point inside
     dst, rmap = bp.restrict(CTX_GF2_1, b)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boolpow import algebra as alg
 from boolpow import autgroup as ag
@@ -148,15 +150,17 @@ def test_apply_from_labeling_squares_cells():
     assert g.value_at(Point.make("11", "0")) == 3
 
 
-def test_apply_pointwise_oracle():
-    rng = random.Random(23)
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3))
+def test_apply_pointwise_oracle(seed, moves):
+    phi = random_automorphism(CTX4, random.Random(seed), moves)
     pts = [Point.make(w + "01", "01") for w in ("000", "010", "101", "110", "111")]
-    for _ in range(6):
-        phi = random_automorphism(CTX4, rng)
-        for f in witness_elements(CTX4)[:6]:
-            g = phi.apply(f)
-            for x in pts:
-                assert g.value_at(x) == pointwise_value(phi, f, x)
+    pts += CTX4.points.points()
+    elems = witness_elements(CTX4)
+    for f in elems[:: len(elems) // 7]:
+        g = phi.apply(f)
+        for x in pts:
+            assert g.value_at(x) == pointwise_value(phi, f, x)
 
 
 def test_apply_preserves_operations():

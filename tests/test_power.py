@@ -1,6 +1,9 @@
 import pytest
 from itertools import product
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from boolpow import algebra as alg
 from boolpow import power as bp
 from boolpow.cantor import Clopen, Point, PointContext, point_in
@@ -45,16 +48,59 @@ def test_mul_idempotent_pointwise():
     assert bp.apply_operation("mul", [f, f]) == f
 
 
-def test_componentwise_on_samples():
-    elems = bp.enumerate_elements(CTX_RED_2, 2)
-    pts = [Point.make(w + "01", "01") for w in ("00", "01", "10", "11")]
-    for f, g, h in [(elems[0], elems[1], elems[-1]), (elems[2], elems[3], elems[1])]:
-        out = bp.eval_term_elements(
-            ("mal", (("var", 0), ("var", 1), ("var", 2))), [f, g, h]
-        )
-        for x in pts:
-            want = RED.apply_name("mal", f.value_at(x), g.value_at(x), h.value_at(x))
-            assert out.value_at(x) == want
+# witness elements: cells of depth <= 4 tiling the support, a cell holding
+# distinguished points cut until their filters agree and labeled by them
+PROPERTY_CTXS = (bp.make_context(GF2, (0,)), bp.make_context(GF4, (0, 1)))
+PROPERTY_SUPPORTS = (Clopen.all(), Clopen.make(["0", "11"]))
+LEVEL = 4
+
+
+@st.composite
+def drawn_elements(draw, ctx, support):
+    marked = list(zip(ctx.points.points(), ctx.filters))
+    depth = draw(st.integers(0, LEVEL))
+
+    def cut(w):
+        held = {e for x, e in marked if x.startswith(w)}
+        if len(held) > 1 or (len(w) < depth and draw(st.booleans())):
+            return cut(w + "0") + cut(w + "1")
+        return [(w, held.pop() if held else draw(st.integers(0, ctx.algebra.size - 1)))]
+
+    cells = [c for u in support.words for c in cut(u)]
+    return bp.PowerElement.make(ctx, cells, support)
+
+
+def level_witnesses(ctx, support):
+    """A point inside every level-LEVEL cell of the support, and the
+    distinguished points it holds."""
+    words = ["".join(bits) for bits in product("01", repeat=LEVEL)]
+    pts = [Point.make(w, "01") for w in words]
+    pts += ctx.points.points()
+    return [x for x in pts if point_in(x, support)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_componentwise_on_samples(data):
+    ctx = data.draw(st.sampled_from(PROPERTY_CTXS))
+    support = data.draw(st.sampled_from(PROPERTY_SUPPORTS))
+    A = ctx.algebra
+    witnesses = level_witnesses(ctx, support)
+    # a nullary operation has no argument to take the context from
+    for k, (op, arity) in enumerate(A.signature):
+        if arity == 0:
+            continue
+        elems = [data.draw(drawn_elements(ctx, support)) for _ in range(arity)]
+        out = bp.apply_operation(op, elems)
+        assert out.support == support
+        for x in witnesses:
+            assert out.value_at(x) == A.apply(k, [f.value_at(x) for f in elems])
+    term = alg.find_malcev_term(A)
+    elems = [data.draw(drawn_elements(ctx, support)) for _ in range(3)]
+    out = bp.eval_term_elements(term, elems)
+    assert out.support == support
+    for x in witnesses:
+        assert out.value_at(x) == alg.eval_term(A, term, [f.value_at(x) for f in elems])
 
 
 def test_equalizer_basics():

@@ -211,14 +211,22 @@ BUILTINS = {
 }
 
 
+PARAMETERIZED = {"cyclic-group": cyclic_group, "zero-ring": zero_ring}
+
+# the largest carrier of a parameterized builtin: its binary tables, with
+# size^2 entries, are built before any budget is checked
+MAX_BUILTIN_SIZE = 256
+
+
 def builtin(name: str) -> FiniteAlgebra:
     if name in BUILTINS:
         return BUILTINS[name]()
     parts = name.split()
-    if len(parts) == 2 and parts[0] == "cyclic-group":
-        return cyclic_group(int(parts[1]))
-    if len(parts) == 2 and parts[0] == "zero-ring":
-        return zero_ring(int(parts[1]))
+    if len(parts) == 2 and parts[0] in PARAMETERIZED:
+        k = int(parts[1])
+        if k > MAX_BUILTIN_SIZE:
+            raise ValueError(f"size {k} is over the ceiling {MAX_BUILTIN_SIZE}")
+        return PARAMETERIZED[parts[0]](k)
     raise KeyError(name)
 
 

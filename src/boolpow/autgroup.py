@@ -15,13 +15,18 @@ from . import algebra as alg
 from .algebra import Endomap
 from .cantor import (
     Clopen,
-    PointContext,
     TailClopen,
-    meet,
-    merge_sibling_cells,
+    _at,
+    _cell_labels,
+    _common_cells,
+    _words,
+    _zip,
+    build,
+    graft,
     point_in,
-    prefix_overlap,
     split_cyclic,
+    subtree,
+    tail_cells,
 )
 from .errors import (
     ContextMismatch,
@@ -47,92 +52,108 @@ def _ident(size: int) -> Mapping:
 @dataclass(frozen=True)
 class AutLabeling:
     """Locally constant map X° -> Aut A with periodic branch tails whose
-    labels all stabilize the filter idempotent of their branch."""
+    labels all stabilize the filter idempotent of their branch.
+
+    A label is stored as its index in ctx.aut_mappings.  The exceptional
+    part is a canonical labeled prefix tree tiling region(threshold), None
+    outside it; beyond the threshold, cell(i, j) carries
+    tail_ids[i-1][(j - threshold - 1) % len].
+    """
 
     ctx: PowerContext
     threshold: int
-    exc_cells: tuple[tuple[str, Mapping], ...]
-    tails: tuple[tuple[Mapping, ...], ...]
+    tree: object
+    tail_ids: tuple[tuple[int, ...], ...]
 
     @staticmethod
     def make(ctx, threshold, exc_cells, tails) -> "AutLabeling":
         pts = ctx.points
-        auts = ctx.aut_mappings
+        ids = ctx.aut_ids
         exc_cells = [(str(w), tuple(m)) for w, m in exc_cells]
         tails = tuple(tuple(tuple(m) for m in t) for t in tails)
         if len(tails) != pts.n:
             raise ValueError("one tail label word per branch")
         for _, m in exc_cells:
-            if m not in auts:
+            if m not in ids:
                 raise TailLabelViolation(f"{m} is not an automorphism")
         for i, word in enumerate(tails, start=1):
             if not word:
                 raise ValueError("empty tail label word")
             e = ctx.filters[i - 1]
             for m in word:
-                if m not in auts:
+                if m not in ids:
                     raise TailLabelViolation(f"{m} is not an automorphism")
                 if m[e] != e:
                     raise TailLabelViolation(
                         f"tail label on branch {i} moves the idempotent {e}"
                     )
-        words = [w for w, _ in exc_cells]
-        if prefix_overlap(words):
-            raise ValueError("overlapping label cells")
-        if Clopen.make(words) != pts.region(threshold):
-            raise ValueError("label cells do not tile the exceptional region")
-        # canonical form: merged cells, then the minimal threshold, where
-        # each branch reads its whole-cell labels (no region cell has a
-        # proper prefix inside the region) followed by its tail word
-        merged = merge_sibling_cells(sorted(exc_cells))
-        cells = dict(merged)
-        cws = [
-            [pts.cellword(i, j) for j in range(1, threshold + 1)]
-            for i in range(1, pts.n + 1)
-        ]
-        d, tails = common_threshold(
-            (tuple(map(cells.get, cw)), t) for cw, t in zip(cws, tails)
+        tree = build(
+            [(w, ids[m]) for w, m in exc_cells],
+            pts.region(threshold)._t,
+            "label cells",
+            "label cells do not tile the exceptional region",
+        )
+        tail_ids = [tuple(ids[m] for m in t) for t in tails]
+        return AutLabeling._canonical(ctx, threshold, tree, tail_ids)
+
+    @staticmethod
+    def _canonical(ctx, threshold, tree, tail_ids) -> "AutLabeling":
+        """The minimal threshold, where each branch reads its whole-cell
+        labels (no region cell has a proper prefix inside the region)
+        followed by its tail word; the cells past it leave the tree."""
+        d, tail_ids = common_threshold(
+            (_cell_labels(tree, i, threshold), t)
+            for i, t in enumerate(tail_ids, start=1)
         )
         if d < threshold:
-            folded = {w for cw in cws for w in cw[d:]}
-            merged = tuple(c for c in merged if c[0] not in folded)
-        return AutLabeling(ctx, d, merged, tuple(tails))
+            region = ctx.points.region(d)._t
+            tree = _zip(lambda k, inside: k if inside else None, tree, region)
+        return AutLabeling(ctx, d, tree, tuple(tail_ids))
 
     @staticmethod
     def identity(ctx) -> "AutLabeling":
-        e = _ident(ctx.algebra.size)
-        pts = ctx.points
-        return AutLabeling.make(
-            ctx,
-            0,
-            [(w, e) for w in pts.region(0).words],
-            tuple(((e,),) * pts.n),
-        )
+        e = ctx.aut_ids[_ident(ctx.algebra.size)]
+        tree = _zip(lambda inside: e if inside else None, ctx.points.region(0)._t)
+        return AutLabeling(ctx, 0, tree, ((e,),) * ctx.points.n)
 
     def is_identity(self) -> bool:
         return self == AutLabeling.identity(self.ctx)
 
-    def tail_label(self, i: int, j: int) -> Mapping:
-        word = self.tails[i - 1]
+    @property
+    def exc_cells(self) -> tuple[tuple[str, Mapping], ...]:
+        """The sorted (word, mapping) cells of the exceptional part."""
+        auts = self.ctx.aut_mappings
+        return tuple((w, auts[k]) for w, k in _words(self.tree, "", []))
+
+    @property
+    def tails(self) -> tuple[tuple[Mapping, ...], ...]:
+        auts = self.ctx.aut_mappings
+        return tuple(tuple(auts[k] for k in t) for t in self.tail_ids)
+
+    def _tail_id(self, i: int, j: int) -> int:
+        word = self.tail_ids[i - 1]
         return word[(j - self.threshold - 1) % len(word)]
 
+    def tail_label(self, i: int, j: int) -> Mapping:
+        return self.ctx.aut_mappings[self._tail_id(i, j)]
+
     def label_on_word(self, w: str) -> Mapping:
-        for u, m in self.exc_cells:
-            if w.startswith(u):
-                return m
-        raise KeyError(w)
+        k = subtree(self.tree, w)
+        if k is None or k.__class__ is tuple:
+            raise KeyError(w)
+        return self.ctx.aut_mappings[k]
 
     def labels_used(self) -> set[Mapping]:
-        out = {m for _, m in self.exc_cells}
-        for t in self.tails:
-            out |= set(t)
+        auts = self.ctx.aut_mappings
+        out = {auts[k] for _, k in _words(self.tree, "", [])}
+        for t in self.tail_ids:
+            out |= {auts[k] for k in t}
         return out
 
     def fiber(self, m: Mapping) -> TailClopen:
-        exc = Clopen.make([w for w, mm in self.exc_cells if mm == m])
-        tails = []
-        for t in self.tails:
-            tails.append("".join("1" if mm == m else "0" for mm in t))
+        k = self.ctx.aut_ids.get(m, -1)
+        exc = Clopen(_zip(lambda l: l == k, self.tree))
+        tails = ["".join("1" if l == k else "0" for l in t) for t in self.tail_ids]
         return TailClopen.make(self.ctx.points, self.threshold, exc, tails)
 
     @staticmethod
@@ -141,9 +162,7 @@ class AutLabeling:
         pts = ctx.points
         d = max([tc.threshold for tc, _ in fibers] + [0])
         raised = [(tc.raised(d), m) for tc, m in fibers]
-        exc_cells = []
-        for tc, m in raised:
-            exc_cells += [(w, m) for w in tc.exceptional.words]
+        exc_cells = [(w, m) for tc, m in raised for w in tc.exceptional.words]
         tails = []
         for i in range(pts.n):
             labels = EPSeq((), (None,))
@@ -162,20 +181,26 @@ class AutLabeling:
         d = max(self.threshold, other.threshold)
         a = self._raised(d)
         b = other._raised(d)
-        cells = [
-            (w, _comp(m1, m2))
-            for w, m1, m2 in meet(sorted(a.exc_cells), sorted(b.exc_cells))
-        ]
+        products = self.ctx.aut_products
+
+        def comp(k, l):
+            return None if k is None else products[k][l]
+
+        tree = _zip(comp, a.tree, b.tree)
         tails = [
-            EPSeq((), t1).zip_with(_comp, EPSeq((), t2)).word
-            for t1, t2 in zip(a.tails, b.tails)
+            EPSeq((), t1).zip_with(comp, EPSeq((), t2)).word
+            for t1, t2 in zip(a.tail_ids, b.tail_ids)
         ]
-        return AutLabeling.make(self.ctx, d, cells, tails)
+        return AutLabeling._canonical(self.ctx, d, tree, tails)
 
     def invert(self) -> "AutLabeling":
-        cells = [(w, _inv(m)) for w, m in self.exc_cells]
-        tails = tuple(tuple(_inv(m) for m in t) for t in self.tails)
-        return AutLabeling.make(self.ctx, self.threshold, cells, tails)
+        """Pointwise inverse; relabeling by a bijection keeps the form
+        canonical."""
+        e = self.ctx.aut_ids[_ident(self.ctx.algebra.size)]
+        inv = [row.index(e) for row in self.ctx.aut_products]
+        tree = _zip(lambda k: None if k is None else inv[k], self.tree)
+        tails = tuple(tuple(inv[k] for k in t) for t in self.tail_ids)
+        return AutLabeling(self.ctx, self.threshold, tree, tails)
 
     def pushforward(self, h: EPHomeo) -> "AutLabeling":
         """The labeling x -> self(h^{-1}(x)); h must fix every point."""
@@ -183,20 +208,22 @@ class AutLabeling:
         fibers = [(tc, m) for tc, m in fibers if not tc.is_empty()]
         return AutLabeling.from_fibers(self.ctx, fibers)
 
+    def _with_tails(self, depths, ends):
+        pts, thr = self.ctx.points, self.threshold
+        return graft(self.tree, tail_cells(pts, thr, self._tail_id, depths, ends))
+
     def _raised(self, d: int) -> "AutLabeling":
         """Same labeling re-expressed at threshold d >= current (not
         canonical)."""
         if d == self.threshold:
             return self
-        pts = self.ctx.points
-        cells = list(self.exc_cells)
-        tails = []
-        for i, t in enumerate(self.tails, start=1):
-            s = EPSeq((), t)  # stored tail words are primitive
-            for j in range(1, d - self.threshold + 1):
-                cells.append((pts.cellword(i, self.threshold + j), s.at(j)))
-            tails.append(s.shift(d - self.threshold).word)
-        return AutLabeling(self.ctx, d, tuple(cells), tuple(tails))
+        n = self.ctx.points.n
+        tree = self._with_tails([d + 1] * n, [None] * n)
+        tails = tuple(
+            EPSeq((), t).shift(d - self.threshold).word  # stored words are primitive
+            for t in self.tail_ids
+        )
+        return AutLabeling(self.ctx, d, tree, tails)
 
     def act(self, f: PowerElement) -> PowerElement:
         """(self . f)(x) = self(x)(f(x)); finite because tail labels fix
@@ -204,36 +231,25 @@ class AutLabeling:
         ctx = self.ctx
         if f.ctx != ctx:
             raise ContextMismatch((f.ctx, ctx))
-        pts = ctx.points
-        # the labeling as one partition of X: its exceptional cells, the
-        # tail cells below T_i, and the neighbourhood of x_i inside f's cell
+        # the labeling as one tree on X: its exceptional part, the tail
+        # cells below T_i, and the neighbourhood of x_i inside f's cell
         # there, where f is e_i and every tail label fixes e_i
-        part = list(self.exc_cells)
-        for i in range(1, pts.n + 1):
-            pw = next(w for w, _ in f.cells if pts.point(i).startswith(w))
-            T = max(self.threshold + 1, len(pw) - (i - 1))
-            part += [
-                (pts.cellword(i, j), self.tail_label(i, j))
-                for j in range(self.threshold + 1, T)
-            ]
-            part.append((pts.nbhd_word(i, T), self.tail_label(i, T)))
-        out = [(w, m[a]) for w, m, a in meet(sorted(part), f.cells)]
-        return PowerElement.make(ctx, out)
+        depths, ends = [], []
+        for i, (x, _) in enumerate(ctx.marked, start=1):
+            T = max(self.threshold + 1, _at(f.tree, x)[1] - (i - 1))
+            depths.append(T)
+            ends.append(self._tail_id(i, T))
+        auts = ctx.aut_mappings
+        tree = _zip(
+            lambda k, a: None if a is None else auts[k][a],
+            self._with_tails(depths, ends),
+            f.tree,
+        )
+        return PowerElement.from_tree(ctx, tree, f.support)
 
 
 def _comp(m1: Mapping, m2: Mapping) -> Mapping:
     return tuple(m1[m2[a]] for a in range(len(m1)))
-
-
-def _pair(m1: Mapping, m2: Mapping):
-    return m1, m2
-
-
-def _inv(m: Mapping) -> Mapping:
-    out = [0] * len(m)
-    for a, b in enumerate(m):
-        out[b] = a
-    return tuple(out)
 
 
 def _claim(label, bit: str, m: Mapping):
@@ -257,24 +273,22 @@ def separating_element(k1: AutLabeling, k2: AutLabeling):
     ctx = k1.ctx
     D = max(k1.threshold, k2.threshold)
     a1, a2 = k1._raised(D), k2._raised(D)
+    auts = ctx.aut_mappings
 
-    def build(w, a):
-        cells = [(w, a)]
-        rest = Clopen.all().difference(Clopen.make([w]))
-        cells += _complement_fill(ctx, rest)
-        return PowerElement.make(ctx, cells)
+    def witness(w, l1, l2):
+        m1, m2 = auts[l1], auts[l2]
+        a = next(x for x in ctx.algebra.carrier if m1[x] != m2[x])
+        cells = _complement_fill(ctx, Clopen.all().difference(Clopen.make([w])))
+        return PowerElement.from_tree(ctx, graft(None, cells + [(w, a)]))
 
-    for w, m1, m2 in meet(sorted(a1.exc_cells), sorted(a2.exc_cells)):
-        if m1 != m2:
-            a = next(x for x in ctx.algebra.carrier if m1[x] != m2[x])
-            return build(w, a)
-    for i, (t1, t2) in enumerate(zip(a1.tails, a2.tails), start=1):
-        both = EPSeq((), t1).zip_with(_pair, EPSeq((), t2))
-        for o, (m1, m2) in enumerate(both.word):
-            if m1 != m2:
-                w = ctx.points.cellword(i, D + 1 + o)
-                a = next(x for x in ctx.algebra.carrier if m1[x] != m2[x])
-                return build(w, a)
+    for w, (l1, l2) in _common_cells([a1.tree, a2.tree], "", []):
+        if l1 != l2:
+            return witness(w, l1, l2)
+    for i, (t1, t2) in enumerate(zip(a1.tail_ids, a2.tail_ids), start=1):
+        both = EPSeq((), t1).zip_with(lambda l1, l2: (l1, l2), EPSeq((), t2))
+        for o, (l1, l2) in enumerate(both.word):
+            if l1 != l2:
+                return witness(ctx.points.cellword(i, D + 1 + o), l1, l2)
     return None
 
 
@@ -284,19 +298,16 @@ def separating_element(k1: AutLabeling, k2: AutLabeling):
 
 def element_through_homeo(f: PowerElement, h: EPHomeo) -> PowerElement:
     """f o h^{-1}: push every cell of f forward through h; the images of a
-    partition partition X, and make merges them back to canonical form."""
+    partition partition X, grafted into one canonical tree."""
     ctx = f.ctx
     if not h.extends_to_X():
         raise NotExtendable("element transport needs a point-fixing extension")
     # h fixes the points: x_i stays in the image of the cell holding it
-    for i in range(1, ctx.points.n + 1):
-        x = ctx.points.point(i)
-        w = next(w for w, _ in f.cells if x.startswith(w))
-        if not point_in(x, h.cell_image(w)):
+    for x, _ in ctx.marked:
+        if not point_in(x, h.cell_image(x.prefix(_at(f.tree, x)[1]))):
             raise AssertionError("point membership lost in transport")
-    return PowerElement.make(
-        ctx, [(u, a) for w, a in f.cells for u in h.cell_image(w).words]
-    )
+    cells = [(u, a) for w, a in f.cells for u in h.cell_image(w).words]
+    return PowerElement.from_tree(ctx, graft(None, cells))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Exact clopen algebra of the Cantor space X = {0,1}^w, distinguished
 points, and clopens of the punctured space X° = X minus the points.
 
-Clopens are canonical binary trees, read out as prefix antichains.  Points
-are eventually periodic binary sequences.  A context fixes n distinguished points x_i = 1^(i-1) 0^w
+Clopens and labeled clopen partitions are canonical labeled binary trees,
+read out as sorted prefix antichains.  Points are eventually periodic
+binary sequences.  A context fixes n distinguished points x_i = 1^(i-1) 0^w
 whose punctured neighbourhoods decompose into the branch cells
 cell(i, j) = 1^(i-1) 0^j 1 . X (j >= 1); clopens of X° are stored as an
 exceptional clopen below a threshold plus one periodic inclusion word per
@@ -19,16 +20,19 @@ from .errors import ContextMismatch, EmptyInput, EmptyOrFull, NotGood
 from .seqs import EPSeq, EPSet, common_threshold
 
 # ---------------------------------------------------------------------------
-# clopens of X as binary trees
+# labeled prefix trees
 #
-# A tree is False (empty), True (all of X) or a pair (t0, t1) of the parts
-# below the prefixes "0" and "1".  Canonical: two True or two False
-# siblings collapse into their parent; equal inner siblings stay apart,
-# since a subtree's position fixes the words it stands for.
+# A tree is a leaf or a pair (t0, t1) of the trees below the prefixes "0"
+# and "1".  A leaf is any value other than a tuple, the label on its whole
+# cell; None (False in a clopen) marks the outside of the set the tree
+# covers.  Canonical: two equal leaf siblings collapse into their parent;
+# equal inner siblings stay apart, since a subtree's position fixes the
+# words it stands for.  A clopen of X is the bool case.  No tree mixes bool
+# and int leaves, as 1 == True.
 
 
 def _node(t0, t1):
-    if t0 is t1 and (t0 is True or t0 is False):
+    if t0.__class__ is not tuple and t0 == t1:
         return t0
     return (t0, t1)
 
@@ -55,13 +59,115 @@ def _compl(a):
     return (_compl(a[0]), _compl(a[1]))
 
 
+def _zip(f, *ts):
+    """The tree of f applied to the leaves of the trees ts on each cell of
+    their common refinement."""
+    if tuple in map(type, ts):
+        return _node(
+            _zip(f, *[t[0] if t.__class__ is tuple else t for t in ts]),
+            _zip(f, *[t[1] if t.__class__ is tuple else t for t in ts]),
+        )
+    return f(*ts)
+
+
 def _words(t, prefix, out):
-    if t is True:
-        out.append(prefix)
-    elif t is not False:
+    """Append the (word, leaf) cells of t below prefix to out, in sorted
+    order, leaving out the outside."""
+    if t.__class__ is tuple:
         _words(t[0], prefix + "0", out)
         _words(t[1], prefix + "1", out)
+    elif t is not None and t is not False:
+        out.append((prefix, t))
     return out
+
+
+def _common_cells(ts, prefix, out):
+    """Append the cells of the common refinement of the trees ts below
+    prefix to out as (word, leaves), in sorted order, leaving out the
+    outside of ts[0]."""
+    if tuple in map(type, ts):
+        _common_cells([t[0] if t.__class__ is tuple else t for t in ts], prefix + "0", out)
+        _common_cells([t[1] if t.__class__ is tuple else t for t in ts], prefix + "1", out)
+    elif ts[0] is not None and ts[0] is not False:
+        out.append((prefix, tuple(ts)))
+    return out
+
+
+def _at(t, x: Point):
+    """The leaf of t at the point x, and the length of its cell's word."""
+    i = 0
+    while t.__class__ is tuple:
+        t = t[x.bit(i) == "1"]
+        i += 1
+    return t, i
+
+
+def subtree(t, w: str):
+    """The tree s -> t(w.s) of t below the word w."""
+    for c in w:
+        if t.__class__ is not tuple:
+            break
+        t = t[c == "1"]
+    return t
+
+
+def _graft(t, w, sub):
+    if not w:
+        return sub
+    t0, t1 = t if t.__class__ is tuple else (t, t)
+    if w[0] == "0":
+        return _node(_graft(t0, w[1:], sub), t1)
+    return _node(t0, _graft(t1, w[1:], sub))
+
+
+def graft(t, cells):
+    """The tree t with its part below w replaced by the tree sub, for each
+    (w, sub) of the cells, whose words do not meet: grafting the subtrees
+    of t below p at q carries t through the prefix pairs p.s -> q.s."""
+    for w, sub in cells:
+        t = _graft(t, w, sub)
+    return t
+
+
+def build(cells, s=True, what="cells", untiled="cells do not tile the support"):
+    """The tree of the (word, leaf) cells, which must tile the clopen
+    tree s.  ValueErrors come in this order: two cells that meet
+    ("overlapping <what>"), a word not over 01, cells that do not tile s
+    (`untiled`)."""
+    ordered = sorted(cells)
+    # in sorted order a word prefixing a later one prefixes the next
+    for (u, _), (v, _) in zip(ordered, ordered[1:]):
+        if v.startswith(u):
+            raise ValueError(f"overlapping {what}")
+    for w, _ in cells:
+        if w.strip("01"):
+            raise ValueError(f"bad word {w!r}")
+    return _tile(ordered, 0, len(ordered), 0, s, untiled)
+
+
+def _tile(cells, lo, hi, d, s, untiled):
+    """The tree of the sorted cells[lo:hi], no two of which meet, whose
+    words share their first d letters and, cut after them, tile the
+    clopen tree s."""
+    if s is False:
+        if lo < hi:
+            raise ValueError(untiled)
+        return None
+    if lo == hi:
+        raise ValueError(untiled)
+    w, a = cells[lo]
+    if len(w) == d:  # the only cell
+        if s is not True:
+            raise ValueError(untiled)
+        return a
+    mid = lo
+    while mid < hi and cells[mid][0][d] == "0":
+        mid += 1
+    s0, s1 = s if s.__class__ is tuple else (s, s)
+    return _node(
+        _tile(cells, lo, mid, d + 1, s0, untiled),
+        _tile(cells, mid, hi, d + 1, s1, untiled),
+    )
 
 
 class Clopen:
@@ -81,7 +187,7 @@ class Clopen:
     @property
     def words(self) -> tuple[str, ...]:
         if self._words is None:
-            self._words = tuple(_words(self._t, "", []))
+            self._words = tuple([w for w, _ in _words(self._t, "", [])])
         return self._words
 
     def __eq__(self, other):
@@ -136,20 +242,6 @@ class Clopen:
     def is_subset(self, other: "Clopen") -> bool:
         return self.difference(other).is_empty()
 
-    def covers(self, w: str) -> bool:
-        """Whether the cell w.X lies inside this clopen."""
-        t = self._t
-        for c in w:
-            if t.__class__ is not tuple:
-                break
-            t = t[c == "1"]
-        return t is True
-
-    def measure(self, depth: int) -> int:
-        """The number of length-``depth`` cells inside, 2^depth times the
-        Haar measure; ``depth`` is at least the longest word."""
-        return sum(1 << (depth - len(w)) for w in self.words)
-
 
 def prefix_overlap(words) -> bool:
     """Whether two of the cells intersect (one word prefixes another)."""
@@ -167,72 +259,6 @@ def split(b: Clopen) -> tuple[Clopen, Clopen]:
     w = min(b.words, key=lambda x: (len(x), x))
     first = Clopen.make([w + "0"])
     return first, b.difference(first)
-
-
-# ---------------------------------------------------------------------------
-# labeled prefix antichains
-#
-# A labeled antichain is a sorted list of (word, label) cells, no word a
-# prefix of another.  In sorted order the cells are read left to right, so
-# the cells inside one word come next to each other.
-
-
-def merge_sibling_cells(cells) -> tuple:
-    """The sorted labeled antichain `cells` with sibling cells p0, p1 of
-    equal label merged into p, repeatedly, in one stack scan: the cell of
-    a merged p0 is on top of the stack when p1 arrives."""
-    merged = []
-    for w, a in cells:
-        while (
-            w[-1:] == "1"
-            and merged
-            and merged[-1][1] == a
-            and merged[-1][0] == w[:-1] + "0"
-        ):
-            merged.pop()
-            w = w[:-1]
-        merged.append((w, a))
-    return tuple(merged)
-
-
-def meet(xs, ys) -> list[tuple[str, object, object]]:
-    """Common refinement of two sorted labeled antichains that tile the
-    same set, as sorted (word, x label, y label) triples.
-
-    One linear scan: the shorter side advances once the longer side has
-    left its cell.  Raises ValueError when the cells do not nest.
-    """
-    out = []
-    i = j = 0
-    while i < len(xs) and j < len(ys):
-        (u, a), (v, b) = xs[i], ys[j]
-        if len(u) <= len(v):
-            if not v.startswith(u):
-                raise ValueError("the cells do not tile the same set")
-            out.append((v, a, b))
-            j += 1
-            if j == len(ys) or not ys[j][0].startswith(u):
-                i += 1
-        else:
-            if not u.startswith(v):
-                raise ValueError("the cells do not tile the same set")
-            out.append((u, a, b))
-            i += 1
-            if i == len(xs) or not xs[i][0].startswith(v):
-                j += 1
-    if i < len(xs) or j < len(ys):
-        raise ValueError("the cells do not tile the same set")
-    return out
-
-
-def transport(cells, pairs) -> list[tuple[str, object]]:
-    """The sorted labeled cells carried through the sorted prefix pairs
-    p.s -> q.s, whose sources tile the same set: each piece w of the
-    common refinement goes to q + w[len(p):] with its label (unsorted)."""
-    return [
-        (q + w[len(p):], a)
-        for w, a, (p, q) in meet(cells, [(p, (p, q)) for p, q in pairs])
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +304,7 @@ class Point:
 
 
 def point_in(x: Point, b: Clopen) -> bool:
-    t, i = b._t, 0
-    while t.__class__ is tuple:
-        t = t[x.bit(i) == "1"]
-        i += 1
-    return t
+    return _at(b._t, x)[0]
 
 
 def cell_witness(w: str) -> Point:
@@ -354,9 +376,22 @@ class PointContext:
         return ("cell", i, zeros, rest.drop(zeros + 1))
 
 
+def tail_cells(ctx: PointContext, threshold: int, label, depths, ends) -> list:
+    """(nbhd_word(i, threshold + 1), tree) for each branch i, to graft into
+    an exceptional part: the tree carries label(i, j) on cell(i, j) for
+    threshold < j < D = depths[i-1] and the leaf ends[i-1] below
+    nbhd_word(i, D)."""
+    out = []
+    for i, (D, sub) in enumerate(zip(depths, ends), start=1):
+        for j in range(D - 1, threshold, -1):
+            sub = _node(sub, label(i, j))
+        out.append((ctx.nbhd_word(i, threshold + 1), sub))
+    return out
+
+
 def _cell_labels(t, i: int, d: int) -> tuple:
-    """For j = 1..d: "1" or "0" when tree t holds all or none of
-    cell(i, j), None when it splits that cell."""
+    """For j = 1..d: the leaf of tree t on the whole of cell(i, j), None
+    when t splits that cell."""
     for _ in range(i - 1):
         if t.__class__ is tuple:
             t = t[1]
@@ -365,7 +400,7 @@ def _cell_labels(t, i: int, d: int) -> tuple:
         if t.__class__ is tuple:
             t = t[0]
         c = t[1] if t.__class__ is tuple else t
-        out.append(None if c.__class__ is tuple else "01"[c])
+        out.append(None if c.__class__ is tuple else c)
     return tuple(out)
 
 
@@ -408,12 +443,13 @@ class TailClopen:
         # minimal threshold: each branch reads its whole-cell labels up to
         # the threshold followed by its tail word
         d, words = common_threshold(
-            (_cell_labels(exceptional._t, i, threshold), tuple(w))
+            (_cell_labels(exceptional._t, i, threshold), tuple(c == "1" for c in w))
             for i, w in enumerate(tails, start=1)
         )
         if d < threshold:
             exceptional = exceptional.intersect(ctx.region(d))
-        return TailClopen(ctx, d, exceptional, tuple(map("".join, words)))
+        tails = tuple("".join("01"[b] for b in word) for word in words)
+        return TailClopen(ctx, d, exceptional, tails)
 
     @staticmethod
     def empty(ctx) -> "TailClopen":
@@ -451,14 +487,11 @@ class TailClopen:
             raise ValueError(d)
         if d == self.threshold:
             return self
-        exc = self.exceptional
-        tails = []
-        for i, w in enumerate(self.tails, start=1):
-            s = EPSeq((), w)  # stored tail words are primitive
-            for j in range(1, d - self.threshold + 1):
-                if s.at(j) == "1":
-                    exc = exc.union(self.ctx.cell(i, self.threshold + j))
-            tails.append(s.shift(d - self.threshold).word)
+        n, bit = self.ctx.n, lambda i, j: self.tail_bit(i, j) == "1"
+        cells = tail_cells(self.ctx, self.threshold, bit, [d + 1] * n, [False] * n)
+        exc = Clopen(graft(self.exceptional._t, cells))
+        # stored tail words are primitive
+        tails = [EPSeq((), w).shift(d - self.threshold).word for w in self.tails]
         return TailClopen(self.ctx, d, exc, tuple(tails))
 
     def _binop(self, other, excfn, bitfn) -> "TailClopen":
@@ -593,7 +626,8 @@ def split_good(c: TailClopen) -> tuple[TailClopen, TailClopen]:
 def merge_sibling_pairs(pairs) -> tuple:
     """Sorted prefix pairs after joining p0 -> q0, p1 -> q1 into p -> q
     wherever q0, q1 are the sibling words q0, q1; one stack scan over the
-    sorted, de-duplicated pairs, as in merge_sibling_cells."""
+    sorted, de-duplicated pairs: the pair of a merged p0 is on top of the
+    stack when p1 arrives."""
     merged = []
     for p, q in sorted(set(pairs)):
         while (
@@ -619,16 +653,9 @@ class Table:
     @staticmethod
     def make(pairs) -> "Table":
         pairs = [(str(p), str(q)) for p, q in pairs]
-        srcs = [p for p, _ in pairs]
-        if prefix_overlap(srcs):
-            raise ValueError("overlapping source cells")
-        if not Clopen.make(srcs).is_all():
-            raise ValueError("source cells do not cover X")
-        dsts = [q for _, q in pairs]
-        if prefix_overlap(dsts):
-            raise ValueError("overlapping image cells")
-        if not Clopen.make(dsts).is_all():
-            raise ValueError("image cells do not cover X")
+        for side, k in (("source", 0), ("image", 1)):
+            cells = [(pair[k], True) for pair in pairs]
+            build(cells, True, f"{side} cells", f"{side} cells do not cover X")
         return Table(merge_sibling_pairs(pairs))
 
     @staticmethod
@@ -642,14 +669,15 @@ class Table:
         return Table(merge_sibling_pairs([(q, p) for p, q in self.pairs]))
 
     def compose(self, first: "Table") -> "Table":
-        """self after first: first's image cells met with self's source
-        cells."""
-        images = sorted((q, (p, q)) for p, q in first.pairs)
-        sources = [(p, (p, q)) for p, q in self.pairs]
+        """self after first: the tree of self's source cells, labeled by
+        pair index, read below each image cell of first."""
+        pairs = self.pairs
+        sources = build([(p, k) for k, (p, _) in enumerate(pairs)])
         return Table(
             merge_sibling_pairs(
-                (p + w[len(q):], q2 + w[len(p2):])
-                for w, (p, q), (p2, q2) in meet(images, sources)
+                (p + s, pairs[k][1] + (q + s)[len(pairs[k][0]):])
+                for p, q in first.pairs
+                for s, k in _words(subtree(sources, q), "", [])
             )
         )
 

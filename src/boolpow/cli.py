@@ -24,9 +24,16 @@ from . import power as bp
 from . import serialize as ser
 from .autgroup import PowerAutomorphism, characteristic
 from .cantor import Clopen, Point, PointContext, TailClopen
-from .errors import BoolpowError, ParseError
+from .errors import BoolpowError, ParseError, SizeBudgetExceeded
 from .homeo import EPHomeo, cross_branch_involution
 from .rand import random_point_fixing_homeo, suffix_twist, tail_shift
+
+# --budget when not given; extend-homogeneity, which has no --budget,
+# bounds its chain by it
+DEFAULT_BUDGET = 200_000
+
+# demo-example-2-3 takes time quadratic in --depth (1.2 s at 200, 57 s at 800)
+DEMO_MAX_DEPTH = 200
 
 
 def _load_algebra(args) -> alg.FiniteAlgebra:
@@ -35,7 +42,7 @@ def _load_algebra(args) -> alg.FiniteAlgebra:
             return alg.builtin(args.builtin)
         except KeyError as e:
             raise ParseError(f"unknown builtin {args.builtin!r}") from e
-        except ValueError as e:  # a parameter that is not an integer
+        except ValueError as e:  # a parameter not an integer or too large
             raise ParseError(f"builtin {args.builtin!r}: {e}") from e
     if args.alg:
         with open(args.alg) as fh:
@@ -131,6 +138,7 @@ def cmd_extend_homogeneity(args):
     a = _load_algebra(args)
     ctx = bp.make_context(a, _filters(args, a))
     rng = random.Random(args.seed)
+    fr.check_chain_budget(ctx, args.depth, DEFAULT_BUDGET)
     chain = fr.limit_chain(ctx, max(args.depth, fr.first_stage_depth(ctx)))
     psi = chain[min(len(chain) - 1, 1)].bp
     u = psi.u
@@ -165,6 +173,7 @@ def cmd_fraisse_chain(args):
     first = fr.first_stage_depth(ctx)
     cover_depth = max(min(args.depth, 2 + ctx.points.n), first)
     bp.check_element_budget(ctx, cover_depth, args.budget)
+    fr.check_chain_budget(ctx, args.depth, args.budget)
     chain = fr.limit_chain(ctx, args.depth)
     commutes = fr.chain_commutes(chain)
     covers = fr.chain_covers(ctx, chain, cover_depth)
@@ -230,6 +239,10 @@ def cmd_reduce_idempotents(args):
 
 
 def cmd_demo_example_2_3(args):
+    if args.depth > DEMO_MAX_DEPTH:
+        raise SizeBudgetExceeded(
+            f"--depth {args.depth} is over the ceiling {DEMO_MAX_DEPTH}"
+        )
     pctx = PointContext(2)
     psi = cross_branch_involution(pctx)
     involution = psi.compose(psi).is_identity()
@@ -330,7 +343,7 @@ FLAGS = {
     "filters": {"help": "comma-separated filter idempotents"},
     "rank": {"type": int, "default": 2},
     "depth": {"type": int, "default": 3},
-    "budget": {"type": int, "default": 200_000},
+    "budget": {"type": int, "default": DEFAULT_BUDGET},
     "seed": {"type": int, "default": 0},
     "steps": {"type": int, "default": 6},
     "points": {"type": int, "default": 1},

@@ -17,6 +17,7 @@ from .errors import (
     ArityOrder,
     ExtensionFailure,
     NotEmbedding,
+    SizeBudgetExceeded,
     SourceMismatch,
 )
 from .power import PowerContext, PowerElement
@@ -429,6 +430,19 @@ def first_stage_depth(ctx: PowerContext) -> int:
     while _stage_words(ctx, t) is None:
         t += 1
     return t
+
+
+def check_chain_budget(ctx: PowerContext, depth: int, budget: int) -> None:
+    """Raise SizeBudgetExceeded when limit_chain(ctx, depth) would lay out
+    more than `budget` level cells over its stages (2^t at stage t); run
+    it before building the chain."""
+    t0 = first_stage_depth(ctx)
+    top = max(depth, t0)
+    # past this depth the last stage alone exceeds the budget
+    if top >= budget.bit_length() or (1 << (top + 1)) - (1 << t0) > budget:
+        raise SizeBudgetExceeded(
+            f"a chain to depth {depth} has more than {budget} stage cells"
+        )
 
 
 def limit_chain(ctx: PowerContext, depth: int) -> list[ChainStage]:

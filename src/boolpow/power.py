@@ -1,4 +1,4 @@
-"""Filtered Boolean powers: elements as finite labeled prefix partitions,
+"""Filtered Boolean powers: elements as labeled prefix trees,
 congruences as clopen projection kernels, restrictions, and the concrete
 isomorphisms that add, twist, relocate and merge filtering points.
 """
@@ -6,7 +6,7 @@ isomorphisms that add, twist, relocate and merge filtering points.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import product
 from typing import Callable, Optional, Sequence
 
@@ -16,10 +16,15 @@ from .cantor import (
     Clopen,
     Point,
     PointContext,
-    merge_sibling_cells,
-    meet,
+    _at,
+    _common_cells,
+    _node,
+    _words,
+    _zip,
+    build,
+    graft,
     point_in,
-    transport,
+    subtree,
 )
 from .errors import (
     ContextMismatch,
@@ -59,6 +64,24 @@ class PowerContext:
         algebra.automorphisms finds them; searched once per context."""
         return tuple(a.mapping for a in alg.automorphisms(self.algebra))
 
+    @cached_property
+    def aut_ids(self) -> dict:
+        """The index of each automorphism in aut_mappings."""
+        return {m: k for k, m in enumerate(self.aut_mappings)}
+
+    @cached_property
+    def aut_products(self) -> tuple[tuple[int, ...], ...]:
+        """aut_products[k][l]: the index of aut k after aut l."""
+        auts, ids = self.aut_mappings, self.aut_ids
+        return tuple(
+            tuple(ids[tuple(m[a] for a in n)] for n in auts) for m in auts
+        )
+
+    @cached_property
+    def marked(self) -> tuple[tuple[Point, int], ...]:
+        """Each distinguished point with its filter idempotent."""
+        return tuple(zip(self.points.points(), self.filters))
+
 
 def make_context(algebra: FiniteAlgebra, filters: Sequence[int]) -> PowerContext:
     return PowerContext(algebra, PointContext(len(filters)), tuple(filters))
@@ -68,24 +91,22 @@ def make_context(algebra: FiniteAlgebra, filters: Sequence[int]) -> PowerContext
 class PowerElement:
     """Continuous map support -> A, constant on finitely many prefix cells.
 
-    The cell containing a retained distinguished point carries that
-    point's filter idempotent.  Canonical: sibling cells with equal labels
-    are merged; cells are sorted.
+    Stored as a canonical labeled prefix tree: a leaf is the label on its
+    cell, None the outside of the support.  The cell containing a retained
+    distinguished point carries that point's filter idempotent.
     """
 
     ctx: PowerContext
-    cells: tuple[tuple[str, int], ...]
+    tree: object
     support: Clopen = field(default_factory=Clopen.all)
 
     @staticmethod
     def make(ctx, cells, support: Optional[Clopen] = None) -> "PowerElement":
-        """Validate and canonicalize (word, label) cells in one sorted scan.
+        """Validate (word, label) cells and build their tree.
 
         Errors come in this order: a label outside the carrier, two cells
         that meet, a word not over 01, cells that do not tile the support,
-        a wrong value at a retained point.  Cells tile the support when
-        each lies inside it and their measures add up to its measure: the
-        part of the support they miss is clopen with measure 0, so empty.
+        a wrong value at a retained point.
         """
         support = Clopen.all() if support is None else support
         cells = [(str(w), int(a)) for w, a in cells]
@@ -93,33 +114,22 @@ class PowerElement:
         for _, a in cells:
             if a not in labels:
                 raise FilterViolation(f"label {a} outside carrier")
-        ordered = sorted(cells)
-        # in sorted order a word prefixing a later one prefixes the next
-        for (u, _), (v, _) in zip(ordered, ordered[1:]):
-            if v.startswith(u):
-                raise ValueError("overlapping cells")
-        for w, _ in cells:
-            if w.strip("01"):
-                raise ValueError(f"bad word {w!r}")
-        words = [w for w, _ in ordered]
-        depth = max(map(len, words), default=0)
-        if support.is_all():
-            inside, full = True, 1 << depth
-        else:
-            inside = all(map(support.covers, words))
-            depth = max([depth, *map(len, support.words)])
-            full = support.measure(depth)
-        kraft = sum(map((1 << depth).__rshift__, map(len, words)))
-        if not inside or kraft != full:
-            raise ValueError("cells do not tile the support")
-        el = PowerElement(ctx, merge_sibling_cells(ordered), support)
-        for i in range(1, ctx.points.n + 1):
-            x = ctx.points.point(i)
-            if point_in(x, support) and el.value_at(x) != ctx.filters[i - 1]:
-                raise FilterViolation(
-                    f"value at point {i} must be {ctx.filters[i - 1]}"
-                )
-        return el
+        return PowerElement.from_tree(ctx, build(cells, support._t), support)
+
+    @staticmethod
+    def from_tree(ctx, tree, support: Optional[Clopen] = None) -> "PowerElement":
+        """The element of a canonical tree whose leaves other than None tile
+        the support, after checking the value at each retained point."""
+        for i, (x, e) in enumerate(ctx.marked, start=1):
+            a = _at(tree, x)[0]
+            if a is not None and a != e:
+                raise FilterViolation(f"value at point {i} must be {e}")
+        return PowerElement(ctx, tree, Clopen.all() if support is None else support)
+
+    @property
+    def cells(self) -> tuple[tuple[str, int], ...]:
+        """The sorted (word, label) cells, read off the tree."""
+        return tuple(_words(self.tree, "", []))
 
     @staticmethod
     def constant(ctx, a: int, support: Optional[Clopen] = None) -> "PowerElement":
@@ -127,53 +137,51 @@ class PowerElement:
         return PowerElement.make(ctx, [(w, a) for w in support.words], support)
 
     def value_at(self, x: Point) -> int:
-        p = x.prefix(max((len(w) for w, _ in self.cells), default=0))
-        for w, a in self.cells:
-            if p.startswith(w):
-                return a
-        raise ValueError("point outside the support")
+        a = _at(self.tree, x)[0]
+        if a is None:
+            raise ValueError("point outside the support")
+        return a
 
     def fiber(self, a: int) -> Clopen:
-        return Clopen.make([w for w, b in self.cells if b == a])
+        return Clopen(_zip(lambda b: b == a, self.tree))
 
     def restrict(self, b: Clopen) -> "PowerElement":
-        cells = []
-        for w, a in self.cells:
-            part = Clopen.make([w]).intersect(b)
-            cells += [(u, a) for u in part.words]
-        return PowerElement.make(self.ctx, cells, self.support.intersect(b))
+        tree = _zip(lambda a, inside: a if inside else None, self.tree, b._t)
+        return PowerElement.from_tree(self.ctx, tree, self.support.intersect(b))
+
+
+def _trees(elems: Sequence[PowerElement]) -> list:
+    first = elems[0]
+    for e in elems[1:]:
+        if e.ctx != first.ctx or e.support != first.support:
+            raise ContextMismatch("refinement needs a common context/support")
+    return [e.tree for e in elems]
 
 
 def refine(elems: Sequence[PowerElement]) -> list[tuple[str, tuple[int, ...]]]:
     """Common refinement of equal-support elements, with label tuples."""
-    first = elems[0]
-    out = [(w, (a,)) for w, a in first.cells]
-    for e in elems[1:]:
-        if e.ctx != first.ctx or e.support != first.support:
-            raise ContextMismatch("refinement needs a common context/support")
-        out = [(w, labs + (a,)) for w, labs, a in meet(out, e.cells)]
-    return out
+    return _common_cells(_trees(elems), "", [])
+
+
+def _pointwise(ctx, fn, elems) -> PowerElement:
+    """The element x -> fn(labels of elems at x), on their common support."""
+    tree = _zip(lambda *labs: None if labs[0] is None else fn(labs), *_trees(elems))
+    return PowerElement.from_tree(ctx, tree, elems[0].support)
 
 
 def apply_operation(op: str, elems: Sequence[PowerElement]) -> PowerElement:
-    """Pointwise application of a basic operation on the common refinement."""
+    """Pointwise application of a basic operation, one zip of the trees."""
     ctx = elems[0].ctx
     k = ctx.algebra.op_index(op)
     _, arity = ctx.algebra.signature[k]
     if arity != len(elems):
         raise ValueError(f"{op} expects {arity} arguments")
-    if arity == 0:
-        return PowerElement.constant(ctx, ctx.algebra.tables[k][0])
-    cells = [(w, ctx.algebra.apply(k, labs)) for w, labs in refine(elems)]
-    return PowerElement.make(ctx, cells, elems[0].support)
+    return _pointwise(ctx, partial(ctx.algebra.apply, k), elems)
 
 
 def eval_term_elements(term, elems: Sequence[PowerElement]) -> PowerElement:
     ctx = elems[0].ctx
-    cells = [
-        (w, alg.eval_term(ctx.algebra, term, labs)) for w, labs in refine(elems)
-    ]
-    return PowerElement.make(ctx, cells, elems[0].support)
+    return _pointwise(ctx, partial(alg.eval_term, ctx.algebra, term), elems)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +204,7 @@ class PowerCongruence:
 def equalizer(f: PowerElement, g: PowerElement) -> Clopen:
     if f.ctx != g.ctx or f.support != g.support:
         raise ContextMismatch("equalizer needs a common context/support")
-    return Clopen.make([w for w, (a, b) in refine([f, g]) if a == b])
+    return Clopen(_zip(lambda a, b: a is not None and a == b, f.tree, g.tree))
 
 
 def principal_congruence(f: PowerElement, g: PowerElement) -> PowerCongruence:
@@ -234,16 +242,15 @@ class RestrictionMap:
     pairs: tuple[tuple[str, str], ...]  # partition of b <-> of X, sorted
 
     def forward(self, f: PowerElement) -> PowerElement:
-        return PowerElement.make(
-            self.dst, transport(f.restrict(self.b).cells, self.pairs)
-        )
+        cells = [(q, subtree(f.tree, p)) for p, q in self.pairs]
+        return PowerElement.from_tree(self.dst, graft(None, cells))
 
     def backward(self, g: PowerElement) -> PowerElement:
         """Section of the quotient: the restricted values pulled back onto
         b, the filter idempotents elsewhere (one block per point)."""
-        back = sorted((q, p) for p, q in self.pairs)
-        fill = _complement_fill(self.src, Clopen.all().difference(self.b))
-        return PowerElement.make(self.src, transport(g.cells, back) + fill)
+        cells = _complement_fill(self.src, Clopen.all().difference(self.b))
+        cells += [(p, subtree(g.tree, q)) for p, q in self.pairs]
+        return PowerElement.from_tree(self.src, graft(None, cells))
 
 
 def _one_point_words(points, words) -> list[str]:
@@ -349,9 +356,7 @@ def product_iso(f1: PowerElement, f2: PowerElement) -> PowerElement:
         raise IdempotentMismatch((c1.filters, c2.filters))
     e = c1.filters[0]
     glued = make_context(c1.algebra, (e, e))
-    cells = [("0" + w, a) for w, a in f1.cells]
-    cells += [("1" + w, a) for w, a in f2.cells]
-    return PowerElement.make(glued, cells)
+    return PowerElement.from_tree(glued, _node(f1.tree, f2.tree))
 
 
 def product_iso_split(g: PowerElement) -> tuple[PowerElement, PowerElement]:
@@ -360,11 +365,9 @@ def product_iso_split(g: PowerElement) -> tuple[PowerElement, PowerElement]:
     if ctx.n != 2 or ctx.filters[0] != ctx.filters[1]:
         raise ContextMismatch("not a glued two-point power")
     single = make_context(ctx.algebra, (ctx.filters[0],))
-    f1 = [(w[1:], a) for w, a in g.restrict(Clopen.make(["0"])).cells]
-    f2 = [(w[1:], a) for w, a in g.restrict(Clopen.make(["1"])).cells]
     return (
-        PowerElement.make(single, f1),
-        PowerElement.make(single, f2),
+        PowerElement.from_tree(single, subtree(g.tree, "0")),
+        PowerElement.from_tree(single, subtree(g.tree, "1")),
     )
 
 
@@ -404,13 +407,13 @@ def restriction_iso(
 
     def fwd(f: PowerElement) -> PowerElement:  # f has support b1
         cells = [(u, alpha(a)) for w, a in f.cells for u in h.cell_image(w).words]
-        return PowerElement.make(ctx, cells, b2)
+        return PowerElement.from_tree(ctx, graft(None, cells), b2)
 
     ainv = alpha.inverse()
 
     def bwd(g: PowerElement) -> PowerElement:
         cells = [(u, ainv(a)) for w, a in g.cells for u in hinv.cell_image(w).words]
-        return PowerElement.make(ctx, cells, b1)
+        return PowerElement.from_tree(ctx, graft(None, cells), b1)
 
     sub1 = PowerContext(ctx.algebra, ctx.points, ctx.filters)
     return ElementIso(sub1, sub1, fwd, bwd)
@@ -426,19 +429,14 @@ def twist_iso(ctx: PowerContext, j: int, alpha: Endomap) -> ElementIso:
     if not alpha.is_automorphism:
         raise NotAutomorphism(alpha)
     m = ctx.points.n
-    block = Clopen.make(["1" * (j - 1) + ("0" if j < m else "")])
+    block = "1" * (j - 1) + ("0" if j < m else "")
     new_filters = list(ctx.filters)
     new_filters[j - 1] = alpha(ctx.filters[j - 1])
     dst = PowerContext(ctx.algebra, ctx.points, tuple(new_filters))
-    # the block/outside partition of X
-    part = sorted(
-        [(w, True) for w in block.words]
-        + [(w, False) for w in block.complement().words]
-    )
 
     def apply_block(f, a_map, target):
-        cells = [(w, a_map(a) if inb else a) for w, a, inb in meet(f.cells, part)]
-        return PowerElement.make(target, cells)
+        inside = _zip(a_map, subtree(f.tree, block))
+        return PowerElement.from_tree(target, graft(f.tree, [(block, inside)]))
 
     return ElementIso(
         ctx,
@@ -458,11 +456,10 @@ def swap_points_iso(ctx: PowerContext, j: int) -> ElementIso:
     new_filters = list(ctx.filters)
     new_filters[j - 1], new_filters[m - 1] = new_filters[m - 1], new_filters[j - 1]
     dst = PowerContext(ctx.algebra, ctx.points, tuple(new_filters))
-    rest = Clopen.make([pj, pm]).complement().words
-    pairs = sorted([(pj, pm), (pm, pj)] + [(w, w) for w in rest])
 
     def act(f, target):
-        return PowerElement.make(target, transport(f.cells, pairs))
+        cells = [(pm, subtree(f.tree, pj)), (pj, subtree(f.tree, pm))]
+        return PowerElement.from_tree(target, graft(f.tree, cells))
 
     return ElementIso(ctx, dst, lambda f: act(f, dst), lambda g: act(g, ctx))
 
@@ -504,22 +501,19 @@ def merge_last_iso(ctx: PowerContext, i: int) -> ElementIso:
 
     def reach(f, k):
         """Zeros after 1^(k-1) in the cell of f holding x_k."""
-        w = next(w for w, _ in f.cells if f.ctx.points.point(k).startswith(w))
-        return len(w) - (k - 1)
+        return _at(f.tree, f.ctx.points.point(k))[1] - (k - 1)
 
     # f is e on the point neighbourhoods, which lie inside f's cells there:
-    # they are dropped and refilled with e-cells on the other side
+    # they are left out and filled with e on the other side
     def fwd(f: PowerElement) -> PowerElement:
         pairs, nbhds, nb = interleave(max(2 * reach(f, i), 2 * reach(f, m) - 1, 1))
-        pairs = sorted(pairs + [(w, nb) for w in nbhds])
-        cells = [c for c in transport(f.cells, pairs) if c[0] != nb]
-        return PowerElement.make(dst, cells + [(nb, e)])
+        cells = [(nb, e)] + [(q, subtree(f.tree, p)) for p, q in pairs]
+        return PowerElement.from_tree(dst, graft(None, cells))
 
     def bwd(g: PowerElement) -> PowerElement:
         pairs, nbhds, nb = interleave(max(reach(g, i), 1))
-        back = sorted([(q, p) for p, q in pairs] + [(nb, nbhds[0])])
-        cells = [c for c in transport(g.cells, back) if c[0] != nbhds[0]]
-        return PowerElement.make(ctx, cells + [(w, e) for w in nbhds])
+        cells = [(w, e) for w in nbhds] + [(p, subtree(g.tree, q)) for p, q in pairs]
+        return PowerElement.from_tree(ctx, graft(None, cells))
 
     return ElementIso(ctx, dst, fwd, bwd)
 
@@ -628,10 +622,14 @@ def enumerate_elements(ctx: PowerContext, depth: int) -> list[PowerElement]:
     forced = _forced_cells(ctx, depth)
     if forced is None:
         return []
-    words = ["".join(bits) for bits in product("01", repeat=depth)]
-    free = [w for w in words if w not in forced]
-    out = []
-    for labs in product(range(ctx.algebra.size), repeat=len(free)):
-        cells = list(forced.items()) + list(zip(free, labs))
-        out.append(PowerElement.make(ctx, cells))
-    return out
+    labels = range(ctx.algebra.size)
+
+    def trees(w):
+        """The trees of every labeling of the level-`depth` cells below w,
+        ordered by their label vectors, the first cell the most
+        significant; subtrees are shared between them."""
+        if len(w) == depth:
+            return [forced[w]] if w in forced else labels
+        return [_node(t0, t1) for t0 in trees(w + "0") for t1 in trees(w + "1")]
+
+    return [PowerElement.from_tree(ctx, t) for t in trees("")]

@@ -238,6 +238,8 @@ OVERLAPPING_CELLMAP = json.dumps(
         (["amalgamate", "--builtin", "gf2-ring"], {"--emb1": "{}", "--emb2": "{}"}),
         (["inspect-algebra", "--builtin", "cyclic-group x"], {}),
         (["inspect-algebra", "--builtin", "zero-ring y"], {}),
+        (["inspect-algebra", "--builtin", "cyclic-group 1000000000"], {}),
+        (["build-power", "--builtin", "zero-ring 1000000000"], {}),
     ],
     ids=[
         "negative-depth",
@@ -252,6 +254,8 @@ OVERLAPPING_CELLMAP = json.dumps(
         "embedding-no-coords",
         "builtin-parameter-not-int",
         "builtin-zero-ring-parameter-not-int",
+        "builtin-cyclic-group-over-ceiling",
+        "builtin-zero-ring-over-ceiling",
     ],
 )
 def test_bad_input_is_parse_error(tmp_path, capsys, argv, files):
@@ -329,5 +333,23 @@ def test_bergman_growth_budget_checked_first(capsys):
     code, rep = run(
         capsys, "bergman-growth", "--builtin", "gf2-ring", "--depth", "1000000"
     )
+    assert code == 1
+    assert rep["error"].startswith("SizeBudgetExceeded: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 2^21 - 2 stage cells, and 2^31 - 2
+        ["fraisse-chain", "--builtin", "gf2-idempotent-reduct", "--depth", "20"],
+        ["extend-homogeneity", "--builtin", "gf2-idempotent-reduct", "--depth", "30"],
+        ["fraisse-chain", "--builtin", "gf2-idempotent-reduct", "--depth", "1000000000"],
+        ["demo-example-2-3", "--depth", "201"],
+        ["demo-example-2-3", "--depth", "1000000000"],
+    ],
+    ids=["chain-d20", "homogeneity-d30", "chain-d1e9", "demo-d201", "demo-d1e9"],
+)
+def test_unbounded_inputs_stop_before_work(capsys, argv):
+    code, rep = run(capsys, *argv)
     assert code == 1
     assert rep["error"].startswith("SizeBudgetExceeded: ")

@@ -1,7 +1,9 @@
-"""Differential tests of the tree-backed ``Clopen`` and of the sibling
-merges ``merge_sibling_cells`` (labeled cells) and ``merge_sibling_pairs``
-(table pairs) against the frozenset-of-words algebra and the
-restart-after-every-merge loops they replaced, kept here as oracles."""
+"""Differential tests of the tree-backed ``Clopen``, of the equal-label
+merge of labeled cells (now the canonical labeled tree that
+``cantor.build`` makes, read back by ``cantor._words``) and of
+``merge_sibling_pairs`` (table pairs) against the frozenset-of-words
+algebra and the restart-after-every-merge loops they replaced, kept here
+as oracles."""
 
 from dataclasses import dataclass
 from itertools import product
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from boolpow.cantor import Clopen, Table, merge_sibling_cells, merge_sibling_pairs
+from boolpow.cantor import Clopen, Table, _words, build, merge_sibling_pairs
 
 # ---------------------------------------------------------------------------
 # oracle: canonical antichain algebra on frozensets of binary words
@@ -217,17 +219,22 @@ def _antichain_cells(ws, labels):
     return [(w, labels[i % len(labels)]) for i, w in enumerate(cells)]
 
 
+def tree_cells(cells, support=True):
+    """The cells read back from their canonical labeled tree."""
+    return tuple(_words(build(cells, support), "", []))
+
+
 @given(word_lists, st.lists(st.integers(0, 2), min_size=1, max_size=6))
 def test_merge_sibling_cells_matches_oracle(ws, labels):
     cells = _antichain_cells(ws, labels)
-    assert merge_sibling_cells(sorted(cells)) == oracle_merge(cells)
+    assert tree_cells(cells, Clopen.make(ws)._t) == oracle_merge(cells)
 
 
 @given(st.integers(0, 4), st.integers(0, 2**16), st.integers(1, 3))
 def test_merge_sibling_cells_full_levels(depth, seed, k):
     # every level-`depth` cell labeled, as enumerate_elements builds them
     cells = [(w, (seed >> i) % k) for i, w in enumerate(_level_words(depth))]
-    assert merge_sibling_cells(sorted(cells)) == oracle_merge(cells)
+    assert tree_cells(cells) == oracle_merge(cells)
 
 
 @st.composite

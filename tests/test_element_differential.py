@@ -10,6 +10,10 @@ or with one defect: an overlap, a gap, a cell outside the support, a
 character other than 0/1, a label outside the carrier or a wrong label at
 a retained point.  Both makes must return the same cells or raise the same
 exception type with the same message.
+
+The same oracle, after a quadratic common refinement of the cell lists,
+checks ``refine`` and every basic operation through ``apply_operation``
+on valid elements of one common support.
 """
 
 import pytest
@@ -72,6 +76,21 @@ def old_make(ctx, cells, support=None):
                     f"value at point {i} must be {ctx.filters[i - 1]}"
                 )
     return cells
+
+
+def old_refine(cell_lists):
+    """Pairwise prefix loop over the cell lists, sorted."""
+    out = [(w, (a,)) for w, a in cell_lists[0]]
+    for cells in cell_lists[1:]:
+        new = []
+        for w, labs in out:
+            for w2, a in cells:
+                if w2.startswith(w):
+                    new.append((w2, labs + (a,)))
+                elif w.startswith(w2):
+                    new.append((w, labs + (a,)))
+        out = new
+    return sorted(out)
 
 
 def outcome(make, ctx, cells, support):
@@ -168,6 +187,21 @@ def perturb(draw, ctx, cells, support, defect):
     return cells
 
 
+@st.composite
+def valid_cells(draw, ctx, support):
+    """Cells of depth up to 4 tiling the support, a cell holding points
+    cut until their filters agree and labeled by them."""
+    marked = list(zip(ctx.points.points(), ctx.filters))
+
+    def cut(w):
+        held = {e for x, e in marked if x.startswith(w)}
+        if len(held) > 1 or (len(w) < 4 and draw(st.integers(0, 2)) > 0):
+            return cut(w + "0") + cut(w + "1")
+        return [(w, held.pop() if held else draw(st.integers(0, ctx.algebra.size - 1)))]
+
+    return [c for u in support.words for c in cut(u)]
+
+
 # ---------------------------------------------------------------------------
 # tests
 
@@ -234,3 +268,24 @@ def test_merge_cascades_over_every_level():
     cells = [(w, 0) for w in ("0", "10", "110", "111")]
     assert bp.PowerElement.make(ctx, cells).cells == (("", 0),)
     assert old_make(ctx, cells) == (("", 0),)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_apply_operation_and_refine_match_oracle(data):
+    ctx = CTXS[data.draw(st.sampled_from(sorted(CTXS)))]
+    support = Clopen.all()
+    if data.draw(st.booleans()):
+        words = data.draw(st.lists(st.text(alphabet="01", max_size=3), max_size=4))
+        support = Clopen.make(words)
+    A = ctx.algebra
+    for k, (op, arity) in enumerate(A.signature):
+        if arity == 0:
+            continue
+        cell_lists = [data.draw(valid_cells(ctx, support)) for _ in range(arity)]
+        elems = [bp.PowerElement.make(ctx, cells, support) for cells in cell_lists]
+        refined = old_refine([old_make(ctx, cells, support) for cells in cell_lists])
+        assert bp.refine(elems) == refined
+        out = bp.apply_operation(op, elems)
+        want = old_make(ctx, [(w, A.apply(k, labs)) for w, labs in refined], support)
+        assert (out.cells, out.support) == (want, support)

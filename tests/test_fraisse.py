@@ -7,7 +7,7 @@ from boolpow import algebra as alg
 from boolpow import fraisse as fr
 from boolpow import power as bp
 from boolpow.cantor import Clopen
-from boolpow.errors import ArityOrder, NotEmbedding, SourceMismatch
+from boolpow.errors import ArityOrder, NotEmbedding, SizeBudgetExceeded, SourceMismatch
 
 RED = alg.gf2_idempotent_reduct()
 GF2 = alg.gf2_ring()
@@ -156,6 +156,24 @@ def test_amalgamate_source_mismatch():
 
 def stage_bp(depth=2):
     return fr.limit_chain(CTX, depth)[-1].bp
+
+
+def test_chain_budget_sums_stage_cells():
+    t0 = fr.first_stage_depth(CTX)
+    chain = fr.limit_chain(CTX, 5)
+    cells = sum(len(st.free_words) + CTX.n for st in chain)
+    assert cells == sum(2**t for t in range(t0, 6))
+    fr.check_chain_budget(CTX, 5, cells)
+    with pytest.raises(SizeBudgetExceeded) as e:
+        fr.check_chain_budget(CTX, 5, cells - 1)
+    assert str(e.value) == f"a chain to depth 5 has more than {cells - 1} stage cells"
+    # below the first stage the chain still has it
+    fr.check_chain_budget(CTX, 0, 2**t0)
+    with pytest.raises(SizeBudgetExceeded):
+        fr.check_chain_budget(CTX, 0, 2**t0 - 1)
+    # answered without forming 2^depth
+    with pytest.raises(SizeBudgetExceeded):
+        fr.check_chain_budget(CTX, 10**12, 200_000)
 
 
 def test_bp_embedding_eval_is_embedding():

@@ -1,6 +1,7 @@
-"""Differential tests of the labeled-antichain kernel in ``cantor``
-(``meet``, ``transport``, ``merge_sibling_cells``, ``merge_sibling_pairs``)
-against the hand-written prefix loops it replaced, kept here as oracles:
+"""Differential tests of the prefix kernel in ``cantor`` (the labeled tree
+that ``build`` makes and ``_words`` reads back, its ``subtree`` and
+``graft``, and ``merge_sibling_pairs``) against the hand-written prefix
+loops it replaced, kept here as oracles:
 
 - ``EPHomeo.apply`` with its partial content carried by a pairwise loop
   over the tabular pairs and, inside the cells of a tail piece, by
@@ -31,9 +32,10 @@ from boolpow.cantor import (
     PointContext,
     Table,
     TailClopen,
-    merge_sibling_cells,
+    _words,
+    build,
     merge_sibling_pairs,
-    transport,
+    subtree,
 )
 from boolpow.homeo import EPHomeo, TailPiece, _max_branch_index, cross_branch_involution
 from boolpow.rand import random_point_fixing_homeo, random_tailclopen
@@ -505,8 +507,9 @@ def labeled_antichains(draw, labels=st.integers(0, 2)):
 @settings(max_examples=300, deadline=None)
 @given(labeled_antichains())
 def test_merge_sibling_cells_matches_bottom_up_merge(case):
-    _, cells = case
-    assert merge_sibling_cells(sorted(cells)) == old_merge_sibling_cells(cells)
+    support, cells = case
+    tree = build(cells, support._t)
+    assert tuple(_words(tree, "", [])) == old_merge_sibling_cells(cells)
 
 
 def test_merge_sibling_cells_full_levels_bottom_up():
@@ -514,7 +517,8 @@ def test_merge_sibling_cells_full_levels_bottom_up():
         words = ["".join(bits) for bits in product("01", repeat=depth)]
         for seed in range(64):
             cells = [(w, (seed >> (k % 6)) % 2) for k, w in enumerate(words)]
-            assert merge_sibling_cells(cells) == old_merge_sibling_cells(cells)
+            tree = build(cells)
+            assert tuple(_words(tree, "", [])) == old_merge_sibling_cells(cells)
 
 
 @settings(max_examples=200, deadline=None)
@@ -549,12 +553,17 @@ def test_transport_matches_pairwise_substitution(case, data):
         cut = data.draw(tiling(u, data.draw(st.integers(0, 4)), st.just(0)))
         srcs += [w for w, _ in cut]
     pairs = [(p, data.draw(st.text(alphabet="01", max_size=3))) for p in srcs]
-    got = transport(sorted(cells), sorted(pairs))
-    assert sorted(got) == sorted(old_transport(cells, pairs))
+    # each pair on its own: the subtree below p read out below q, against
+    # the substituted cells merged
+    tree = build(cells, support._t)
+    for p, q in pairs:
+        got = tuple((q + s, a) for s, a in _words(subtree(tree, p), "", []))
+        assert got == old_merge_sibling_cells(old_transport(cells, [(p, q)]))
 
 
 def test_transport_rejects_sources_tiling_another_set():
+    # the tree of cells is built against the set they must tile
     with pytest.raises(ValueError):
-        transport([("0", 1)], [("1", "")])
+        build([("0", 1)], Clopen.make(["1"])._t)
     with pytest.raises(ValueError):
-        transport([("0", 1), ("1", 2)], [("0", "")])
+        build([("0", 1), ("1", 2)], Clopen.make(["0"])._t)

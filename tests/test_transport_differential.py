@@ -1,6 +1,7 @@
-"""Differential tests of cell-by-cell transport and the linear common
-refinement ``power.meet`` against the code they replaced, kept here as
-oracles: ``element_through_homeo`` pushing each value fiber through the
+"""Differential tests of cell-by-cell transport and of the common
+refinement of labeled antichains (once the linear ``meet``, now the
+lockstep walk ``cantor._common_cells`` of their trees) against the code
+they replaced, kept here as oracles: ``element_through_homeo`` pushing each value fiber through the
 general ``EPHomeo.apply``, ``AutLabeling.act`` restricting f to one label
 cell at a time, ``AutLabeling.multiply`` meeting the cells by a pairwise
 prefix loop, and the quadratic ``refine``.
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from boolpow import algebra as alg
 from boolpow import power as bp
 from boolpow.autgroup import AutLabeling, element_through_homeo
-from boolpow.cantor import Clopen, TailClopen, point_in
+from boolpow.cantor import Clopen, TailClopen, _common_cells, build, point_in
 from boolpow.rand import random_automorphism
 from boolpow.seqs import EPSeq
 
@@ -203,7 +204,15 @@ def test_refine_matches_quadratic_oracle(data):
 
 
 # ---------------------------------------------------------------------------
-# meet on its own
+# meet on its own: the lockstep walk of the antichains' trees, each cell
+# labeled by its index so that no two cells merge
+
+
+def meet(xs, ys):
+    support = Clopen.make([w for w, _ in xs])._t
+    tx = build([(w, k) for k, (w, _) in enumerate(xs)], support)
+    ty = build([(w, k) for k, (w, _) in enumerate(ys)], support)
+    return [(w, xs[i][1], ys[j][1]) for w, (i, j) in _common_cells([tx, ty], "", [])]
 
 
 @st.composite
@@ -228,7 +237,7 @@ def antichain_pairs(draw):
 @given(antichain_pairs())
 def test_meet_matches_pairwise_oracle_on_shuffled_antichains(pair):
     xs, ys = pair
-    got = bp.meet(sorted(xs), sorted(ys))
+    got = meet(sorted(xs), sorted(ys))
     assert got == old_meet(xs, ys)
     assert [w for w, _, _ in got] == sorted(w for w, _, _ in got)
 
@@ -244,8 +253,8 @@ def test_meet_matches_pairwise_oracle_on_shuffled_antichains(pair):
     ],
 )
 def test_meet_on_antichains_of_unequal_depth(xs, ys):
-    assert bp.meet(xs, ys) == old_meet(xs, ys)
-    assert bp.meet(ys, xs) == [(w, b, a) for w, a, b in old_meet(xs, ys)]
+    assert meet(xs, ys) == old_meet(xs, ys)
+    assert meet(ys, xs) == [(w, b, a) for w, a, b in old_meet(xs, ys)]
 
 
 @pytest.mark.parametrize(
@@ -258,4 +267,4 @@ def test_meet_on_antichains_of_unequal_depth(xs, ys):
 )
 def test_meet_rejects_antichains_tiling_different_sets(xs, ys):
     with pytest.raises(ValueError):
-        bp.meet(xs, ys)
+        meet(xs, ys)

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
+from math import gcd, lcm
 from typing import Sequence
 
 from . import algebra as alg
@@ -38,7 +39,7 @@ from .errors import (
     PointNotFixed,
     TailLabelViolation,
 )
-from .homeo import EPHomeo
+from .homeo import EPHomeo, _max_branch_index
 from .power import PowerContext, PowerElement
 from .seqs import EPSeq, common_threshold
 
@@ -203,10 +204,50 @@ class AutLabeling:
         return AutLabeling(self.ctx, self.threshold, tree, tails)
 
     def pushforward(self, h: EPHomeo) -> "AutLabeling":
-        """The labeling x -> self(h^{-1}(x)); h must fix every point."""
-        fibers = [(h.apply(self.fiber(m)), m) for m in self.labels_used()]
-        fibers = [(tc, m) for tc, m in fibers if not tc.is_empty()]
-        return AutLabeling.from_fibers(self.ctx, fibers)
+        """The labeling x -> self(h^{-1}(x)); h must fix every point.
+
+        One pass over h's normal form: the tree below each source cell of
+        a tabular pair, or of a piece cell's `cellmap` pair, is grafted at
+        its image.  Past the new threshold D every image cell is a whole
+        tail cell of self, whose label is read at its preimage."""
+        pts, T = self.ctx.points, self.threshold
+        # D: the deepest tabular image and the deepest image of a piece
+        # cell at or below T; Ds: the depth the tree is read at
+        D = _max_branch_index(pts, [q for _, q in h.pairs])
+        Ds = max(T, _max_branch_index(pts, [p for p, _ in h.pairs]))
+        for pc in h.pieces:
+            if pc.first <= T:
+                D = max(D, pc.image_of(T - (T - pc.first) % pc.step))
+        tree = self._raised(Ds).tree
+        cells = [(q, subtree(tree, p)) for p, q in h.pairs]
+        for pc in h.pieces:
+            j, jj = pc.first, pc.ifirst
+            while jj <= D:
+                dst = pts.cellword(pc.target, jj)
+                if j <= Ds:
+                    src = pts.cellword(pc.branch, j)
+                    cells += [(dst + b, subtree(tree, src + a)) for a, b in pc.cellmap.pairs]
+                else:
+                    cells.append((dst, self._tail_id(pc.branch, j)))
+                j, jj = j + pc.step, jj + pc.istep
+        # tails: image indices D+1 .. D+P, P a period of every piece's
+        # labels in the image index
+        periods = [len(w) for w in self.tail_ids]
+        tails = []
+        for t in range(1, pts.n + 1):
+            onto = [pc for pc in h.pieces if pc.target == t]
+            P = lcm(*(
+                pc.istep * periods[pc.branch - 1] // gcd(periods[pc.branch - 1], pc.step)
+                for pc in onto
+            ))
+            word = [None] * P
+            for pc in onto:
+                k = max(0, -((pc.ifirst - D - 1) // pc.istep))  # first image past D
+                for jj in range(pc.ifirst + k * pc.istep, D + P + 1, pc.istep):
+                    word[jj - D - 1] = self._tail_id(pc.branch, pc.first + k * pc.step)
+                    k += 1
+            tails.append(tuple(word))
+        return AutLabeling._canonical(self.ctx, D, graft(None, cells), tails)
 
     def _with_tails(self, depths, ends):
         pts, thr = self.ctx.points, self.threshold

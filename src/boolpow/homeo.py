@@ -86,12 +86,12 @@ class EPHomeo:
 
     @staticmethod
     def identity(ctx: PointContext) -> "EPHomeo":
-        pieces = [
+        """Built in its canonical form, which `make` would return."""
+        pieces = tuple(
             TailPiece(i, 1, 1, i, 1, 1, Table.identity())
             for i in range(1, ctx.n + 1)
-        ]
-        pairs = [("1" * ctx.n, "1" * ctx.n)] if ctx.n else [("", "")]
-        return EPHomeo.make(ctx, pairs, pieces)
+        )
+        return EPHomeo(ctx, (("1" * ctx.n, "1" * ctx.n),), pieces)
 
     def is_identity(self) -> bool:
         return self == EPHomeo.identity(self.ctx)
@@ -207,7 +207,7 @@ class EPHomeo:
             epsets[t] = EPSet.from_aps(
                 ap_images.get(t, []), [jj for tt, jj in singles if tt == t]
             )
-        depth = _max_branch_index(ctx, partial)
+        depth = _max_branch_index(ctx, partial.words)
         for t, e in epsets.items():
             depth = max(depth, len(e.head))
         exc = partial
@@ -469,9 +469,10 @@ def _pairs_on(h: EPHomeo, w: str):
     return out
 
 
-def _max_branch_index(ctx, b: Clopen) -> int:
+def _max_branch_index(ctx, words) -> int:
+    """The largest j of a cell(i, j) holding one of the words, 0 for none."""
     depth = 0
-    for w in b.words:
+    for w in words:
         for i in range(1, ctx.n + 1):
             pre = "1" * (i - 1)
             if not w.startswith(pre):

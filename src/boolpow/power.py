@@ -169,9 +169,18 @@ def _pointwise(ctx, fn, elems) -> PowerElement:
     return PowerElement.from_tree(ctx, tree, elems[0].support)
 
 
+def _context_of(elems: Sequence[PowerElement]) -> PowerContext:
+    if not elems:
+        raise ValueError(
+            "no element to read the context from; "
+            "build a constant with PowerElement.constant(ctx, value)"
+        )
+    return elems[0].ctx
+
+
 def apply_operation(op: str, elems: Sequence[PowerElement]) -> PowerElement:
     """Pointwise application of a basic operation, one zip of the trees."""
-    ctx = elems[0].ctx
+    ctx = _context_of(elems)
     k = ctx.algebra.op_index(op)
     _, arity = ctx.algebra.signature[k]
     if arity != len(elems):
@@ -180,7 +189,7 @@ def apply_operation(op: str, elems: Sequence[PowerElement]) -> PowerElement:
 
 
 def eval_term_elements(term, elems: Sequence[PowerElement]) -> PowerElement:
-    ctx = elems[0].ctx
+    ctx = _context_of(elems)
     return _pointwise(ctx, partial(alg.eval_term, ctx.algebra, term), elems)
 
 

@@ -201,6 +201,27 @@ def test_inverse_law():
         assert phi.inverse().compose(phi).is_identity()
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("compose/inverse went through the fiber route")
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1), st.integers(0, 3))
+def test_compose_and_inverse_build_no_fiber(seed1, seed2, moves):
+    # the labeling is pushed through the homeomorphism's normal form,
+    # never one TailClopen fiber at a time through EPHomeo.apply
+    phi = random_automorphism(CTX4, random.Random(seed1), moves)
+    chi = random_automorphism(CTX4, random.Random(seed2), moves)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(EPHomeo, "apply", _refuse)
+        mp.setattr(TailClopen, "make", staticmethod(_refuse))
+        comp = phi.compose(chi)
+        inv = phi.inverse()
+        assert inv.compose(phi).is_identity()
+    assert comp.homeo == phi.homeo.compose(chi.homeo)
+    assert inv.homeo == phi.homeo.inverse()
+
+
 def test_section_identity():
     rng = random.Random(41)
     for _ in range(5):

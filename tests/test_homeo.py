@@ -76,6 +76,15 @@ def test_identity_canonical_with_table_cells():
     assert h == EPHomeo.identity(CTX1)
 
 
+@pytest.mark.parametrize("n", range(5))
+def test_identity_is_built_canonical(n):
+    ctx = PointContext(n)
+    pieces = [TailPiece(i, 1, 1, i, 1, 1, Table.identity()) for i in range(1, n + 1)]
+    h = EPHomeo.identity(ctx)
+    assert h == EPHomeo.make(ctx, [("1" * n, "1" * n)], pieces)
+    assert h.is_identity()
+
+
 def test_swap_tabular_n0():
     ctx = PointContext(0)
     h = EPHomeo.make(ctx, [("0", "1"), ("1", "0")], [])

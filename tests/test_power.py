@@ -103,6 +103,13 @@ def test_componentwise_on_samples(data):
         assert out.value_at(x) == alg.eval_term(A, term, [f.value_at(x) for f in elems])
 
 
+def test_no_argument_points_to_constant():
+    with pytest.raises(ValueError, match=r"PowerElement\.constant"):
+        bp.apply_operation("zero", [])
+    with pytest.raises(ValueError, match=r"PowerElement\.constant"):
+        bp.eval_term_elements(alg.find_malcev_term(GF2), [])
+
+
 def test_equalizer_basics():
     f = bp.PowerElement.make(CTX_GF2_1, [("0", 0), ("1", 1)])
     zero = bp.PowerElement.constant(CTX_GF2_1, 0)

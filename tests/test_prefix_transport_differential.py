@@ -121,7 +121,7 @@ def old_apply(h, b):
         epsets[t] = EPSet.from_aps(
             ap_images.get(t, []), [jj for tt, jj in singles if tt == t]
         )
-    depth = _max_branch_index(ctx, partial)
+    depth = _max_branch_index(ctx, partial.words)
     for t, e in epsets.items():
         depth = max(depth, len(e.head))
     exc = partial

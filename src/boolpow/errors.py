@@ -163,7 +163,3 @@ class EmptyGeneratorSet(BoolpowError):
 # cli
 class ParseError(BoolpowError):
     pass
-
-
-class VerificationFailure(BoolpowError):
-    pass

@@ -11,9 +11,8 @@ image of any clopen is again exactly representable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 from .cantor import (
     Clopen,
@@ -21,8 +20,8 @@ from .cantor import (
     PointContext,
     Table,
     TailClopen,
+    build,
     merge_sibling_pairs,
-    prefix_overlap,
     type_of,
 )
 from .errors import (
@@ -32,7 +31,7 @@ from .errors import (
     OverlappingDomains,
     TypeMismatch,
 )
-from .seqs import EPSet, ap_intersect, divisors, match_ones
+from .seqs import EPSet, ap_intersect, match_ones
 
 
 @dataclass(frozen=True)
@@ -80,8 +79,8 @@ class EPHomeo:
     def make(ctx: PointContext, pairs, pieces) -> "EPHomeo":
         pairs = [(str(p), str(q)) for p, q in pairs]
         pieces = list(pieces)
-        _validate(ctx, pairs, pieces)
-        pairs, pieces = _canonicalize(ctx, pairs, pieces)
+        branches = _validate(ctx, pairs, pieces)
+        pairs, pieces = _canonicalize(ctx, pairs, branches)
         return EPHomeo(ctx, tuple(pairs), tuple(pieces))
 
     @staticmethod
@@ -304,33 +303,37 @@ def _ap_coverage(aps, cap: int = 1 << 22):
     owner = [-1] * M
     entry = [0] * M
     for idx, (f, s) in enumerate(aps):
-        for r in range(f % s, M, s):
-            if owner[r] != -1:
-                raise OverlappingDomains("tail pieces overlap")
-            owner[r] = idx
-            entry[r] = f + ((r - f) % M)
-    if any(o == -1 for o in owner):
+        k = M // s
+        res = slice(f % s, M, s)  # the residues mod M the AP meets
+        if owner[res].count(-1) != k:
+            raise OverlappingDomains("tail pieces overlap")
+        owner[res] = [idx] * k
+        # the members f, f + s, ..., f + M - s, each at its residue
+        members = range(f, f + M, s)
+        k0 = k - (f % M) // s
+        entry[res] = [*members[k0:], *members[:k0]]
+    if -1 in owner:
         raise NotBijective("tail pieces do not cover cofinitely")
-    leftover = []
-    for r in range(M):
-        j = r if r >= 1 else M
-        while j < entry[r]:
-            leftover.append(j)
-            j += M
-    return M, owner, entry, sorted(leftover)
+    # a piece leaves out the positions below `first` in its class mod step
+    leftover = sorted(j for f, s in aps for j in range(f % s or s, f, s))
+    return M, owner, entry, leftover
 
 
 def _validate(ctx, pairs, pieces):
+    """Check that pairs and pieces form a homeomorphism of X°; returns
+    each branch's pieces with the residue analysis of their domains."""
     for p in pieces:
         if p.first < 1 or p.step < 1 or p.ifirst < 1 or p.istep < 1:
             raise NotBijective(f"bad piece indices {p}")
         if not (1 <= p.branch <= ctx.n and 1 <= p.target <= ctx.n):
             raise NotBijective(f"piece on missing branch {p}")
     # per-branch domain coverage
+    branches = []
     leftover_cells = []
     for i in range(1, ctx.n + 1):
-        aps = [(p.first, p.step) for p in pieces if p.branch == i]
-        _, _, _, leftover = _ap_coverage(aps)
+        plist = [p for p in pieces if p.branch == i]
+        _, owner, entry, leftover = _ap_coverage([(p.first, p.step) for p in plist])
+        branches.append((plist, owner, entry))
         leftover_cells += [ctx.cellword(i, j) for j in leftover]
     # per-target image coverage
     image_cells = []
@@ -342,97 +345,119 @@ def _validate(ctx, pairs, pieces):
             raise NotBijective(f"image cells collide on branch {t}") from e
         image_cells += [ctx.cellword(t, j) for j in leftover]
     # tabular part must tile exactly the complement of the tails
-    srcs = [p for p, _ in pairs]
-    if prefix_overlap(srcs):
-        raise OverlappingDomains("tabular sources overlap")
-    want_dom = Clopen.make(["1" * ctx.n] + leftover_cells)
-    if Clopen.make(srcs) != want_dom:
-        raise NotBijective("tabular sources do not tile the exceptional region")
-    dsts = [q for _, q in pairs]
-    if prefix_overlap(dsts):
-        raise NotBijective("tabular images overlap")
-    want_img = Clopen.make(["1" * ctx.n] + image_cells)
-    if Clopen.make(dsts) != want_img:
-        raise NotBijective("tabular images do not tile the exceptional region")
+    off = "1" * ctx.n
+    _check_tiling([p for p, _ in pairs], [off] + leftover_cells, "sources", OverlappingDomains)
+    _check_tiling([q for _, q in pairs], [off] + image_cells, "images", NotBijective)
+    return branches
 
 
-def _canonicalize(ctx, pairs, pieces):
-    pairs = list(pairs)
+def _check_tiling(words, wanted, side, overlap):
+    """The tabular sources or images must tile the cells `wanted`: raises
+    overlap(...) when two words meet, ValueError for a word not over 01,
+    NotBijective when they do not tile, in that order."""
+    try:
+        build([(w, True) for w in words], Clopen.make(wanted)._t, side, f"untiled {side}")
+    except ValueError as e:
+        if str(e) == f"overlapping {side}":
+            raise overlap(f"tabular {side} overlap") from None
+        if str(e) == f"untiled {side}":
+            raise NotBijective(f"tabular {side} do not tile the exceptional region") from None
+        raise
+
+
+def _cyclic_period(D) -> int:
+    """The least d dividing M = len(D) with D[r] == D[(r + d) % M] for
+    every r: one prefix-function pass (Knuth-Morris-Pratt).  The least
+    period p = M - border(D) divides every period d <= M - p, so when p
+    does not divide M no proper divisor of M is a period."""
+    M = len(D)
+    border = [0] * M
+    k = 0
+    for q in range(1, M):
+        x = D[q]
+        while k and x != D[k]:
+            k = border[k - 1]
+        if x == D[k]:
+            k += 1
+        border[q] = k
+    p = M - k
+    return p if M % p == 0 else M
+
+
+def _least_modulus(D, slopes) -> int:
+    """The least d dividing M = len(D) such that D is d-periodic and
+    every image step A*d/S of the slopes (A, S), each S dividing M, is
+    integral: a multiple of the cyclic period and of each S / gcd(A, S),
+    whose lcm divides M."""
+    return lcm(_cyclic_period(D), *[S // gcd(A, S) for A, S in slopes])
+
+
+def _canonicalize(ctx, pairs, branches):
+    """The canonical form of validated data; `branches` is what
+    `_validate` returned."""
+    pairs = dict(pairs)
     out = []
-    for i in range(1, ctx.n + 1):
-        plist = [p for p in pieces if p.branch == i]
-        if not plist:
-            continue
-        aps = [(p.first, p.step) for p in plist]
-        M, owner, entry, _ = _ap_coverage(aps)
-        # affine data per piece: j -> a*j + b on its progression
-        data = []
+    for i, (plist, owner, entry) in enumerate(branches, start=1):
+        M = len(owner)
+        # each piece's index map j -> (A*j + C) / S as a gcd-reduced
+        # integer class (target, cellmap, A, C, S), interned to an id
+        ids = {}
+        piece_ids = []
         for p in plist:
-            a = Fraction(p.istep, p.step)
-            data.append((p.target, p.cellmap, a, p.ifirst - a * p.first))
-        D = [data[owner[r]] for r in range(M)]
-        # minimal modulus: owner data d-periodic with integral image step
-        chosen = M
-        for d in divisors(M):
-            if d < M and any(D[r] != D[(r + d) % M] for r in range(M)):
-                continue
-            if all(
-                (dat[2] * d).denominator == 1 and dat[2] * d >= 1
-                for dat in set(D)
-            ):
-                chosen = d
-                break
-        d = chosen
+            A, C, S = p.istep, p.ifirst * p.step - p.istep * p.first, p.step
+            g = gcd(A, C, S)
+            key = (p.target, p.cellmap, A // g, C // g, S // g)
+            piece_ids.append(ids.setdefault(key, len(ids)))
+        keys = list(ids)
+        D = [piece_ids[o] for o in owner]
+        d = _least_modulus(D, [(A, S) for _, _, A, _, S in keys])
         classes = []
         for r in range(d):
-            tgt, cm, a, b = D[r % M]
-            hi = max(entry[rr % M] for rr in range(r, r + M, d))
-            j0 = hi if hi % d == r % d else hi + ((r - hi) % d)
-            while j0 - d >= 1 and j0 - d >= entry[(j0 - d) % M] and a * (j0 - d) + b >= 1:
+            tgt, cm, A, C, S = keys[D[r]]
+            j0 = max(entry[r::d])
+            while j0 > d and j0 - d >= entry[(j0 - d) % M] and A * (j0 - d) + C >= S:
                 j0 -= d
             # covered cells below the contiguous start become tabular
-            j = j0 - d
-            while j >= 1:
+            for j in range(j0 - d, 0, -d):
                 if j >= entry[j % M]:
-                    jj = a * j + b
-                    if jj.denominator == 1 and jj >= 1:
-                        cw = ctx.cellword(i, j)
-                        cw2 = ctx.cellword(tgt, int(jj))
-                        for u, v in cm.pairs:
-                            pairs.append((cw + u, cw2 + v))
-                    else:  # pragma: no cover - excluded by validation
-                        raise NotBijective("fractional image index")
-                j -= d
-            im0 = a * j0 + b
-            if im0.denominator != 1 or im0 < 1:
-                raise NotBijective("fractional image index")
-            classes.append([i, j0, d, tgt, int(im0), int(a * d), cm])
+                    cw = ctx.cellword(i, j)
+                    cw2 = ctx.cellword(tgt, (A * j + C) // S)
+                    for u, v in cm.pairs:
+                        pairs[cw + u] = cw2 + v
+            classes.append([i, j0, d, tgt, (A * j0 + C) // S, A * d // S, cm])
         # pull matching tabular cells back into each class
+        inside = _cell_sources(pairs, i)
         for c in classes:
-            while True:
-                _, first, step, target, ifirst, istep, cm = c
+            _, first, step, target, ifirst, istep, cm = c
+            while first > step and ifirst > istep:
                 j, jj = first - step, ifirst - istep
-                if j < 1 or jj < 1:
-                    break
-                cw = ctx.cellword(i, j)
+                srcs = inside.get(j)
                 cw2 = ctx.cellword(target, jj)
-                inside = [(p, q) for p, q in pairs if p.startswith(cw)]
-                if not inside or not all(q.startswith(cw2) for _, q in inside):
+                if not srcs or not all(pairs[p].startswith(cw2) for p in srcs):
                     break
-                try:
-                    rel = Table.make(
-                        [(p[len(cw):], q[len(cw2):]) for p, q in inside]
-                    )
-                except ValueError:
+                cut = i + j  # len(cellword(i, j))
+                rel = merge_sibling_pairs((p[cut:], pairs[p][len(cw2):]) for p in srcs)
+                if rel != cm.pairs:
                     break
-                if rel != cm:
-                    break
-                for pr in inside:
-                    pairs.remove(pr)
-                c[1], c[4] = j, jj
+                for p in srcs:
+                    del pairs[p]
+                first, ifirst = j, jj
+            c[1], c[4] = first, ifirst
         out += [TailPiece(*c) for c in classes]
     out.sort(key=lambda p: (p.branch, p.first))
-    return list(merge_sibling_pairs(pairs)), out
+    return list(merge_sibling_pairs(pairs.items())), out
+
+
+def _cell_sources(pairs, i: int) -> dict[int, list[str]]:
+    """The sources lying in cell(i, j), for each j; a validated source
+    lies in one branch cell or off the branches."""
+    out = {}
+    pre = "1" * (i - 1) + "0"
+    for p in pairs:
+        if p.startswith(pre):
+            j = p.index("1", i) - i + 1
+            out.setdefault(j, []).append(p)
+    return out
 
 
 def _pairs_on(h: EPHomeo, w: str):

@@ -17,19 +17,6 @@ from math import gcd, lcm
 from operator import and_, gt, not_, or_
 
 
-def divisors(m: int) -> list[int]:
-    """The divisors of m >= 1, ascending."""
-    small, big = [], []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            small.append(d)
-            if d != m // d:
-                big.append(m // d)
-        d += 1
-    return small + big[::-1]
-
-
 def _prime_factors(m: int) -> list[int]:
     out, p = [], 2
     while p * p <= m:

@@ -40,6 +40,7 @@ from boolpow.cantor import (
     prefix_overlap,
 )
 from boolpow.errors import BoolpowError, NotBijective, OverlappingDomains
+from boolpow.homeo import _ap_coverage
 from boolpow.factorization import good_partition, pigeonhole_factor
 from boolpow.homeo import EPHomeo, TailPiece, cross_branch_involution
 from boolpow.rand import (
@@ -49,7 +50,6 @@ from boolpow.rand import (
     suffix_twist,
     tail_shift,
 )
-from boolpow.seqs import divisors
 
 CTXS = {n: PointContext(n) for n in (1, 2, 3)}
 PARTITIONS = {n: good_partition(ctx) for n, ctx in CTXS.items()}
@@ -60,6 +60,19 @@ TWISTS = [
 
 # ---------------------------------------------------------------------------
 # oracle: the Fraction-based validation and canonical form
+
+
+def divisors(m: int) -> list[int]:
+    """The divisors of m >= 1, ascending."""
+    small, big = [], []
+    d = 1
+    while d * d <= m:
+        if m % d == 0:
+            small.append(d)
+            if d != m // d:
+                big.append(m // d)
+        d += 1
+    return small + big[::-1]
 
 
 def old_ap_coverage(aps, cap: int = 1 << 22):
@@ -233,6 +246,27 @@ def outcome(route, ctx, pairs, pieces):
         return route(ctx, list(pairs), list(pieces))
     except (BoolpowError, ValueError) as e:
         return type(e), str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 12), st.sampled_from([1, 2, 3, 4, 6, 12])), max_size=5)
+)
+def test_ap_coverage_matches_oracle(aps):
+    """The residue analysis on families of APs that overlap, leave gaps
+    or, for every odd-sized family, are replaced by a partition of the
+    residues mod the first step with shifted starts."""
+    if len(aps) % 2:
+        step = aps[0][1]
+        aps = [(f + step * (f % 3), step) for f in range(1, step + 1)]
+
+    def analysis(route):
+        try:
+            return route(aps)
+        except BoolpowError as e:
+            return type(e), str(e)
+
+    assert analysis(_ap_coverage) == analysis(old_ap_coverage)
 
 
 def assert_routes_agree(ctx, pairs, pieces):

@@ -199,6 +199,49 @@ def test_kernel_no_generators():
     assert alg.pointwise_closure(alg.gf2_ring(), [], budget=0) == {}
 
 
+def _evaluations(a, found):
+    """Pointwise evaluations of a finished closure: every tuple of members
+    for each operation of positive arity, at every coordinate."""
+    m, width = len(found), len(next(iter(found)))
+    return sum(m**arity for _, arity in a.signature if arity) * width
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebra_and_gens())
+def test_evaluation_budget_fires_exactly(case):
+    a, gens = case
+    found = alg.pointwise_closure(a, gens, budget=1 << 16)
+    need = _evaluations(a, found)
+    assert alg.pointwise_closure(a, gens, 1 << 16, evals=need) == found
+    with pytest.raises(SizeBudgetExceeded, match=f"passed {need - 1} pointwise"):
+        alg.pointwise_closure(a, gens, 1 << 16, evals=need - 1)
+
+
+class _CountingTable(tuple):
+    """An operation table that counts its lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, idx):
+        _CountingTable.lookups += 1
+        return tuple.__getitem__(self, idx)
+
+
+def test_evaluation_budget_counts_before_the_round():
+    """gf2-ring (arities 2, 1, 2, 0) on the 32-coordinate projections of
+    rank 5: member i's round ends at (2 (i + 1)^2 + (i + 1)) * 32
+    evaluations, so a budget of 64,000 admits the rounds of members 0..30
+    (62,496 evaluations) and refuses the next (66,560) before it starts."""
+    ring = alg.gf2_ring()
+    a = FiniteAlgebra(ring.size, ring.signature, tuple(map(_CountingTable, ring.tables)))
+    gens = [tuple(t[j] for t in product(range(2), repeat=5)) for j in range(5)]
+    _CountingTable.lookups = 0
+    with pytest.raises(SizeBudgetExceeded, match="passed 64000 pointwise evaluations"):
+        alg.pointwise_closure(a, gens, budget=10**6, evals=64_000)
+    # one lookup per evaluation, and one for the constant zero
+    assert _CountingTable.lookups == 62_496 + 1
+
+
 # ---------------------------------------------------------------------------
 # term clones
 

@@ -384,14 +384,6 @@ def _cyclic_period(D) -> int:
     return p if M % p == 0 else M
 
 
-def _least_modulus(D, slopes) -> int:
-    """The least d dividing M = len(D) such that D is d-periodic and
-    every image step A*d/S of the slopes (A, S), each S dividing M, is
-    integral: a multiple of the cyclic period and of each S / gcd(A, S),
-    whose lcm divides M."""
-    return lcm(_cyclic_period(D), *[S // gcd(A, S) for A, S in slopes])
-
-
 def _canonicalize(ctx, pairs, branches):
     """The canonical form of validated data; `branches` is what
     `_validate` returned."""
@@ -410,12 +402,14 @@ def _canonicalize(ctx, pairs, branches):
             piece_ids.append(ids.setdefault(key, len(ids)))
         keys = list(ids)
         D = [piece_ids[o] for o in owner]
-        d = _least_modulus(D, [(A, S) for _, _, A, _, S in keys])
+        # the least modulus; its image steps A*d/S are integral, since j
+        # and j + d in one class both have integral images
+        d = _cyclic_period(D)
         classes = []
         for r in range(d):
             tgt, cm, A, C, S = keys[D[r]]
             j0 = max(entry[r::d])
-            while j0 > d and j0 - d >= entry[(j0 - d) % M] and A * (j0 - d) + C >= S:
+            while j0 > d and j0 - d >= entry[(j0 - d) % M]:
                 j0 -= d
             # covered cells below the contiguous start become tabular
             for j in range(j0 - d, 0, -d):

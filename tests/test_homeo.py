@@ -18,7 +18,6 @@ from boolpow.homeo import (
     EPHomeo,
     TailPiece,
     _cyclic_period,
-    _least_modulus,
     cross_branch_involution,
     homeos_agree_on_sample,
     image_matches_on_sample,
@@ -374,14 +373,10 @@ def _divisors(m):
     return [d for d in range(1, m + 1) if m % d == 0]
 
 
-def _brute_modulus(D, slopes):
-    """The first divisor d of M at which D is cyclically d-periodic and
-    every image step A*d/S is integral."""
+def _brute_period(D):
+    """The first divisor d of M at which D is cyclically d-periodic."""
     M = len(D)
-    for d in _divisors(M):
-        if D[d:] + D[:d] == D and all(A * d % S == 0 for A, S in slopes):
-            return d
-    raise AssertionError("M itself always qualifies")
+    return next(d for d in _divisors(M) if D[d:] + D[:d] == D)
 
 
 # 8820 = 2^2 3^2 5 7^2 is the largest tail modulus homeo-factor reaches at
@@ -391,31 +386,25 @@ MODULI = [1, 2, 6, 12, 60, 120, 360, 420, 2520, 8820]
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_kmp_modulus_matches_divisor_scan(data):
+def test_kmp_period_matches_divisor_scan(data):
     M = data.draw(st.sampled_from(MODULI))
-    divs = _divisors(M)
     letters = data.draw(st.integers(1, 4))
     # a word repeated and cut at M: its period divides M or it does not
-    p = data.draw(st.sampled_from(divs) if data.draw(st.booleans()) else st.integers(1, M))
+    if data.draw(st.booleans()):
+        p = data.draw(st.sampled_from(_divisors(M)))
+    else:
+        p = data.draw(st.integers(1, M))
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
     base = [rng.randrange(letters) for _ in range(p)]
     D = (base * (M // p + 1))[:M]
     if data.draw(st.booleans()):
         D[rng.randrange(M)] = letters  # one odd letter
-    slopes = [
-        (data.draw(st.integers(1, 12)), data.draw(st.sampled_from(divs)))
-        for _ in range(data.draw(st.integers(0, 3)))
-    ]
-    assert _cyclic_period(D) == _brute_modulus(D, [])
-    assert _least_modulus(D, slopes) == _brute_modulus(D, slopes)
+    assert _cyclic_period(D) == _brute_period(D)
 
 
-def test_kmp_modulus_examples():
+def test_kmp_period_examples():
     assert _cyclic_period([0]) == 1
     assert _cyclic_period([0, 1, 0, 1, 0, 1]) == 2
     # linear period 3 does not divide 8: no proper cyclic period
     assert _cyclic_period([0, 0, 1, 0, 0, 1, 0, 0]) == 8
-    # period 1, but slope 1/4 needs d a multiple of 4
-    assert _least_modulus([0] * 8, [(1, 4)]) == 4
-    assert _least_modulus([0] * 8, [(2, 4)]) == 2
-    assert _least_modulus([0, 1] * 6, [(6, 4)]) == 2
+    assert _cyclic_period([0, 1, 1, 0, 1, 1]) == 3

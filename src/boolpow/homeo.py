@@ -20,7 +20,6 @@ from .cantor import (
     PointContext,
     Table,
     TailClopen,
-    build,
     merge_sibling_pairs,
     type_of,
 )
@@ -267,13 +266,9 @@ class EPHomeo:
                 )
         # composite tabular part covers everything the pieces do not
         new_pairs = []
-        leftover_cells = []
-        for i in range(1, ctx.n + 1):
-            aps = [
-                (p.first, p.step) for p in new_pieces if p.branch == i
-            ]
-            _, _, _, leftover = _ap_coverage(aps)
-            leftover_cells += [ctx.cellword(i, j) for j in leftover]
+        leftover_cells = [
+            ctx.cellword(p.branch, j) for p in new_pieces for j in _before(p.first, p.step)
+        ]
         dom = Clopen.make(["1" * ctx.n] + leftover_cells)
         for w in dom.words:
             for s, d in _pairs_on(first, w):
@@ -303,42 +298,46 @@ def _ap_coverage(aps, cap: int = 1 << 22):
     owner = [-1] * M
     entry = [0] * M
     for idx, (f, s) in enumerate(aps):
-        k = M // s
-        res = slice(f % s, M, s)  # the residues mod M the AP meets
-        if owner[res].count(-1) != k:
-            raise OverlappingDomains("tail pieces overlap")
-        owner[res] = [idx] * k
-        # the members f, f + s, ..., f + M - s, each at its residue
-        members = range(f, f + M, s)
-        k0 = k - (f % M) // s
-        entry[res] = [*members[k0:], *members[:k0]]
+        for j in range(f, f + M, s):
+            r = j % M
+            if owner[r] != -1:
+                raise OverlappingDomains("tail pieces overlap")
+            owner[r] = idx
+            entry[r] = j
     if -1 in owner:
         raise NotBijective("tail pieces do not cover cofinitely")
-    # a piece leaves out the positions below `first` in its class mod step
-    leftover = sorted(j for f, s in aps for j in range(f % s or s, f, s))
+    leftover = sorted(j for f, s in aps for j in _before(f, s))
     return M, owner, entry, leftover
+
+
+def _before(first: int, step: int) -> range:
+    """The positions j >= 1 below `first` in its class mod `step`: what an
+    AP leaves out of a partition of a cofinite set into APs."""
+    return range(first % step or step, first, step)
 
 
 def _validate(ctx, pairs, pieces):
     """Check that pairs and pieces form a homeomorphism of X°; returns
     each branch's pieces with the residue analysis of their domains."""
+    plists = [[] for _ in range(ctx.n)]
+    images = [[] for _ in range(ctx.n)]
     for p in pieces:
         if p.first < 1 or p.step < 1 or p.ifirst < 1 or p.istep < 1:
             raise NotBijective(f"bad piece indices {p}")
         if not (1 <= p.branch <= ctx.n and 1 <= p.target <= ctx.n):
             raise NotBijective(f"piece on missing branch {p}")
+        plists[p.branch - 1].append(p)
+        images[p.target - 1].append((p.ifirst, p.istep))
     # per-branch domain coverage
     branches = []
     leftover_cells = []
-    for i in range(1, ctx.n + 1):
-        plist = [p for p in pieces if p.branch == i]
+    for i, plist in enumerate(plists, start=1):
         _, owner, entry, leftover = _ap_coverage([(p.first, p.step) for p in plist])
         branches.append((plist, owner, entry))
         leftover_cells += [ctx.cellword(i, j) for j in leftover]
     # per-target image coverage
     image_cells = []
-    for t in range(1, ctx.n + 1):
-        aps = [(p.ifirst, p.istep) for p in pieces if p.target == t]
+    for t, aps in enumerate(images, start=1):
         try:
             _, _, _, leftover = _ap_coverage(aps)
         except OverlappingDomains as e:
@@ -351,18 +350,34 @@ def _validate(ctx, pairs, pieces):
     return branches
 
 
-def _check_tiling(words, wanted, side, overlap):
-    """The tabular sources or images must tile the cells `wanted`: raises
+def _check_tiling(words, cells, side, overlap):
+    """The tabular sources or images must tile the disjoint `cells`, the
+    off-branch word 1^n first and then branch cell words: raises
     overlap(...) when two words meet, ValueError for a word not over 01,
-    NotBijective when they do not tile, in that order."""
-    try:
-        build([(w, True) for w in words], Clopen.make(wanted)._t, side, f"untiled {side}")
-    except ValueError as e:
-        if str(e) == f"overlapping {side}":
-            raise overlap(f"tabular {side} overlap") from None
-        if str(e) == f"untiled {side}":
-            raise NotBijective(f"tabular {side} do not tile the exceptional region") from None
-        raise
+    NotBijective when they do not tile, in that order.  Disjoint words
+    tile the cells when each lies in one of them and their integer Kraft
+    sums agree."""
+    ordered = sorted(words)
+    for u, v in zip(ordered, ordered[1:]):
+        if v.startswith(u):
+            raise overlap(f"tabular {side} overlap")
+    for w in words:
+        if w.strip("01"):
+            raise ValueError(f"bad word {w!r}")
+    n, wanted = len(cells[0]), set(cells)
+    L = max(map(len, ordered + cells))
+    kraft = 0
+    for w in words:
+        k = len(w) - len(w.lstrip("1"))  # off the branches, or on branch k + 1
+        if k < n:
+            j = w.find("1", k)
+            if j < 0 or w[: j + 1] not in wanted:
+                break
+        kraft += 1 << (L - len(w))
+    else:
+        if kraft == sum(1 << (L - len(c)) for c in cells):
+            return
+    raise NotBijective(f"tabular {side} do not tile the exceptional region")
 
 
 def _cyclic_period(D) -> int:
@@ -464,27 +479,24 @@ def _pairs_on(h: EPHomeo, w: str):
             out.append((p, q))
         elif w.startswith(p) and w != p:
             out.append((w, q + w[len(p):]))
+    k = len(w) - len(w.lstrip("1"))
+    if k >= ctx.n:  # off the branches
+        return out
+    # w = 1^k 0^j ... lies in cell(k + 1, j), or holds x_(k+1) when no 1
+    # follows
+    j = w.find("1", k) - k
+    if j < 0:
+        raise ValueError(f"cell {w!r} contains a distinguished point")
     for piece in h.pieces:
-        i = piece.branch
-        pre = "1" * (i - 1)
-        if not w.startswith(pre):
-            continue
-        rest = w[i - 1:]
-        if "1" not in rest:
-            raise ValueError(f"cell {w!r} contains a distinguished point")
-        j = 0
-        while j < len(rest) and rest[j] == "0":
-            j += 1
-        if j == 0 or not piece.covers(j):
-            continue
-        cw = ctx.cellword(i, j)
-        cw2 = ctx.cellword(piece.target, piece.image_of(j))
-        u = w[len(cw):]
-        for a, b in piece.cellmap.pairs:
-            if a.startswith(u):
-                out.append((cw + a, cw2 + b))
-            elif u.startswith(a) and u != a:
-                out.append((cw + u, cw2 + b + u[len(a):]))
+        if piece.branch == k + 1 and piece.covers(j):
+            cw = w[: k + j + 1]
+            cw2 = ctx.cellword(piece.target, piece.image_of(j))
+            u = w[len(cw):]
+            for a, b in piece.cellmap.pairs:
+                if a.startswith(u):
+                    out.append((cw + a, cw2 + b))
+                elif u.startswith(a) and u != a:
+                    out.append((cw + u, cw2 + b + u[len(a):]))
     return out
 
 

@@ -671,6 +671,10 @@ class Table:
     def compose(self, first: "Table") -> "Table":
         """self after first: the tree of self's source cells, labeled by
         pair index, read below each image cell of first."""
+        if self.is_identity():
+            return first
+        if first.is_identity():
+            return self
         pairs = self.pairs
         sources = build([(p, k) for k, (p, _) in enumerate(pairs)])
         return Table(

@@ -10,6 +10,7 @@ image of any clopen is again exactly representable.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
@@ -473,12 +474,17 @@ def _pairs_on(h: EPHomeo, w: str):
     """h's action on cell(w) as absolute (src, dst) prefix pairs; cell(w)
     must avoid every distinguished point."""
     ctx = h.ctx
+    pairs = h.pairs  # sorted by source
+    # the sources inside cell(w) follow w in sorted order; a source
+    # holding it is the one just before
+    at = bisect_left(pairs, (w,))
+    if at and w.startswith(pairs[at - 1][0]):
+        p, q = pairs[at - 1]
+        return [(w, q + w[len(p):])]
     out = []
-    for p, q in h.pairs:
-        if p.startswith(w):
-            out.append((p, q))
-        elif w.startswith(p) and w != p:
-            out.append((w, q + w[len(p):]))
+    while at < len(pairs) and pairs[at][0].startswith(w):
+        out.append(pairs[at])
+        at += 1
     k = len(w) - len(w.lstrip("1"))
     if k >= ctx.n:  # off the branches
         return out

@@ -482,9 +482,7 @@ def subalgebra_generated(alg: FiniteAlgebra, gens: Iterable[int]) -> frozenset[i
 CLOSURE_EVALS = 1 << 23
 
 
-def pointwise_closure(
-    alg: FiniteAlgebra, gens, budget: int, evals: int = CLOSURE_EVALS
-) -> dict:
+def pointwise_closure(alg: FiniteAlgebra, gens, budget: int) -> dict:
     """Subuniverse of A^L generated by the vectors `gens` (tuples of length
     L) under the pointwise basic operations.
 
@@ -498,7 +496,7 @@ def pointwise_closure(
     member i's round an operation of arity a has evaluated (i + 1)^a
     tuples, each at every coordinate.  Raises SizeBudgetExceeded exactly
     when the closure has more than `budget` members, or before a round
-    that would take these pointwise evaluations past `evals`.
+    that would take these pointwise evaluations past CLOSURE_EVALS.
     """
     found: dict = {}
     members: list = []
@@ -543,8 +541,10 @@ def pointwise_closure(
     ]
     zero = (0,) * width
     for i, base in enumerate(members):  # members grows as the frontier
-        if sum((i + 1) ** arity for _, arity, _ in ops) * width > evals:
-            raise SizeBudgetExceeded(f"closure passed {evals} pointwise evaluations")
+        if sum((i + 1) ** arity for _, arity, _ in ops) * width > CLOSURE_EVALS:
+            raise SizeBudgetExceeded(
+                f"closure passed {CLOSURE_EVALS} pointwise evaluations"
+            )
         for k, arity, get in ops:
             for pos in range(arity):
                 pools = [i] * pos + [None] + [i + 1] * (arity - 1 - pos)

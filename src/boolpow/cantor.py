@@ -12,11 +12,19 @@ branch.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import count
 from typing import Iterable
 
-from .errors import ContextMismatch, EmptyInput, EmptyOrFull, NotGood
+from .errors import (
+    ContextMismatch,
+    EmptyInput,
+    EmptyOrFull,
+    NotBijective,
+    NotGood,
+    OverlappingDomains,
+)
 from .seqs import EPSeq, EPSet, common_threshold
 
 # ---------------------------------------------------------------------------
@@ -245,11 +253,41 @@ class Clopen:
 
 def prefix_overlap(words) -> bool:
     """Whether two of the cells intersect (one word prefixes another)."""
-    ws = sorted(words)
-    for a, b in zip(ws, ws[1:]):
+    return _meets(sorted(words))
+
+
+def _meets(ordered) -> bool:
+    # in sorted order a word prefixing a later one prefixes the next
+    for a, b in zip(ordered, ordered[1:]):
         if b.startswith(a):
             return True
     return False
+
+
+def check_tiling(words, cells, what: str, untiled: str) -> None:
+    """Check that the words tile the union of the pairwise disjoint cells,
+    without building a tree.  Raises, in this order: OverlappingDomains
+    ("<what> overlap") when two words meet, ValueError for a word not
+    over 01, NotBijective(`untiled`) when they do not tile.  Disjoint
+    words tile the cells when each lies below one of them and their
+    integer Kraft sums agree."""
+    ordered = sorted(words)
+    if _meets(ordered):
+        raise OverlappingDomains(f"{what} overlap")
+    for w in words:
+        if w.strip("01"):
+            raise ValueError(f"bad word {w!r}")
+    cells = sorted(cells)
+    L = max(map(len, ordered + cells))
+    kraft = 0
+    for w in ordered:
+        # a cell prefixing w is the last cell sorted at or before it
+        i = bisect_right(cells, w) - 1
+        if i < 0 or not w.startswith(cells[i]):
+            raise NotBijective(untiled)
+        kraft += 1 << (L - len(w))
+    if kraft != sum(1 << (L - len(c)) for c in cells):
+        raise NotBijective(untiled)
 
 
 def split(b: Clopen) -> tuple[Clopen, Clopen]:

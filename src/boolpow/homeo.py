@@ -21,6 +21,7 @@ from .cantor import (
     PointContext,
     Table,
     TailClopen,
+    check_tiling,
     merge_sibling_pairs,
     type_of,
 )
@@ -286,8 +287,8 @@ def _ap_coverage(aps, cap: int = 1 << 22):
     """Residue analysis of pairwise disjoint APs (first, step) covering a
     cofinite part of {1, 2, ...}.
 
-    Returns (M, owner, entry, leftover): modulus M = lcm of the steps,
-    owner[r] = index of the AP owning residue r, entry[r] = its smallest
+    Returns (owner, entry, leftover) for the modulus M = lcm of the steps:
+    owner[r] = index of the AP owning residue r < M, entry[r] = its smallest
     member in that class, leftover = the finitely many uncovered
     positions.  Raises on overlaps or non-cofinite coverage.
     """
@@ -308,7 +309,7 @@ def _ap_coverage(aps, cap: int = 1 << 22):
     if -1 in owner:
         raise NotBijective("tail pieces do not cover cofinitely")
     leftover = sorted(j for f, s in aps for j in _before(f, s))
-    return M, owner, entry, leftover
+    return owner, entry, leftover
 
 
 def _before(first: int, step: int) -> range:
@@ -333,52 +334,35 @@ def _validate(ctx, pairs, pieces):
     branches = []
     leftover_cells = []
     for i, plist in enumerate(plists, start=1):
-        _, owner, entry, leftover = _ap_coverage([(p.first, p.step) for p in plist])
+        owner, entry, leftover = _ap_coverage([(p.first, p.step) for p in plist])
         branches.append((plist, owner, entry))
         leftover_cells += [ctx.cellword(i, j) for j in leftover]
     # per-target image coverage
     image_cells = []
     for t, aps in enumerate(images, start=1):
         try:
-            _, _, _, leftover = _ap_coverage(aps)
+            _, _, leftover = _ap_coverage(aps)
         except OverlappingDomains as e:
             raise NotBijective(f"image cells collide on branch {t}") from e
         image_cells += [ctx.cellword(t, j) for j in leftover]
     # tabular part must tile exactly the complement of the tails
     off = "1" * ctx.n
-    _check_tiling([p for p, _ in pairs], [off] + leftover_cells, "sources", OverlappingDomains)
-    _check_tiling([q for _, q in pairs], [off] + image_cells, "images", NotBijective)
+    check_tiling(
+        [p for p, _ in pairs],
+        [off] + leftover_cells,
+        "tabular sources",
+        "tabular sources do not tile the exceptional region",
+    )
+    try:
+        check_tiling(
+            [q for _, q in pairs],
+            [off] + image_cells,
+            "tabular images",
+            "tabular images do not tile the exceptional region",
+        )
+    except OverlappingDomains as e:
+        raise NotBijective("tabular images overlap") from e
     return branches
-
-
-def _check_tiling(words, cells, side, overlap):
-    """The tabular sources or images must tile the disjoint `cells`, the
-    off-branch word 1^n first and then branch cell words: raises
-    overlap(...) when two words meet, ValueError for a word not over 01,
-    NotBijective when they do not tile, in that order.  Disjoint words
-    tile the cells when each lies in one of them and their integer Kraft
-    sums agree."""
-    ordered = sorted(words)
-    for u, v in zip(ordered, ordered[1:]):
-        if v.startswith(u):
-            raise overlap(f"tabular {side} overlap")
-    for w in words:
-        if w.strip("01"):
-            raise ValueError(f"bad word {w!r}")
-    n, wanted = len(cells[0]), set(cells)
-    L = max(map(len, ordered + cells))
-    kraft = 0
-    for w in words:
-        k = len(w) - len(w.lstrip("1"))  # off the branches, or on branch k + 1
-        if k < n:
-            j = w.find("1", k)
-            if j < 0 or w[: j + 1] not in wanted:
-                break
-        kraft += 1 << (L - len(w))
-    else:
-        if kraft == sum(1 << (L - len(c)) for c in cells):
-            return
-    raise NotBijective(f"tabular {side} do not tile the exceptional region")
 
 
 def _cyclic_period(D) -> int:

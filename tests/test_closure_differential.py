@@ -212,9 +212,12 @@ def test_evaluation_budget_fires_exactly(case):
     a, gens = case
     found = alg.pointwise_closure(a, gens, budget=1 << 16)
     need = _evaluations(a, found)
-    assert alg.pointwise_closure(a, gens, 1 << 16, evals=need) == found
-    with pytest.raises(SizeBudgetExceeded, match=f"passed {need - 1} pointwise"):
-        alg.pointwise_closure(a, gens, 1 << 16, evals=need - 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(alg, "CLOSURE_EVALS", need)
+        assert alg.pointwise_closure(a, gens, 1 << 16) == found
+        mp.setattr(alg, "CLOSURE_EVALS", need - 1)
+        with pytest.raises(SizeBudgetExceeded, match=f"passed {need - 1} pointwise"):
+            alg.pointwise_closure(a, gens, 1 << 16)
 
 
 class _CountingTable(tuple):
@@ -227,7 +230,7 @@ class _CountingTable(tuple):
         return tuple.__getitem__(self, idx)
 
 
-def test_evaluation_budget_counts_before_the_round():
+def test_evaluation_budget_counts_before_the_round(monkeypatch):
     """gf2-ring (arities 2, 1, 2, 0) on the 32-coordinate projections of
     rank 5: member i's round ends at (2 (i + 1)^2 + (i + 1)) * 32
     evaluations, so a budget of 64,000 admits the rounds of members 0..30
@@ -235,9 +238,10 @@ def test_evaluation_budget_counts_before_the_round():
     ring = alg.gf2_ring()
     a = FiniteAlgebra(ring.size, ring.signature, tuple(map(_CountingTable, ring.tables)))
     gens = [tuple(t[j] for t in product(range(2), repeat=5)) for j in range(5)]
+    monkeypatch.setattr(alg, "CLOSURE_EVALS", 64_000)
     _CountingTable.lookups = 0
     with pytest.raises(SizeBudgetExceeded, match="passed 64000 pointwise evaluations"):
-        alg.pointwise_closure(a, gens, budget=10**6, evals=64_000)
+        alg.pointwise_closure(a, gens, budget=10**6)
     # one lookup per evaluation, and one for the constant zero
     assert _CountingTable.lookups == 62_496 + 1
 

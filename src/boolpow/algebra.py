@@ -579,6 +579,16 @@ def subalgebras(alg: FiniteAlgebra, budget: int = 1 << 16) -> list[frozenset[int
     return sorted((s for s in found if s), key=lambda s: (len(s), sorted(s)))
 
 
+def _ident(size: int) -> tuple[int, ...]:
+    """The identity map of a carrier of this size, as a mapping tuple."""
+    return tuple(range(size))
+
+
+def _comp(m1: tuple[int, ...], m2: tuple[int, ...]) -> tuple[int, ...]:
+    """The mapping tuple of m1 after m2."""
+    return tuple(m1[m2[a]] for a in range(len(m1)))
+
+
 @dataclass(frozen=True)
 class Endomap:
     """Total carrier self-map; flagged when it is an automorphism."""
@@ -590,7 +600,7 @@ class Endomap:
         return self.mapping[a]
 
     def compose(self, other: "Endomap") -> "Endomap":
-        m = tuple(self.mapping[other.mapping[a]] for a in range(len(self.mapping)))
+        m = _comp(self.mapping, other.mapping)
         return Endomap(m, self.is_automorphism and other.is_automorphism)
 
     def inverse(self) -> "Endomap":

@@ -7,18 +7,16 @@ space, with stabilizer-valued labels along every branch tail.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import product
-from math import gcd, lcm
 from typing import Sequence
 
 from . import algebra as alg
-from .algebra import Endomap
+from .algebra import Endomap, _comp, _ident
 from .cantor import (
     Clopen,
     TailClopen,
+    TailTree,
     _at,
-    _cell_labels,
     _common_cells,
     _words,
     _zip,
@@ -39,15 +37,11 @@ from .errors import (
     PointNotFixed,
     TailLabelViolation,
 )
-from .homeo import EPHomeo, _max_branch_index
+from .homeo import EPHomeo
 from .power import PowerContext, PowerElement
-from .seqs import EPSeq, common_threshold
+from .seqs import EPSeq
 
 Mapping = tuple[int, ...]
-
-
-def _ident(size: int) -> Mapping:
-    return tuple(range(size))
 
 
 @dataclass(frozen=True)
@@ -55,16 +49,12 @@ class AutLabeling:
     """Locally constant map X° -> Aut A with periodic branch tails whose
     labels all stabilize the filter idempotent of their branch.
 
-    A label is stored as its index in ctx.aut_mappings.  The exceptional
-    part is a canonical labeled prefix tree tiling region(threshold), None
-    outside it; beyond the threshold, cell(i, j) carries
-    tail_ids[i-1][(j - threshold - 1) % len].
+    The labels are the automorphism-index case of TailTree: a label is
+    stored as its index in ctx.aut_mappings.
     """
 
     ctx: PowerContext
-    threshold: int
-    tree: object
-    tail_ids: tuple[tuple[int, ...], ...]
+    labels: TailTree
 
     @staticmethod
     def make(ctx, threshold, exc_cells, tails) -> "AutLabeling":
@@ -95,176 +85,97 @@ class AutLabeling:
             "label cells do not tile the exceptional region",
         )
         tail_ids = [tuple(ids[m] for m in t) for t in tails]
-        return AutLabeling._canonical(ctx, threshold, tree, tail_ids)
-
-    @staticmethod
-    def _canonical(ctx, threshold, tree, tail_ids) -> "AutLabeling":
-        """The minimal threshold, where each branch reads its whole-cell
-        labels (no region cell has a proper prefix inside the region)
-        followed by its tail word; the cells past it leave the tree."""
-        d, tail_ids = common_threshold(
-            (_cell_labels(tree, i, threshold), t)
-            for i, t in enumerate(tail_ids, start=1)
-        )
-        if d < threshold:
-            region = ctx.points.region(d)._t
-            tree = _zip(lambda k, inside: k if inside else None, tree, region)
-        return AutLabeling(ctx, d, tree, tuple(tail_ids))
+        return AutLabeling(ctx, TailTree.make(pts, threshold, tree, tail_ids))
 
     @staticmethod
     def identity(ctx) -> "AutLabeling":
         e = ctx.aut_ids[_ident(ctx.algebra.size)]
-        tree = _zip(lambda inside: e if inside else None, ctx.points.region(0)._t)
-        return AutLabeling(ctx, 0, tree, ((e,),) * ctx.points.n)
+        pts = ctx.points
+        tree = _zip(lambda inside: e if inside else None, pts.region(0)._t)
+        return AutLabeling(ctx, TailTree(pts, 0, tree, ((e,),) * pts.n))
 
     def is_identity(self) -> bool:
         return self == AutLabeling.identity(self.ctx)
 
     @property
+    def threshold(self) -> int:
+        return self.labels.threshold
+
+    @property
     def exc_cells(self) -> tuple[tuple[str, Mapping], ...]:
         """The sorted (word, mapping) cells of the exceptional part."""
         auts = self.ctx.aut_mappings
-        return tuple((w, auts[k]) for w, k in _words(self.tree, "", []))
+        return tuple((w, auts[k]) for w, k in _words(self.labels.tree, "", []))
 
     @property
     def tails(self) -> tuple[tuple[Mapping, ...], ...]:
         auts = self.ctx.aut_mappings
-        return tuple(tuple(auts[k] for k in t) for t in self.tail_ids)
-
-    def _tail_id(self, i: int, j: int) -> int:
-        word = self.tail_ids[i - 1]
-        return word[(j - self.threshold - 1) % len(word)]
+        return tuple(tuple(auts[k] for k in t) for t in self.labels.tails)
 
     def tail_label(self, i: int, j: int) -> Mapping:
-        return self.ctx.aut_mappings[self._tail_id(i, j)]
+        return self.ctx.aut_mappings[self.labels.tail_at(i, j)]
 
     def label_on_word(self, w: str) -> Mapping:
-        k = subtree(self.tree, w)
+        k = subtree(self.labels.tree, w)
         if k is None or k.__class__ is tuple:
             raise KeyError(w)
         return self.ctx.aut_mappings[k]
 
     def labels_used(self) -> set[Mapping]:
         auts = self.ctx.aut_mappings
-        out = {auts[k] for _, k in _words(self.tree, "", [])}
-        for t in self.tail_ids:
+        out = {auts[k] for _, k in _words(self.labels.tree, "", [])}
+        for t in self.labels.tails:
             out |= {auts[k] for k in t}
         return out
 
     def fiber(self, m: Mapping) -> TailClopen:
         k = self.ctx.aut_ids.get(m, -1)
-        exc = Clopen(_zip(lambda l: l == k, self.tree))
-        tails = ["".join("1" if l == k else "0" for l in t) for t in self.tail_ids]
-        return TailClopen.make(self.ctx.points, self.threshold, exc, tails)
+        return TailClopen(self.labels.zip(lambda l: None if l is None else l == k))
 
     @staticmethod
     def from_fibers(ctx, fibers: Sequence[tuple[TailClopen, Mapping]]) -> "AutLabeling":
-        """Assemble from a labeled partition of X°."""
-        pts = ctx.points
-        d = max([tc.threshold for tc, _ in fibers] + [0])
-        raised = [(tc.raised(d), m) for tc, m in fibers]
-        exc_cells = [(w, m) for tc, m in raised for w in tc.exceptional.words]
-        tails = []
-        for i in range(pts.n):
-            labels = EPSeq((), (None,))
-            for tc, m in raised:
-                fiber = EPSeq((), tc.tails[i])  # tail words are primitive
-                labels = labels.zip_with(partial(_claim, m=m), fiber)
-            if None in labels.word:
-                raise ValueError("fibers do not partition a branch tail")
-            tails.append(labels.word)
-        return AutLabeling.make(ctx, d, exc_cells, tails)
+        """Assemble from a labeled partition of X°: one zip of the fibers,
+        whose leaves are the bit sets of the fibers holding a cell."""
+        fibers = list(fibers) or [(TailClopen.empty(ctx.points), None)]
+        labels = [m for _, m in fibers]
+
+        def held(*bits):
+            return None if bits[0] is None else sum(1 << k for k, b in enumerate(bits) if b)
+
+        joint = fibers[0][0].labels.zip(held, *[tc.labels for tc, _ in fibers[1:]])
+        if any(b & (b - 1) or not b for word in joint.tails for b in word):
+            raise ValueError("fibers do not partition a branch tail")
+        # a cell no fiber holds is left out, one two fibers hold is given twice
+        exc_cells = [
+            (w, labels[k]) for w, b in _words(joint.tree, "", [])
+            for k in range(b.bit_length()) if b >> k & 1
+        ]
+        tails = [[labels[b.bit_length() - 1] for b in word] for word in joint.tails]
+        return AutLabeling.make(ctx, joint.threshold, exc_cells, tails)
 
     def multiply(self, other: "AutLabeling") -> "AutLabeling":
         """Pointwise composition x -> self(x) o other(x)."""
         if self.ctx != other.ctx:
             raise ContextMismatch((self.ctx, other.ctx))
-        d = max(self.threshold, other.threshold)
-        a = self._raised(d)
-        b = other._raised(d)
         products = self.ctx.aut_products
 
         def comp(k, l):
             return None if k is None else products[k][l]
 
-        tree = _zip(comp, a.tree, b.tree)
-        tails = [
-            EPSeq((), t1).zip_with(comp, EPSeq((), t2)).word
-            for t1, t2 in zip(a.tail_ids, b.tail_ids)
-        ]
-        return AutLabeling._canonical(self.ctx, d, tree, tails)
+        return AutLabeling(self.ctx, self.labels.zip(comp, other.labels))
 
     def invert(self) -> "AutLabeling":
-        """Pointwise inverse; relabeling by a bijection keeps the form
-        canonical."""
+        """Pointwise inverse."""
         e = self.ctx.aut_ids[_ident(self.ctx.algebra.size)]
         inv = [row.index(e) for row in self.ctx.aut_products]
-        tree = _zip(lambda k: None if k is None else inv[k], self.tree)
-        tails = tuple(tuple(inv[k] for k in t) for t in self.tail_ids)
-        return AutLabeling(self.ctx, self.threshold, tree, tails)
+        return AutLabeling(
+            self.ctx, self.labels.zip(lambda k: None if k is None else inv[k])
+        )
 
     def pushforward(self, h: EPHomeo) -> "AutLabeling":
-        """The labeling x -> self(h^{-1}(x)); h must fix every point.
-
-        One pass over h's normal form: the tree below each source cell of
-        a tabular pair, or of a piece cell's `cellmap` pair, is grafted at
-        its image.  Past the new threshold D every image cell is a whole
-        tail cell of self, whose label is read at its preimage."""
-        pts, T = self.ctx.points, self.threshold
-        # D: the deepest tabular image and the deepest image of a piece
-        # cell at or below T; Ds: the depth the tree is read at
-        D = _max_branch_index(pts, [q for _, q in h.pairs])
-        Ds = max(T, _max_branch_index(pts, [p for p, _ in h.pairs]))
-        for pc in h.pieces:
-            if pc.first <= T:
-                D = max(D, pc.image_of(T - (T - pc.first) % pc.step))
-        tree = self._raised(Ds).tree
-        cells = [(q, subtree(tree, p)) for p, q in h.pairs]
-        for pc in h.pieces:
-            j, jj = pc.first, pc.ifirst
-            while jj <= D:
-                dst = pts.cellword(pc.target, jj)
-                if j <= Ds:
-                    src = pts.cellword(pc.branch, j)
-                    cells += [(dst + b, subtree(tree, src + a)) for a, b in pc.cellmap.pairs]
-                else:
-                    cells.append((dst, self._tail_id(pc.branch, j)))
-                j, jj = j + pc.step, jj + pc.istep
-        # tails: image indices D+1 .. D+P, P a period of every piece's
-        # labels in the image index
-        periods = [len(w) for w in self.tail_ids]
-        tails = []
-        for t in range(1, pts.n + 1):
-            onto = [pc for pc in h.pieces if pc.target == t]
-            P = lcm(*(
-                pc.istep * periods[pc.branch - 1] // gcd(periods[pc.branch - 1], pc.step)
-                for pc in onto
-            ))
-            word = [None] * P
-            for pc in onto:
-                k = max(0, -((pc.ifirst - D - 1) // pc.istep))  # first image past D
-                for jj in range(pc.ifirst + k * pc.istep, D + P + 1, pc.istep):
-                    word[jj - D - 1] = self._tail_id(pc.branch, pc.first + k * pc.step)
-                    k += 1
-            tails.append(tuple(word))
-        return AutLabeling._canonical(self.ctx, D, graft(None, cells), tails)
-
-    def _with_tails(self, depths, ends):
-        pts, thr = self.ctx.points, self.threshold
-        return graft(self.tree, tail_cells(pts, thr, self._tail_id, depths, ends))
-
-    def _raised(self, d: int) -> "AutLabeling":
-        """Same labeling re-expressed at threshold d >= current (not
-        canonical)."""
-        if d == self.threshold:
-            return self
-        n = self.ctx.points.n
-        tree = self._with_tails([d + 1] * n, [None] * n)
-        tails = tuple(
-            EPSeq((), t).shift(d - self.threshold).word  # stored words are primitive
-            for t in self.tail_ids
-        )
-        return AutLabeling(self.ctx, d, tree, tails)
+        """The labeling x -> self(h^{-1}(x)), for any homeomorphism h of
+        X°; see TailTree.push."""
+        return AutLabeling(self.ctx, self.labels.push(h))
 
     def act(self, f: PowerElement) -> PowerElement:
         """(self . f)(x) = self(x)(f(x)); finite because tail labels fix
@@ -275,32 +186,19 @@ class AutLabeling:
         # the labeling as one tree on X: its exceptional part, the tail
         # cells below T_i, and the neighbourhood of x_i inside f's cell
         # there, where f is e_i and every tail label fixes e_i
+        lab = self.labels
         depths, ends = [], []
         for i, (x, _) in enumerate(ctx.marked, start=1):
-            T = max(self.threshold + 1, _at(f.tree, x)[1] - (i - 1))
+            T = max(lab.threshold + 1, _at(f.tree, x)[1] - (i - 1))
             depths.append(T)
-            ends.append(self._tail_id(i, T))
+            ends.append(lab.tail_at(i, T))
         auts = ctx.aut_mappings
         tree = _zip(
             lambda k, a: None if a is None else auts[k][a],
-            self._with_tails(depths, ends),
+            graft(lab.tree, tail_cells(ctx.points, lab.threshold, lab.tail_at, depths, ends)),
             f.tree,
         )
         return PowerElement.from_tree(ctx, tree, f.support)
-
-
-def _comp(m1: Mapping, m2: Mapping) -> Mapping:
-    return tuple(m1[m2[a]] for a in range(len(m1)))
-
-
-def _claim(label, bit: str, m: Mapping):
-    """One fiber's tail bit folded into a branch label: m where the bit
-    is set, on a position no other fiber holds."""
-    if bit != "1":
-        return label
-    if label is not None:
-        raise ValueError("fibers do not partition a branch tail")
-    return m
 
 
 def separating_element(k1: AutLabeling, k2: AutLabeling):
@@ -313,7 +211,7 @@ def separating_element(k1: AutLabeling, k2: AutLabeling):
         raise ContextMismatch((k1.ctx, k2.ctx))
     ctx = k1.ctx
     D = max(k1.threshold, k2.threshold)
-    a1, a2 = k1._raised(D), k2._raised(D)
+    a1, a2 = k1.labels.raised(D), k2.labels.raised(D)
     auts = ctx.aut_mappings
 
     def witness(w, l1, l2):
@@ -325,7 +223,7 @@ def separating_element(k1: AutLabeling, k2: AutLabeling):
     for w, (l1, l2) in _common_cells([a1.tree, a2.tree], "", []):
         if l1 != l2:
             return witness(w, l1, l2)
-    for i, (t1, t2) in enumerate(zip(a1.tail_ids, a2.tail_ids), start=1):
+    for i, (t1, t2) in enumerate(zip(a1.tails, a2.tails), start=1):
         both = EPSeq((), t1).zip_with(lambda l1, l2: (l1, l2), EPSeq((), t2))
         for o, (l1, l2) in enumerate(both.word):
             if l1 != l2:

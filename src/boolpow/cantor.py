@@ -5,8 +5,8 @@ Clopens and labeled clopen partitions are canonical labeled binary trees,
 read out as sorted prefix antichains.  Points are eventually periodic
 binary sequences.  A context fixes n distinguished points x_i = 1^(i-1) 0^w
 whose punctured neighbourhoods decompose into the branch cells
-cell(i, j) = 1^(i-1) 0^j 1 . X (j >= 1); clopens of X° are stored as an
-exceptional clopen below a threshold plus one periodic inclusion word per
+cell(i, j) = 1^(i-1) 0^j 1 . X (j >= 1); labelings and clopens of X° are
+one labeled tree below a threshold plus one periodic label word per
 branch.
 """
 
@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import count
+from math import gcd, lcm
 from typing import Iterable
 
 from .errors import (
@@ -76,6 +78,16 @@ def _zip(f, *ts):
             _zip(f, *[t[1] if t.__class__ is tuple else t for t in ts]),
         )
     return f(*ts)
+
+
+def _leaves(t, out: set) -> set:
+    """Add the leaves of t to out."""
+    if t.__class__ is tuple:
+        _leaves(t[0], out)
+        _leaves(t[1], out)
+    else:
+        out.add(t)
+    return out
 
 
 def _words(t, prefix, out):
@@ -443,7 +455,7 @@ def _cell_labels(t, i: int, d: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# clopens of the punctured space
+# labelings and clopens of the punctured space
 
 
 @dataclass(frozen=True)
@@ -454,19 +466,147 @@ class ClopenType:
     outs: frozenset[int]
 
 
-@dataclass(frozen=True)
-class TailClopen:
-    """Clopen subset of X°.
+def _max_branch_index(ctx: PointContext, words) -> int:
+    """The largest j of a cell(i, j) holding one of the words, 0 for none."""
+    depth = 0
+    for w in words:
+        for i in range(1, ctx.n + 1):
+            pre = "1" * (i - 1)
+            if not w.startswith(pre):
+                continue
+            rest = w[i - 1:]
+            if not rest or rest[0] != "0":
+                continue
+            if "1" not in rest:
+                raise ValueError(f"clopen word {w!r} covers a distinguished point")
+            j = 0
+            while rest[j] == "0":
+                j += 1
+            depth = max(depth, j)
+    return depth
 
-    The exceptional part is an arbitrary clopen inside region(threshold);
-    beyond the threshold, branch i contains cell(i, j) as a whole iff
-    tails[i-1][(j - threshold - 1) % len] == '1'.  Never contains any x_i.
+
+@dataclass(frozen=True)
+class TailTree:
+    """Locally constant labeling of X° with periodic branch tails.
+
+    The tree is a canonical labeled tree tiling region(threshold), None
+    outside it; a leaf is any value other than a tuple.  Beyond the
+    threshold, cell(i, j) carries tails[i-1][(j - threshold - 1) % len],
+    each tail word a primitive tuple of leaves.  A clopen of X° is the
+    bool case, a kernel labeling the automorphism-index case.
     """
 
     ctx: PointContext
     threshold: int
-    exceptional: Clopen
-    tails: tuple[str, ...]
+    tree: object
+    tails: tuple
+
+    @staticmethod
+    def make(ctx, threshold, tree, tails) -> "TailTree":
+        """The canonical form: the least threshold, where each branch
+        reads its whole-cell labels (no region cell has a proper prefix
+        inside the region) followed by its tail word; the cells past it
+        leave the tree."""
+        d, tails = common_threshold(
+            (_cell_labels(tree, i, threshold), t) for i, t in enumerate(tails, start=1)
+        )
+        if d < threshold:
+            tree = _zip(lambda k, inside: k if inside else None, tree, ctx.region(d)._t)
+        return TailTree(ctx, d, tree, tuple(tails))
+
+    def tail_at(self, i: int, j: int):
+        """The label of cell(i, j), for j past the threshold."""
+        word = self.tails[i - 1]
+        return word[(j - self.threshold - 1) % len(word)]
+
+    def raised(self, d: int) -> "TailTree":
+        """Same labeling re-expressed at threshold d >= current (not
+        canonical)."""
+        if d < self.threshold:
+            raise ValueError(d)
+        if d == self.threshold:
+            return self
+        n = self.ctx.n
+        cells = tail_cells(self.ctx, self.threshold, self.tail_at, [d + 1] * n, [None] * n)
+        # stored tail words are primitive
+        tails = tuple(EPSeq((), t).shift(d - self.threshold).word for t in self.tails)
+        return TailTree(self.ctx, d, graft(self.tree, cells), tails)
+
+    def zip(self, f, *others) -> "TailTree":
+        """The labeling x -> f(self(x), *(o(x) for o in others)), canonical;
+        f must keep None, the outside of the region, None."""
+        for o in others:
+            if o.ctx != self.ctx:
+                raise ContextMismatch((self.ctx, o.ctx))
+        d = max(o.threshold for o in (self,) + others)
+        ts = [o.raised(d) for o in (self,) + others]
+        tails = []
+        for words in zip(*[o.tails for o in ts]):
+            L = lcm(*map(len, words))
+            tails.append(tuple(map(f, *[w * (L // len(w)) for w in words])))
+        return TailTree.make(self.ctx, d, _zip(f, *[o.tree for o in ts]), tails)
+
+    def push(self, h) -> "TailTree":
+        """The labeling x -> self(h^{-1}(x)) for a homeomorphism h of X° in
+        tabular-plus-tail form (an `EPHomeo`), which may move tail cells
+        between branches.
+
+        One pass over h's normal form: the tree below each source cell of
+        a tabular pair, or of a piece cell's `cellmap` pair, is grafted at
+        its image.  Past the new threshold D every image cell is a whole
+        tail cell of self, whose label is read at its preimage."""
+        pts, T = self.ctx, self.threshold
+        # D: the deepest tabular image and the deepest image of a piece
+        # cell at or below T; Ds: the depth the tree is read at
+        D = _max_branch_index(pts, [q for _, q in h.pairs])
+        Ds = max(T, _max_branch_index(pts, [p for p, _ in h.pairs]))
+        for pc in h.pieces:
+            if pc.first <= T:
+                D = max(D, pc.image_of(T - (T - pc.first) % pc.step))
+        tree = self.raised(Ds).tree
+        cells = [(q, subtree(tree, p)) for p, q in h.pairs]
+        for pc in h.pieces:
+            j, jj = pc.first, pc.ifirst
+            while jj <= D:
+                dst = pts.cellword(pc.target, jj)
+                if j <= Ds:
+                    src = pts.cellword(pc.branch, j)
+                    cells += [(dst + b, subtree(tree, src + a)) for a, b in pc.cellmap.pairs]
+                else:
+                    cells.append((dst, self.tail_at(pc.branch, j)))
+                j, jj = j + pc.step, jj + pc.istep
+        # tails: image indices D+1 .. D+P, P a period of every piece's
+        # labels in the image index
+        periods = [len(w) for w in self.tails]
+        tails = []
+        for t in range(1, pts.n + 1):
+            onto = [pc for pc in h.pieces if pc.target == t]
+            P = lcm(*(
+                pc.istep * periods[pc.branch - 1] // gcd(periods[pc.branch - 1], pc.step)
+                for pc in onto
+            ))
+            word = [None] * P
+            for pc in onto:
+                k = max(0, -((pc.ifirst - D - 1) // pc.istep))  # first image past D
+                for jj in range(pc.ifirst + k * pc.istep, D + P + 1, pc.istep):
+                    word[jj - D - 1] = self.tail_at(pc.branch, pc.first + k * pc.step)
+                    k += 1
+            tails.append(tuple(word))
+        return TailTree.make(pts, D, graft(None, cells), tails)
+
+
+@dataclass(frozen=True)
+class TailClopen:
+    """Clopen subset of X°: the bool case of TailTree, True on the set.
+
+    Read back as the exceptional part, an arbitrary clopen inside
+    region(threshold), and one tail word per branch: beyond the
+    threshold, branch i contains cell(i, j) as a whole iff
+    tails[i-1][(j - threshold - 1) % len] == '1'.  Never contains any x_i.
+    """
+
+    labels: TailTree
 
     @staticmethod
     def make(ctx, threshold, exceptional, tails) -> "TailClopen":
@@ -476,18 +616,31 @@ class TailClopen:
         for w in tails:
             if not w or any(c not in "01" for c in w):
                 raise ValueError(f"bad tail word {w!r}")
-        if not exceptional.is_subset(ctx.region(threshold)):
-            raise ValueError("exceptional part leaks into a branch tail")
-        # minimal threshold: each branch reads its whole-cell labels up to
-        # the threshold followed by its tail word
-        d, words = common_threshold(
-            (_cell_labels(exceptional._t, i, threshold), tuple(c == "1" for c in w))
-            for i, w in enumerate(tails, start=1)
-        )
-        if d < threshold:
-            exceptional = exceptional.intersect(ctx.region(d))
-        tails = tuple("".join("01"[b] for b in word) for word in words)
-        return TailClopen(ctx, d, exceptional, tails)
+
+        def inside(b, r):
+            if b and not r:
+                raise ValueError("exceptional part leaks into a branch tail")
+            return b if r else None
+
+        tree = _zip(inside, exceptional._t, ctx.region(threshold)._t)
+        words = [tuple(c == "1" for c in w) for w in tails]
+        return TailClopen(TailTree.make(ctx, threshold, tree, words))
+
+    @property
+    def ctx(self) -> PointContext:
+        return self.labels.ctx
+
+    @property
+    def threshold(self) -> int:
+        return self.labels.threshold
+
+    @cached_property
+    def exceptional(self) -> Clopen:
+        return Clopen(_zip(lambda b: b is True, self.labels.tree))
+
+    @cached_property
+    def tails(self) -> tuple[str, ...]:
+        return tuple("".join("01"[b] for b in w) for w in self.labels.tails)
 
     @staticmethod
     def empty(ctx) -> "TailClopen":
@@ -508,70 +661,34 @@ class TailClopen:
         exc = b.intersect(ctx.region(d))
         return TailClopen.make(ctx, d, exc, tails)
 
-    def tail_bit(self, i: int, j: int) -> str:
-        w = self.tails[i - 1]
-        return w[(j - self.threshold - 1) % len(w)]
-
     def tail_epset(self, i: int) -> EPSet:
         """Whole-cell membership on branch i beyond the threshold."""
-        return EPSet.make(
-            (False,) * self.threshold,
-            tuple(c == "1" for c in self.tails[i - 1]),
-        )
+        return EPSet.make((False,) * self.threshold, self.labels.tails[i - 1])
 
     def raised(self, d: int) -> "TailClopen":
         """Same set re-expressed at threshold d >= current (not canonical)."""
-        if d < self.threshold:
-            raise ValueError(d)
-        if d == self.threshold:
-            return self
-        n, bit = self.ctx.n, lambda i, j: self.tail_bit(i, j) == "1"
-        cells = tail_cells(self.ctx, self.threshold, bit, [d + 1] * n, [False] * n)
-        exc = Clopen(graft(self.exceptional._t, cells))
-        # stored tail words are primitive
-        tails = [EPSeq((), w).shift(d - self.threshold).word for w in self.tails]
-        return TailClopen(self.ctx, d, exc, tuple(tails))
-
-    def _binop(self, other, excfn, bitfn) -> "TailClopen":
-        if self.ctx != other.ctx:
-            raise ContextMismatch((self.ctx, other.ctx))
-        d = max(self.threshold, other.threshold)
-        a, b = self.raised(d), other.raised(d)
-        exc = excfn(a.exceptional, b.exceptional)
-        tails = [
-            "".join(EPSeq((), x).zip_with(bitfn, EPSeq((), y)).word)
-            for x, y in zip(a.tails, b.tails)
-        ]
-        return TailClopen.make(self.ctx, d, exc, tails)
+        return TailClopen(self.labels.raised(d))
 
     def union(self, other) -> "TailClopen":
-        return self._binop(
-            other, lambda p, q: p.union(q), lambda x, y: "1" if "1" in (x, y) else "0"
-        )
+        return TailClopen(self.labels.zip(lambda a, b: a or b, other.labels))
 
     def intersect(self, other) -> "TailClopen":
-        return self._binop(
-            other,
-            lambda p, q: p.intersect(q),
-            lambda x, y: "1" if x == y == "1" else "0",
-        )
+        return TailClopen(self.labels.zip(lambda a, b: a and b, other.labels))
 
     def difference(self, other) -> "TailClopen":
         return self.intersect(other.complement())
 
     def complement(self) -> "TailClopen":
         """Complement within X°."""
-        exc = self.ctx.region(self.threshold).difference(self.exceptional)
-        tails = ["".join("1" if c == "0" else "0" for c in w) for w in self.tails]
-        return TailClopen.make(self.ctx, self.threshold, exc, tails)
+        return TailClopen(self.labels.zip(lambda a: None if a is None else not a))
 
     def is_empty(self) -> bool:
-        return self.exceptional.is_empty() and all(
-            set(w) == {"0"} for w in self.tails
-        )
+        labels = self.labels
+        return True not in _leaves(labels.tree, set()) and not any(map(any, labels.tails))
 
     def is_full(self) -> bool:
-        return self.complement().is_empty()
+        labels = self.labels
+        return False not in _leaves(labels.tree, set()) and all(map(all, labels.tails))
 
     def is_subset(self, other) -> bool:
         return self.difference(other).is_empty()
@@ -597,7 +714,7 @@ class TailClopen:
         if loc[0] == "cell":
             _, i, j, _ = loc
             if j > self.threshold:
-                return self.tail_bit(i, j) == "1"
+                return self.labels.tail_at(i, j)
         return point_in(x, self.exceptional)
 
 
@@ -606,12 +723,9 @@ def type_of(c: TailClopen) -> ClopenType:
     (outs); requires c proper and nonempty."""
     if c.is_empty() or c.is_full():
         raise EmptyOrFull("type is defined for proper nonempty clopens of X°")
-    ins = frozenset(
-        i for i in range(1, c.ctx.n + 1) if "1" in c.tails[i - 1]
-    )
-    outs = frozenset(
-        i for i in range(1, c.ctx.n + 1) if "0" in c.tails[i - 1]
-    )
+    tails = c.labels.tails
+    ins = frozenset(i for i, w in enumerate(tails, start=1) if True in w)
+    outs = frozenset(i for i, w in enumerate(tails, start=1) if False in w)
     return ClopenType(ins, outs)
 
 

@@ -35,6 +35,10 @@ DEFAULT_BUDGET = 200_000
 # demo-example-2-3 takes time quadratic in --depth (1.2 s at 200, 57 s at 800)
 DEMO_MAX_DEPTH = 200
 
+# factor-homeo finishes on 16 points in about 3 s; from 20 points on, the
+# tail moduli of its homeomorphisms pass the budget of homeo._ap_coverage
+FACTOR_MAX_POINTS = 16
+
 
 def _load_algebra(args) -> alg.FiniteAlgebra:
     if args.builtin:
@@ -272,6 +276,8 @@ def cmd_demo_example_2_3(args):
 
 def cmd_factor_homeo(args):
     n = args.points
+    if n > FACTOR_MAX_POINTS:
+        raise ParseError(f"--points {n} is over the ceiling {FACTOR_MAX_POINTS}")
     pctx = PointContext(n)
     gp = fz.good_partition(pctx)
     if args.sigma:

@@ -11,7 +11,7 @@ from itertools import product
 from typing import Optional, Sequence
 
 from . import algebra as alg
-from .algebra import FiniteAlgebra
+from .algebra import FiniteAlgebra, _comp, _ident
 from .cantor import Clopen, point_in, prefix_overlap, split
 from .errors import (
     ArityOrder,
@@ -25,19 +25,11 @@ from .power import PowerContext, PowerElement
 Mapping = tuple[int, ...]
 
 
-def _ident(n: int) -> Mapping:
-    return tuple(range(n))
-
-
 def _inv(m: Mapping) -> Mapping:
     out = [0] * len(m)
     for a, b in enumerate(m):
         out[b] = a
     return tuple(out)
-
-
-def _comp(m1: Mapping, m2: Mapping) -> Mapping:
-    return tuple(m1[m2[a]] for a in range(len(m1)))
 
 
 @dataclass(frozen=True)

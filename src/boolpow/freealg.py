@@ -65,7 +65,23 @@ def clone_generate(
     algebra: FiniteAlgebra, k: int, budget: int = 100_000
 ) -> FreeAlgebraRep:
     """Closure of the projections under the pointwise basic operations
-    (one semi-naive algebra.pointwise_closure), with witness terms."""
+    (one semi-naive algebra.pointwise_closure), with witness terms.
+
+    The closure's evaluation budget is checked before the |A|^k-long
+    projections are built.  With |A| >= 2 they are k distinct members, so
+    the closure reaches member k-1's round, of sum_ops k^arity tuples at
+    |A|^k coordinates each, unless its member budget stops it first; it
+    cannot when the projections, the constants and one member per tuple
+    of the earlier rounds fit in the budget."""
+    arities = [arity for _, arity in algebra.signature if arity]
+    if (
+        algebra.size >= 2
+        and k + len(algebra.signature) + sum((k - 1) ** a for a in arities) <= budget
+        and sum(k**a for a in arities) * algebra.size**k > alg.CLOSURE_EVALS
+    ):
+        raise SizeBudgetExceeded(
+            f"closure passed {alg.CLOSURE_EVALS} pointwise evaluations"
+        )
     tuples = list(product(range(algebra.size), repeat=k))
     projections = [tuple(t[j] for t in tuples) for j in range(k)]
     found = alg.pointwise_closure(algebra, projections, budget)

@@ -30,6 +30,7 @@ from .errors import (
     NotBijective,
     NotExtendable,
     OverlappingDomains,
+    SizeBudgetExceeded,
     TypeMismatch,
 )
 from .seqs import EPSet, ap_intersect, match_ones
@@ -125,15 +126,6 @@ class EPHomeo:
         return pm is not None and all(pm[i] == i for i in pm)
 
     @cached_property
-    def tabular_domain(self) -> Clopen:
-        return Clopen.make([p for p, _ in self.pairs])
-
-    @cached_property
-    def _tabular_tail(self) -> TailClopen:
-        """The tabular domain as a clopen of X°."""
-        return TailClopen.from_clopen(self.ctx, self.tabular_domain)
-
-    @cached_property
     def _cell_images(self) -> dict[str, Clopen]:
         return {}
 
@@ -174,51 +166,7 @@ class EPHomeo:
             b = TailClopen.from_clopen(self.ctx, b)
         if b.ctx != self.ctx:
             raise ContextMismatch((b.ctx, self.ctx))
-        ctx = self.ctx
-        singles: list[tuple[int, int]] = []  # whole image cells
-        ap_images: dict[int, list[tuple[int, int]]] = {}
-        # words away from whole cells: the content inside the tabular
-        # region, then the partial cells of the pieces
-        words = list(b.intersect(self._tabular_tail).to_clopen().words)
-        for piece in self.pieces:
-            i = piece.branch
-            # partial/whole cells at indices covered by the piece but at or
-            # below b's threshold live in b's exceptional part
-            j = piece.first
-            while j <= b.threshold:
-                part = b.exceptional.intersect(ctx.cell(i, j))
-                if part == ctx.cell(i, j):
-                    singles.append((piece.target, piece.image_of(j)))
-                else:
-                    words += part.words
-                j += piece.step
-            # whole cells beyond the threshold, by word
-            ones, aps = b.tail_epset(i).on_ap(piece.first, piece.step)
-            for j in ones:
-                singles.append((piece.target, piece.image_of(j)))
-            for f, s in aps:
-                ap_images.setdefault(piece.target, []).append(
-                    (piece.image_of(f), piece.istep * (s // piece.step))
-                )
-        partial = Clopen.make([q for w in words for _, q in _pairs_on(self, w)])
-        # assemble the image
-        epsets = {}
-        for t in range(1, ctx.n + 1):
-            epsets[t] = EPSet.from_aps(
-                ap_images.get(t, []), [jj for tt, jj in singles if tt == t]
-            )
-        depth = _max_branch_index(ctx, partial.words)
-        for t, e in epsets.items():
-            depth = max(depth, len(e.head))
-        exc = partial
-        tails = []
-        for t in range(1, ctx.n + 1):
-            e = epsets[t]
-            for j in range(1, depth + 1):
-                if e.at(j):
-                    exc = exc.union(ctx.cell(t, j))
-            tails.append("".join("01"[b] for b in e.shift(depth).word))
-        return TailClopen.make(ctx, depth, exc, tails)
+        return TailClopen(b.labels.push(self))
 
     def apply_clopen_in_X(self, b: Clopen) -> Clopen:
         """Image in X, including mapped distinguished points; needs the
@@ -290,13 +238,14 @@ def _ap_coverage(aps, cap: int = 1 << 22):
     Returns (owner, entry, leftover) for the modulus M = lcm of the steps:
     owner[r] = index of the AP owning residue r < M, entry[r] = its smallest
     member in that class, leftover = the finitely many uncovered
-    positions.  Raises on overlaps or non-cofinite coverage.
+    positions.  Raises on overlaps or non-cofinite coverage, and
+    SizeBudgetExceeded when M passes the cap.
     """
     if not aps:
         raise NotBijective("a branch tail has no covering pieces")
     M = lcm(*[s for _, s in aps])
     if M > cap:
-        raise NotBijective(f"tail modulus {M} exceeds the budget")
+        raise SizeBudgetExceeded(f"tail modulus {M} exceeds the budget")
     owner = [-1] * M
     entry = [0] * M
     for idx, (f, s) in enumerate(aps):
@@ -488,26 +437,6 @@ def _pairs_on(h: EPHomeo, w: str):
                 elif u.startswith(a) and u != a:
                     out.append((cw + u, cw2 + b + u[len(a):]))
     return out
-
-
-def _max_branch_index(ctx, words) -> int:
-    """The largest j of a cell(i, j) holding one of the words, 0 for none."""
-    depth = 0
-    for w in words:
-        for i in range(1, ctx.n + 1):
-            pre = "1" * (i - 1)
-            if not w.startswith(pre):
-                continue
-            rest = w[i - 1:]
-            if not rest or rest[0] != "0":
-                continue
-            if "1" not in rest:
-                raise ValueError(f"clopen word {w!r} covers a distinguished point")
-            j = 0
-            while rest[j] == "0":
-                j += 1
-            depth = max(depth, j)
-    return depth
 
 
 # ---------------------------------------------------------------------------

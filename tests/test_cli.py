@@ -226,6 +226,7 @@ OVERLAPPING_CELLMAP = json.dumps(
         (["build-power", "--builtin", "gf2-ring", "--depth", "-3"], {}),
         (["build-power", "--builtin", "gf2-ring", "--filters", "0,abc"], {}),
         (["factor-homeo", "--points", "-1"], {}),
+        (["factor-homeo", "--points", "17"], {}),
         (["inspect-algebra"], {"--alg": '{"carrier": "x"}'}),
         (["inspect-algebra"], {"--alg": "not json {"}),
         (["factor-homeo"], {"--sigma": "not json {"}),
@@ -245,6 +246,7 @@ OVERLAPPING_CELLMAP = json.dumps(
         "negative-depth",
         "bad-filters",
         "negative-points",
+        "points-over-ceiling",
         "no-ops",
         "not-json",
         "sigma-not-json",

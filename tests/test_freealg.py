@@ -5,7 +5,12 @@ import pytest
 from boolpow import algebra as alg
 from boolpow import freealg as fa
 from boolpow import power as bp
-from boolpow.errors import NotIdempotentOnSk, NotLoopOrRing, PatternMismatch
+from boolpow.errors import (
+    NotIdempotentOnSk,
+    NotLoopOrRing,
+    PatternMismatch,
+    SizeBudgetExceeded,
+)
 
 RED = alg.gf2_idempotent_reduct()
 GF2 = alg.gf2_ring()
@@ -36,6 +41,46 @@ def test_clone_projections_present():
 def test_witness_terms():
     for a, k in ((RED, 2), (GF2, 2), (GF4, 1)):
         assert fa.witness_terms_check(fa.clone_generate(a, k))
+
+
+def _outcome(fn):
+    try:
+        return ("ok", len(fn()))
+    except SizeBudgetExceeded as e:
+        return ("stop", str(e))
+
+
+@pytest.mark.parametrize(
+    "algebra, k", [(GF2, 1), (GF2, 2), (GF2, 3), (RED, 1), (RED, 2), (GF4, 1)]
+)
+def test_clone_budget_check_matches_the_closure(algebra, k, monkeypatch):
+    """With the evaluation budget patched to each round's count, one
+    below it, and a few member budgets, clone_generate stops with the same
+    message as the closure of the projections, or both finish."""
+    tuples = list(product(range(algebra.size), repeat=k))
+    projections = [tuple(t[j] for t in tuples) for j in range(k)]
+    arities = [a for _, a in algebra.signature if a]
+    members = len(alg.pointwise_closure(algebra, projections, 10**6))
+    rounds = [sum((i + 1) ** a for a in arities) * len(tuples) for i in range(members)]
+    for evals in sorted({e + d for e in rounds[: k + 2] for d in (-1, 0)}):
+        monkeypatch.setattr(alg, "CLOSURE_EVALS", evals)
+        for budget in (1, k, k + 1, 8, 10**6):
+            want = _outcome(lambda: alg.pointwise_closure(algebra, projections, budget))
+            got = _outcome(lambda: fa.clone_generate(algebra, k, budget).elements)
+            assert got == want, (evals, budget)
+
+
+def test_clone_budget_stops_before_building(monkeypatch):
+    """Rank 20 on gf2-ring reaches (20^2 + 20 + 20^2) * 2^20 evaluations
+    by the end of member 19's round; the stop comes before the
+    2^20-long projections are built."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("projections built")
+
+    monkeypatch.setattr(fa, "product", refuse)
+    with pytest.raises(SizeBudgetExceeded, match=f"passed {alg.CLOSURE_EVALS} pointwise"):
+        fa.clone_generate(GF2, 20)
 
 
 def test_clone_restriction_to_tuple_is_generated_subalgebra():

@@ -13,10 +13,12 @@ from boolpow.cantor import (
     is_good,
     type_of,
 )
-from boolpow.errors import NotBijective, TypeMismatch
+from boolpow import homeo as hm
+from boolpow.errors import NotBijective, SizeBudgetExceeded, TypeMismatch
 from boolpow.homeo import (
     EPHomeo,
     TailPiece,
+    _ap_coverage,
     _cyclic_period,
     cross_branch_involution,
     homeos_agree_on_sample,
@@ -119,7 +121,7 @@ def test_shift_tail_word_invariant():
     assert set(img_tail) <= {"0", "1"}
     # whole-tail agreement beyond the disturbed prefix
     for j in range(3, 30):
-        assert img.tail_bit(1, j) == c.tail_bit(1, j)
+        assert img.labels.tail_at(1, j) == c.labels.tail_at(1, j)
     assert image_matches_on_sample(h, c, img, depth=32)
 
 
@@ -295,6 +297,21 @@ def test_glue_rejects_nonbijective():
     # piece 1 keeps {10} in place, piece 2 sends {11} onto {10}: collision
     with pytest.raises(NotBijective):
         piecewise_glue([(c, EPHomeo.identity(ctx)), (c2, swap)])
+
+
+def test_tail_modulus_cap_is_a_budget_stop():
+    with pytest.raises(SizeBudgetExceeded, match="tail modulus 6 exceeds the budget"):
+        _ap_coverage([(1, 2), (2, 3), (4, 6)], cap=5)
+    assert _ap_coverage([(1, 2), (2, 2)], cap=2)[0] == [1, 0]
+
+
+def test_glue_lets_a_budget_stop_through(monkeypatch):
+    ctx = CTX1
+    c = TailClopen.make(ctx, 0, Clopen.empty(), ("10",))
+    parts = [(c, orbit_witness(c, c)), (c.complement(), EPHomeo.identity(ctx))]
+    monkeypatch.setattr(hm, "_ap_coverage", lambda aps, cap=1: _ap_coverage(aps, cap))
+    with pytest.raises(SizeBudgetExceeded, match="tail modulus 2 exceeds the budget"):
+        piecewise_glue(parts)
 
 
 # --- group sanity via hypothesis --------------------------------------------

@@ -32,12 +32,13 @@ from boolpow.cantor import (
     PointContext,
     Table,
     TailClopen,
+    _max_branch_index,
     _words,
     build,
     merge_sibling_pairs,
     subtree,
 )
-from boolpow.homeo import EPHomeo, TailPiece, _max_branch_index, cross_branch_involution
+from boolpow.homeo import EPHomeo, TailPiece, cross_branch_involution
 from boolpow.rand import random_point_fixing_homeo, random_tailclopen
 from boolpow.seqs import EPSet
 
@@ -91,7 +92,7 @@ def old_apply(h, b):
     ctx = h.ctx
     singles = []
     ap_images = {}
-    content = b.intersect(TailClopen.from_clopen(ctx, h.tabular_domain)).to_clopen()
+    content = b.intersect(TailClopen.from_clopen(ctx, Clopen.make([p for p, _ in h.pairs]))).to_clopen()
     partial = old_apply_pairs_clopen(h.pairs, content)
     for piece in h.pieces:
         i = piece.branch

@@ -206,7 +206,7 @@ def old_apply(h, b):
     ctx = h.ctx
     singles = []
     ap_images = {}
-    tabular = OldTailClopen.from_clopen(ctx, h.tabular_domain)
+    tabular = OldTailClopen.from_clopen(ctx, Clopen.make([p for p, _ in h.pairs]))
     words = list(b.intersect(tabular).to_clopen().words)
     for piece in h.pieces:
         i = piece.branch

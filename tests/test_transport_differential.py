@@ -74,7 +74,7 @@ def _comp(m1, m2):
 
 def old_multiply(k1, k2):
     d = max(k1.threshold, k2.threshold)
-    a, b = k1._raised(d), k2._raised(d)
+    a, b = (AutLabeling(k.ctx, k.labels.raised(d)) for k in (k1, k2))
     cells = []
     for w1, m1 in a.exc_cells:
         for w2, m2 in b.exc_cells:

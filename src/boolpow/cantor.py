@@ -508,6 +508,8 @@ class TailTree:
         reads its whole-cell labels (no region cell has a proper prefix
         inside the region) followed by its tail word; the cells past it
         leave the tree."""
+        if threshold < 0:  # a tree on region(-1) misses the off-branch cells
+            raise ValueError(f"negative threshold {threshold}")
         d, tails = common_threshold(
             (_cell_labels(tree, i, threshold), t) for i, t in enumerate(tails, start=1)
         )
@@ -669,6 +671,7 @@ class TailClopen:
         """Same set re-expressed at threshold d >= current (not canonical)."""
         return TailClopen(self.labels.raised(d))
 
+    # a zip meets the outside, None, only with None: `or` and `and` keep it
     def union(self, other) -> "TailClopen":
         return TailClopen(self.labels.zip(lambda a, b: a or b, other.labels))
 

@@ -223,6 +223,13 @@ def test_tailclopen_with_point_closure():
     assert tc.to_clopen() == b
 
 
+def test_tailclopen_rejects_a_negative_threshold():
+    # region(-1) of a pointed context is empty, so no tree on it can stand
+    # for a set at the least threshold 0, which holds the off-branch cells
+    with pytest.raises(ValueError, match="negative threshold -1"):
+        TailClopen.make(PointContext(1), -1, Clopen.empty(), ("0",))
+
+
 def test_tail_intersection_lcm():
     ctx = PointContext(1)
     a = TailClopen.make(ctx, 0, Clopen.empty(), ("10",))

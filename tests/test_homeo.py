@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boolpow import homeo as hm
 from boolpow.cantor import (
     Clopen,
     Point,
@@ -13,7 +14,6 @@ from boolpow.cantor import (
     is_good,
     type_of,
 )
-from boolpow import homeo as hm
 from boolpow.errors import NotBijective, SizeBudgetExceeded, TypeMismatch
 from boolpow.homeo import (
     EPHomeo,

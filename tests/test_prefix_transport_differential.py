@@ -92,7 +92,8 @@ def old_apply(h, b):
     ctx = h.ctx
     singles = []
     ap_images = {}
-    content = b.intersect(TailClopen.from_clopen(ctx, Clopen.make([p for p, _ in h.pairs]))).to_clopen()
+    tabular = Clopen.make([p for p, _ in h.pairs])
+    content = b.intersect(TailClopen.from_clopen(ctx, tabular)).to_clopen()
     partial = old_apply_pairs_clopen(h.pairs, content)
     for piece in h.pieces:
         i = piece.branch

@@ -798,51 +798,12 @@ def merge_sibling_pairs(pairs) -> tuple:
     return tuple(merged)
 
 
-@dataclass(frozen=True)
 class Table:
-    """Bijection of X given by pairs (p, q): p.s -> q.s; the p's and the
-    q's each form a complete prefix partition of X."""
-
-    pairs: tuple[tuple[str, str], ...]
+    """A cell map is an `EPHomeo` on PointContext(0); `perfbench/tracer.py`
+    still reports calls under the name `cantor.Table.make`."""
 
     @staticmethod
-    def make(pairs) -> "Table":
-        pairs = [(str(p), str(q)) for p, q in pairs]
-        for side, k in (("source", 0), ("image", 1)):
-            cells = [(pair[k], True) for pair in pairs]
-            build(cells, True, f"{side} cells", f"{side} cells do not cover X")
-        return Table(merge_sibling_pairs(pairs))
+    def make(pairs):
+        from .homeo import EPHomeo
 
-    @staticmethod
-    def identity() -> "Table":
-        return Table((("", ""),))
-
-    def is_identity(self) -> bool:
-        return self.pairs == (("", ""),)
-
-    def inverse(self) -> "Table":
-        return Table(merge_sibling_pairs([(q, p) for p, q in self.pairs]))
-
-    def compose(self, first: "Table") -> "Table":
-        """self after first: the tree of self's source cells, labeled by
-        pair index, read below each image cell of first."""
-        if self.is_identity():
-            return first
-        if first.is_identity():
-            return self
-        pairs = self.pairs
-        sources = build([(p, k) for k, (p, _) in enumerate(pairs)])
-        return Table(
-            merge_sibling_pairs(
-                (p + s, pairs[k][1] + (q + s)[len(pairs[k][0]):])
-                for p, q in first.pairs
-                for s, k in _words(subtree(sources, q), "", [])
-            )
-        )
-
-    def apply_point(self, x: Point) -> Point:
-        for p, q in self.pairs:
-            if x.startswith(p):
-                return x.drop(len(p)).prepend(q)
-        raise AssertionError("incomplete table")
-
+        return EPHomeo.make(PointContext(0), pairs, ())

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd, lcm
 
 from .cantor import (
     Clopen,
     Point,
     PointContext,
-    Table,
     TailClopen,
     check_tiling,
     merge_sibling_pairs,
@@ -39,7 +38,8 @@ from .seqs import EPSet, ap_intersect, match_ones
 @dataclass(frozen=True)
 class TailPiece:
     """cell(branch, first + k*step) -> cell(target, ifirst + k*istep),
-    with `cellmap` applied to the suffix inside the cell."""
+    with `cellmap`, a homeomorphism of X = X° on PointContext(0), applied
+    to the suffix inside the cell."""
 
     branch: int
     first: int
@@ -47,7 +47,7 @@ class TailPiece:
     target: int
     ifirst: int
     istep: int
-    cellmap: Table
+    cellmap: EPHomeo
 
     def covers(self, j: int) -> bool:
         return j >= self.first and (j - self.first) % self.step == 0
@@ -86,10 +86,11 @@ class EPHomeo:
         return EPHomeo(ctx, tuple(pairs), tuple(pieces))
 
     @staticmethod
+    @cache
     def identity(ctx: PointContext) -> "EPHomeo":
         """Built in its canonical form, which `make` would return."""
         pieces = tuple(
-            TailPiece(i, 1, 1, i, 1, 1, Table.identity())
+            TailPiece(i, 1, 1, i, 1, 1, EPHomeo.identity(PointContext(0)))
             for i in range(1, ctx.n + 1)
         )
         return EPHomeo(ctx, (("1" * ctx.n, "1" * ctx.n),), pieces)
@@ -180,6 +181,8 @@ class EPHomeo:
     # -- group structure ------------------------------------------------------
 
     def inverse(self) -> "EPHomeo":
+        if self.is_identity():
+            return self
         return EPHomeo.make(
             self.ctx,
             [(q, p) for p, q in self.pairs],
@@ -190,6 +193,10 @@ class EPHomeo:
         """self after first."""
         if self.ctx != first.ctx:
             raise ContextMismatch((self.ctx, first.ctx))
+        if self.is_identity():
+            return first
+        if first.is_identity():
+            return self
         ctx = self.ctx
         new_pieces = []
         for p1 in first.pieces:
@@ -470,6 +477,7 @@ def orbit_witness(c1: TailClopen, c2: TailClopen) -> EPHomeo:
     F1, F2 = region.difference(E1), region.difference(E2)
     pairs = []
     pieces = []
+    ident = EPHomeo.identity(PointContext(0))
     for i in range(1, ctx.n + 1):
         in1, in2 = a.tail_epset(i), b.tail_epset(i)
         out1 = in1.complement().difference(EPSet.from_ap(1, 1).difference(EPSet.from_ap(D + 1, 1)))
@@ -484,10 +492,7 @@ def orbit_witness(c1: TailClopen, c2: TailClopen) -> EPHomeo:
             pairs += [
                 (ctx.cellword(i, j), ctx.cellword(i, jj)) for j, jj in singles
             ]
-            pieces += [
-                TailPiece(i, f, s, i, f2, s2, Table.identity())
-                for (f, s), (f2, s2) in aps
-            ]
+            pieces += [TailPiece(i, f, s, i, f2, s2, ident) for (f, s), (f2, s2) in aps]
         if i in t1.outs:
             j1, j2 = out1.kth_one(0), out2.kth_one(0)
             F1 = F1.union(ctx.cell(i, j1))
@@ -498,10 +503,7 @@ def orbit_witness(c1: TailClopen, c2: TailClopen) -> EPHomeo:
             pairs += [
                 (ctx.cellword(i, j), ctx.cellword(i, jj)) for j, jj in singles
             ]
-            pieces += [
-                TailPiece(i, f, s, i, f2, s2, Table.identity())
-                for (f, s), (f2, s2) in aps
-            ]
+            pieces += [TailPiece(i, f, s, i, f2, s2, ident) for (f, s), (f2, s2) in aps]
     pairs += _match_clopens(E1, E2)
     pairs += _match_clopens(F1, F2)
     return EPHomeo.make(ctx, pairs, pieces)
@@ -598,7 +600,7 @@ def cross_branch_involution(ctx: PointContext) -> EPHomeo:
     homeomorphism of X° that admits no continuous extension to X."""
     if ctx.n != 2:
         raise ContextMismatch("needs exactly two distinguished points")
-    ident = Table.identity()
+    ident = EPHomeo.identity(PointContext(0))
     pieces = [
         TailPiece(1, 1, 2, 1, 1, 2, ident),
         TailPiece(1, 2, 2, 2, 2, 2, ident),

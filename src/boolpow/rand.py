@@ -8,7 +8,7 @@ import random
 from typing import Optional
 
 from .autgroup import AutLabeling, PowerAutomorphism
-from .cantor import Clopen, PointContext, Table, TailClopen, is_good
+from .cantor import Clopen, PointContext, TailClopen, is_good
 from .homeo import EPHomeo, TailPiece, orbit_witness
 from .power import PowerContext
 
@@ -50,7 +50,7 @@ def random_good_tailclopen(
 def tail_shift(pctx: PointContext, i: int, by: int = 1) -> EPHomeo:
     """cell(i, j) -> cell(i, j + by); the freed cells are fed from a slice
     of the off-branch region."""
-    ident = Table.identity()
+    ident = EPHomeo.identity(PointContext(0))
     pieces = [
         TailPiece(k, 1, 1, k, 1, 1, ident) for k in range(1, pctx.n + 1) if k != i
     ]
@@ -63,7 +63,7 @@ def tail_shift(pctx: PointContext, i: int, by: int = 1) -> EPHomeo:
 
 def parity_swap(pctx: PointContext, i: int) -> EPHomeo:
     """Swap cell(i, 2k-1) with cell(i, 2k) for every k; an involution."""
-    ident = Table.identity()
+    ident = EPHomeo.identity(PointContext(0))
     pieces = [
         TailPiece(k, 1, 1, k, 1, 1, ident) for k in range(1, pctx.n + 1) if k != i
     ]
@@ -73,14 +73,15 @@ def parity_swap(pctx: PointContext, i: int) -> EPHomeo:
     return EPHomeo.make(pctx, pairs, pieces)
 
 
-def suffix_twist(pctx: PointContext, i: int, table: Optional[Table] = None) -> EPHomeo:
-    """Apply a fixed tabular self-map inside every cell of branch i."""
-    table = table or Table.make([("0", "1"), ("1", "0")])
-    ident = Table.identity()
+def suffix_twist(pctx: PointContext, i: int, cellmap: Optional[EPHomeo] = None) -> EPHomeo:
+    """Apply a fixed homeomorphism of X (by default the first-bit swap)
+    inside every cell of branch i."""
+    cellmap = cellmap or EPHomeo.make(PointContext(0), [("0", "1"), ("1", "0")], ())
+    ident = EPHomeo.identity(PointContext(0))
     pieces = [
         TailPiece(k, 1, 1, k, 1, 1, ident) for k in range(1, pctx.n + 1) if k != i
     ]
-    pieces.append(TailPiece(i, 1, 1, i, 1, 1, table))
+    pieces.append(TailPiece(i, 1, 1, i, 1, 1, cellmap))
     return EPHomeo.make(pctx, [("1" * pctx.n, "1" * pctx.n)], pieces)
 
 
@@ -90,7 +91,7 @@ def cell_swap(pctx: PointContext, w1: str, w2: str) -> EPHomeo:
     for w in (w1, w2):
         if not Clopen.make([w]).is_subset(region):
             raise ValueError(f"{w!r} not inside the depth-2 exceptional region")
-    ident = Table.identity()
+    ident = EPHomeo.identity(PointContext(0))
     pieces = [
         TailPiece(k, 3, 1, k, 3, 1, ident) for k in range(1, pctx.n + 1)
     ]

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from .algebra import FiniteAlgebra, from_json as algebra_from_json, to_json as algebra_to_json
-from .cantor import Clopen, PointContext, Table, TailClopen
+from .cantor import Clopen, PointContext, TailClopen
+from .errors import NotBijective, OverlappingDomains
 from .fraisse import PowerEmbedding
 from .homeo import EPHomeo, TailPiece
 from .power import PowerContext, PowerElement
@@ -53,19 +54,17 @@ def homeo_to_obj(h: EPHomeo):
 
 
 def homeo_from_obj(ctx: PointContext, obj) -> EPHomeo:
+    """The homeomorphism the object describes; a cell map that is no
+    bijection of X is a ValueError, as bad data."""
     pieces = []
     for t in obj["tails"]:
         first, ifirst, istep = t["affine"]
+        try:
+            cellmap = EPHomeo.make(PointContext(0), t["cellmaps"], ())
+        except (OverlappingDomains, NotBijective) as e:
+            raise ValueError(f"cell map: {e}") from e
         pieces.append(
-            TailPiece(
-                t["branch"],
-                first,
-                t["modulus"],
-                t["target"],
-                ifirst,
-                istep,
-                Table.make(t["cellmaps"]),
-            )
+            TailPiece(t["branch"], first, t["modulus"], t["target"], ifirst, istep, cellmap)
         )
     return EPHomeo.make(ctx, [tuple(p) for p in obj["pairs"]], pieces)
 

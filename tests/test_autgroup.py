@@ -118,15 +118,14 @@ def test_from_homeo_identity_labeling():
 
 def test_from_homeo_rejects_moving_points():
     # branch swap moves x_1 to x_2
-    from boolpow.cantor import Table
     from boolpow.homeo import TailPiece
 
     swap = EPHomeo.make(
         CTX4.points,
         [("11", "11")],
         [
-            TailPiece(1, 1, 1, 2, 1, 1, Table.identity()),
-            TailPiece(2, 1, 1, 1, 1, 1, Table.identity()),
+            TailPiece(1, 1, 1, 2, 1, 1, EPHomeo.identity(PointContext(0))),
+            TailPiece(2, 1, 1, 1, 1, 1, EPHomeo.identity(PointContext(0))),
         ],
     )
     with pytest.raises(PointNotFixed):

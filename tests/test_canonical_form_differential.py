@@ -35,7 +35,7 @@ from hypothesis import strategies as st
 from boolpow.cantor import (
     Clopen,
     PointContext,
-    Table,
+    build,
     merge_sibling_pairs,
     prefix_overlap,
 )
@@ -54,8 +54,8 @@ from boolpow.rand import (
 CTXS = {n: PointContext(n) for n in (1, 2, 3)}
 PARTITIONS = {n: good_partition(ctx) for n, ctx in CTXS.items()}
 TWISTS = [
-    Table.make([("0", "1"), ("1", "0")]),
-    Table.make([("00", "1"), ("01", "01"), ("1", "00")]),
+    EPHomeo.make(PointContext(0), [("0", "1"), ("1", "0")], ()),
+    EPHomeo.make(PointContext(0), [("00", "1"), ("01", "01"), ("1", "00")], ()),
 ]
 
 # ---------------------------------------------------------------------------
@@ -73,6 +73,17 @@ def divisors(m: int) -> list[int]:
                 big.append(m // d)
         d += 1
     return small + big[::-1]
+
+
+def old_table_pairs(pairs) -> tuple:
+    """The merged pairs of a bijection of X, as ``Table.make`` built
+    them when cell maps were their own type: a ValueError unless both
+    sides tile X."""
+    pairs = [(str(p), str(q)) for p, q in pairs]
+    for side, k in (("source", 0), ("image", 1)):
+        cells = [(pair[k], True) for pair in pairs]
+        build(cells, True, f"{side} cells", f"{side} cells do not cover X")
+    return merge_sibling_pairs(pairs)
 
 
 def old_ap_coverage(aps, cap: int = 1 << 22):
@@ -193,12 +204,12 @@ def old_canonicalize(ctx, pairs, pieces):
                 if not inside or not all(q.startswith(cw2) for _, q in inside):
                     break
                 try:
-                    rel = Table.make(
+                    rel = old_table_pairs(
                         [(p[len(cw):], q[len(cw2):]) for p, q in inside]
                     )
                 except ValueError:
                     break
-                if rel != cm:
+                if rel != cm.pairs:
                     break
                 for pr in inside:
                     pairs.remove(pr)

@@ -7,7 +7,6 @@ from boolpow.cantor import (
     ClopenType,
     Point,
     PointContext,
-    Table,
     TailClopen,
     cell_witness,
     is_good,
@@ -18,6 +17,7 @@ from boolpow.cantor import (
     type_of,
 )
 from boolpow.errors import EmptyInput, EmptyOrFull, NotGood
+from boolpow.homeo import EPHomeo
 from boolpow.seqs import EPSet, ap_intersect, match_ones
 
 words = st.lists(
@@ -321,24 +321,24 @@ def test_split_cyclic_partitions(c, parts):
     assert u == c
 
 
-# --- tabular bijections ----------------------------------------------------
+# --- cell maps: homeomorphisms of X on PointContext(0) --------------------
 
 
 def test_table_identity_and_swap():
-    t = Table.make([("0", "1"), ("1", "0")])
+    t = EPHomeo.make(PointContext(0), [("0", "1"), ("1", "0")], ())
     assert t.apply_point(Point.make("", "0")) == Point.make("1", "0")
     assert t.compose(t).is_identity()
     assert t.inverse() == t
 
 
 def test_table_reduction():
-    t = Table.make([("00", "00"), ("01", "01"), ("1", "1")])
+    t = EPHomeo.make(PointContext(0), [("00", "00"), ("01", "01"), ("1", "1")], ())
     assert t.is_identity()
 
 
 def test_table_compose_shift():
     # x -> 0x composed with its inverse
-    shift = Table.make([("0", "00"), ("10", "01"), ("11", "1")])
+    shift = EPHomeo.make(PointContext(0), [("0", "00"), ("10", "01"), ("11", "1")], ())
     inv = shift.inverse()
     assert shift.compose(inv).is_identity()
     assert inv.compose(shift).is_identity()
@@ -349,7 +349,7 @@ def test_table_apply_clopen():
     # every cell of the branch, through EPHomeo.apply
     from boolpow.rand import suffix_twist
 
-    t = Table.make([("0", "1"), ("1", "0")])
+    t = EPHomeo.make(PointContext(0), [("0", "1"), ("1", "0")], ())
     ctx = PointContext(1)
     h = suffix_twist(ctx, 1, t)
     assert h.pieces[0].cellmap == t

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from boolpow.cantor import Clopen, Table, _words, build, merge_sibling_pairs
+from boolpow.cantor import Clopen, PointContext, _words, build, merge_sibling_pairs
+from boolpow.homeo import EPHomeo
 
 # ---------------------------------------------------------------------------
 # oracle: canonical antichain algebra on frozensets of binary words
@@ -268,17 +269,21 @@ def table_pairs(draw):
     return draw(st.permutations(pairs + dups))
 
 
+def cellmap(pairs) -> EPHomeo:
+    return EPHomeo.make(PointContext(0), pairs, ())
+
+
 @given(table_pairs())
 def test_merge_table_pairs_matches_oracle(pairs):
     assert merge_sibling_pairs(pairs) == oracle_reduce_pairs(pairs)
-    t = Table.make(set(pairs))
+    t = cellmap(set(pairs))
     assert t.pairs == oracle_reduce_pairs(pairs)
     assert t.inverse().pairs == oracle_reduce_pairs([(q, p) for p, q in pairs])
 
 
 @given(table_pairs(), table_pairs())
 def test_table_compose_matches_oracle(p1, p2):
-    a, b = Table.make(set(p1)), Table.make(set(p2))
+    a, b = cellmap(set(p1)), cellmap(set(p2))
     out = []  # the composed pairs, duplicates included, before merging
     for p, q in b.pairs:
         for p2, q2 in a.pairs:

@@ -9,7 +9,6 @@ from boolpow.cantor import (
     Clopen,
     Point,
     PointContext,
-    Table,
     TailClopen,
     is_good,
     type_of,
@@ -36,7 +35,7 @@ CTX2 = PointContext(2)
 def shift_homeo(ctx, i, by=1):
     """cell(i, j) -> cell(i, j + by); the first `by` image cells are fed
     from a slice of the off-branch region."""
-    ident = Table.identity()
+    ident = EPHomeo.identity(PointContext(0))
     pieces = [
         TailPiece(k, 1, 1, k, 1, 1, ident)
         for k in range(1, ctx.n + 1)
@@ -64,7 +63,7 @@ def test_identity_fixed_points():
 
 def test_identity_canonical():
     # a redundantly presented identity collapses to the canonical one
-    ident = Table.identity()
+    ident = EPHomeo.identity(PointContext(0))
     pieces = [
         TailPiece(1, 1, 2, 1, 1, 2, ident),
         TailPiece(1, 2, 2, 1, 2, 2, ident),
@@ -75,7 +74,7 @@ def test_identity_canonical():
 
 def test_identity_canonical_with_table_cells():
     # identity presented with the first two cells in the tabular part
-    ident = Table.identity()
+    ident = EPHomeo.identity(PointContext(0))
     pieces = [TailPiece(1, 3, 1, 1, 3, 1, ident)]
     pairs = [("1", "1"), ("01", "01"), ("001", "001")]
     h = EPHomeo.make(CTX1, pairs, pieces)
@@ -85,7 +84,8 @@ def test_identity_canonical_with_table_cells():
 @pytest.mark.parametrize("n", range(5))
 def test_identity_is_built_canonical(n):
     ctx = PointContext(n)
-    pieces = [TailPiece(i, 1, 1, i, 1, 1, Table.identity()) for i in range(1, n + 1)]
+    ident = EPHomeo.identity(PointContext(0))
+    pieces = [TailPiece(i, 1, 1, i, 1, 1, ident) for i in range(1, n + 1)]
     h = EPHomeo.identity(ctx)
     assert h == EPHomeo.make(ctx, [("1" * n, "1" * n)], pieces)
     assert h.is_identity()
@@ -263,7 +263,7 @@ def test_glue_two_swapped_cells():
     swap = EPHomeo.make(
         ctx,
         [("10", "11"), ("11", "10")],
-        [TailPiece(1, 1, 1, 1, 1, 1, Table.identity())],
+        [TailPiece(1, 1, 1, 1, 1, 1, EPHomeo.identity(PointContext(0)))],
     )
     g = piecewise_glue([(c1, swap), (c2, swap)])
     assert g.compose(g).is_identity()
@@ -292,7 +292,7 @@ def test_glue_rejects_nonbijective():
     swap = EPHomeo.make(
         ctx,
         [("10", "11"), ("11", "10")],
-        [TailPiece(1, 1, 1, 1, 1, 1, Table.identity())],
+        [TailPiece(1, 1, 1, 1, 1, 1, EPHomeo.identity(PointContext(0)))],
     )
     # piece 1 keeps {10} in place, piece 2 sends {11} onto {10}: collision
     with pytest.raises(NotBijective):

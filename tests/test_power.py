@@ -307,7 +307,6 @@ def test_restriction_iso_frobenius():
 
 
 def _swap_homeo(pctx):
-    from boolpow.cantor import Table
     from boolpow.homeo import TailPiece
 
     # exchange the branch structures of the two points, fix the off region
@@ -315,8 +314,8 @@ def _swap_homeo(pctx):
         pctx,
         [("11", "11")],
         [
-            TailPiece(1, 1, 1, 2, 1, 1, Table.identity()),
-            TailPiece(2, 1, 1, 1, 1, 1, Table.identity()),
+            TailPiece(1, 1, 1, 2, 1, 1, EPHomeo.identity(PointContext(0))),
+            TailPiece(2, 1, 1, 1, 1, 1, EPHomeo.identity(PointContext(0))),
         ],
     )
 

@@ -30,7 +30,6 @@ from boolpow.algebra import Endomap
 from boolpow.cantor import (
     Clopen,
     PointContext,
-    Table,
     TailClopen,
     _max_branch_index,
     _words,
@@ -388,8 +387,8 @@ def test_apply_through_a_twisting_cellmap():
     # the halves 0 and 1 swapped inside every odd cell of branch 1; the
     # clopens cut cells below their threshold
     ctx = PointContext(1)
-    t = Table.make([("0", "1"), ("1", "0")])
-    ident = Table.identity()
+    t = EPHomeo.make(PointContext(0), [("0", "1"), ("1", "0")], ())
+    ident = EPHomeo.identity(PointContext(0))
     h = EPHomeo.make(
         ctx,
         [("1", "1")],
@@ -475,8 +474,8 @@ def test_restriction_iso_matches_per_cell_images():
         ctx.points,
         [("11", "11")],
         [
-            TailPiece(1, 1, 1, 2, 1, 1, Table.identity()),
-            TailPiece(2, 1, 1, 1, 1, 1, Table.identity()),
+            TailPiece(1, 1, 1, 2, 1, 1, EPHomeo.identity(PointContext(0))),
+            TailPiece(2, 1, 1, 1, 1, 1, EPHomeo.identity(PointContext(0))),
         ],
     )
     b1, b2 = Clopen.make(["0"]), Clopen.make(["10"])

@@ -22,7 +22,8 @@ from hypothesis import strategies as st
 from boolpow import algebra as alg
 from boolpow import power as bp
 from boolpow.autgroup import AutLabeling, PowerAutomorphism
-from boolpow.cantor import Table
+from boolpow.cantor import PointContext
+from boolpow.homeo import EPHomeo
 from boolpow.rand import parity_swap, random_automorphism, suffix_twist, tail_shift
 
 GF4 = alg.gf4_idempotent_reduct()
@@ -78,8 +79,8 @@ def homeos(draw, ctx, x, y):
     table = draw(
         st.sampled_from(
             [
-                Table.make([("0", "1"), ("1", "0")]),
-                Table.make([("00", "1"), ("01", "01"), ("1", "00")]),
+                EPHomeo.make(PointContext(0), [("0", "1"), ("1", "0")], ()),
+                EPHomeo.make(PointContext(0), [("00", "1"), ("01", "01"), ("1", "00")], ()),
             ]
         )
     )

@@ -20,6 +20,7 @@ from .cantor import (
     type_of,
 )
 from .errors import (
+    BoolpowError,
     EmptyGeneratorSet,
     NoPoints,
     PreconditionNotGood,
@@ -123,12 +124,12 @@ def three_factor_split(
             f = _first_cell(d)
         try:
             tau1 = orbit_witness(A, f)
-        except Exception as e:  # pragma: no cover - guarded by type theory
+        except BoolpowError as e:
             raise TypeWitnessFailure(f"no witness A -> f: {e}") from e
     Bprime = cd.difference(f)
     try:
         tau2 = orbit_witness(B, Bprime)
-    except Exception as e:
+    except BoolpowError as e:
         raise TypeWitnessFailure(f"no witness onto the complement: {e}") from e
     parts = [(B, tau2)]
     if tau1 is not None:

@@ -6,7 +6,13 @@ from boolpow import algebra as alg
 from boolpow import factorization as fz
 from boolpow import power as bp
 from boolpow.cantor import Clopen, PointContext, TailClopen, is_good
-from boolpow.errors import EmptyGeneratorSet, NoPoints, PreconditionNotGood
+from boolpow.errors import (
+    EmptyGeneratorSet,
+    NoPoints,
+    PreconditionNotGood,
+    TypeMismatch,
+    TypeWitnessFailure,
+)
 from boolpow.homeo import EPHomeo, homeos_agree_on_sample
 from boolpow.rand import (
     cell_swap,
@@ -70,6 +76,31 @@ def test_three_factor_split_shift():
     assert fz.fixes_pointwise(s2, c)
     assert fz.fixes_pointwise(s3, b)
     assert homeos_agree_on_sample(s3.compose(s2).compose(s1), sigma, depth=32)
+
+
+@pytest.mark.parametrize("shift", [0, 2], ids=["identity", "tail-shift"])
+def test_three_factor_split_witness_errors(monkeypatch, shift):
+    # a typed failure of a witness is a TypeWitnessFailure; a defect (an
+    # AssertionError) comes out as it is.  The identity first fails at the
+    # witness onto the complement, the shift at the witness A -> f.
+    gp = fz.good_partition(CTX1)
+    b, c, d = gp.blocks
+    sigma = tail_shift(CTX1, 1, shift) if shift else EPHomeo.identity(CTX1)
+    if not is_good(d.difference(sigma.inverse().apply(b))):
+        pytest.skip("precondition fails for this block choice")
+
+    def failing(error):
+        def witness(c1, c2):
+            raise error
+
+        return witness
+
+    monkeypatch.setattr(fz, "orbit_witness", failing(TypeMismatch("no witness")))
+    with pytest.raises(TypeWitnessFailure):
+        fz.three_factor_split(sigma, b, c, d)
+    monkeypatch.setattr(fz, "orbit_witness", failing(AssertionError("defect")))
+    with pytest.raises(AssertionError, match="defect"):
+        fz.three_factor_split(sigma, b, c, d)
 
 
 def test_three_factor_precondition_checks():

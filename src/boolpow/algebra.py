@@ -480,6 +480,12 @@ def subalgebra_generated(alg: FiniteAlgebra, gens: Iterable[int]) -> frozenset[i
 # may make.  free-algebra rank 3 on gf2-idempotent-reduct, the largest
 # closure in the goldens, makes 266,240 * 8 = 2,129,920.
 CLOSURE_EVALS = 1 << 23
+# Generator closures one subalgebra enumeration may take above size 8,
+# nodes one automorphism search may visit, and entries one operation table
+# of a direct power may have.
+SUBALGEBRA_CLOSURES = 1 << 16
+AUTOMORPHISM_NODES = 1 << 20
+POWER_TABLE_ENTRIES = 2_000_000
 
 
 def pointwise_closure(alg: FiniteAlgebra, gens, budget: int) -> dict:
@@ -552,7 +558,7 @@ def pointwise_closure(alg: FiniteAlgebra, gens, budget: int) -> dict:
     return found
 
 
-def subalgebras(alg: FiniteAlgebra, budget: int = 1 << 16) -> list[frozenset[int]]:
+def subalgebras(alg: FiniteAlgebra) -> list[frozenset[int]]:
     """All nonempty closed subsets.
 
     Direct subset check up to size 8, generator-closure enumeration above.
@@ -571,7 +577,7 @@ def subalgebras(alg: FiniteAlgebra, budget: int = 1 << 16) -> list[frozenset[int
         for a in alg.carrier:
             cl = subalgebra_generated(alg, set(sub) | {a})
             count += 1
-            if count > budget:
+            if count > SUBALGEBRA_CLOSURES:
                 raise SearchBudgetExceeded("subalgebra enumeration budget")
             if cl not in found:
                 found.add(cl)
@@ -616,7 +622,7 @@ def identity_endomap(alg: FiniteAlgebra) -> Endomap:
     return Endomap(tuple(alg.carrier), True)
 
 
-def automorphisms(alg: FiniteAlgebra, budget: int = 1 << 20) -> list[Endomap]:
+def automorphisms(alg: FiniteAlgebra) -> list[Endomap]:
     """All bijective operation-preserving maps, by pruned backtracking."""
     n = alg.size
     out = []
@@ -638,7 +644,7 @@ def automorphisms(alg: FiniteAlgebra, budget: int = 1 << 20) -> list[Endomap]:
     def backtrack(partial, used, a):
         nonlocal nodes
         nodes += 1
-        if nodes > budget:
+        if nodes > AUTOMORPHISM_NODES:
             raise SearchBudgetExceeded("automorphism search budget")
         if a == n:
             out.append(Endomap(tuple(partial), True))
@@ -679,15 +685,13 @@ def is_abelian(alg: FiniteAlgebra) -> bool:
     return block == set(diag)
 
 
-def direct_power(
-    alg: FiniteAlgebra, k: int, budget: int = 2_000_000
-) -> FiniteAlgebra:
+def direct_power(alg: FiniteAlgebra, k: int) -> FiniteAlgebra:
     if k < 1:
         raise OutOfRange("power exponent must be >= 1")
     size = alg.size**k
     tables = []
     for opk, (_, arity) in enumerate(alg.signature):
-        if size**arity > budget:
+        if size**arity > POWER_TABLE_ENTRIES:
             raise SizeBudgetExceeded(f"table of size {size ** arity}")
         table = []
         for args in product(range(size), repeat=arity):

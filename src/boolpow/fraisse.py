@@ -604,7 +604,11 @@ def back_and_forth(
     return trace
 
 
-def trace_extends(trace: Sequence[TraceStep], sample_cap: int = 256) -> bool:
+# Argument tuples per trace step that trace_extends checks, evenly spaced.
+TRACE_SAMPLE = 256
+
+
+def trace_extends(trace: Sequence[TraceStep]) -> bool:
     """Consecutive trace entries agree through their connectors: both new
     sides composed with rho reproduce the old sides, so the partial
     isomorphisms form a chain under inclusion."""
@@ -612,8 +616,8 @@ def trace_extends(trace: Sequence[TraceStep], sample_cap: int = 256) -> bool:
         A = prev.left.ctx.algebra
         u = prev.left.u
         tuples = list(product(range(A.size), repeat=u))
-        if len(tuples) > sample_cap:
-            tuples = tuples[::max(1, len(tuples) // sample_cap)]
+        if len(tuples) > TRACE_SAMPLE:
+            tuples = tuples[::max(1, len(tuples) // TRACE_SAMPLE)]
         for a in tuples:
             img = cur.connector.eval(a)
             if cur.left.eval(img) != prev.left.eval(a):

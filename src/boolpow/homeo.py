@@ -174,9 +174,7 @@ class EPHomeo:
         extension to X to exist."""
         if self.point_map() is None:
             raise NotExtendable("no continuous extension")
-        img = self.apply(TailClopen.from_clopen(self.ctx, b))
-        out = img.to_clopen()
-        return out
+        return self.apply(b).to_clopen()
 
     # -- group structure ------------------------------------------------------
 
@@ -437,12 +435,7 @@ def _pairs_on(h: EPHomeo, w: str):
         if piece.branch == k + 1 and piece.covers(j):
             cw = w[: k + j + 1]
             cw2 = ctx.cellword(piece.target, piece.image_of(j))
-            u = w[len(cw):]
-            for a, b in piece.cellmap.pairs:
-                if a.startswith(u):
-                    out.append((cw + a, cw2 + b))
-                elif u.startswith(a) and u != a:
-                    out.append((cw + u, cw2 + b + u[len(a):]))
+            out += [(cw + a, cw2 + b) for a, b in _pairs_on(piece.cellmap, w[len(cw):])]
     return out
 
 
@@ -614,18 +607,22 @@ def cross_branch_involution(ctx: PointContext) -> EPHomeo:
 # truncation oracles (independent cross-checks)
 
 
-def witness_points(ctx: PointContext, depth: int, within_cell_words=("", "0", "1", "01")):
+# Words read after a cell's prefix by the witness points inside it.
+WITNESS_SUFFIXES = ("", "0", "1", "01")
+
+
+def witness_points(ctx: PointContext, depth: int):
     """Deterministic sample of eventually periodic points: several
     witnesses inside every branch cell of index <= depth plus off-branch
     witnesses."""
     pts = []
     for i in range(1, ctx.n + 1):
         for j in range(1, depth + 1):
-            for u in within_cell_words:
+            for u in WITNESS_SUFFIXES:
                 pts.append(Point.make(ctx.cellword(i, j) + u + "01", "01"))
             pts.append(Point.make(ctx.cellword(i, j), "0"))
     off = "1" * ctx.n
-    for u in within_cell_words:
+    for u in WITNESS_SUFFIXES:
         pts.append(Point.make(off + u + "01", "01"))
         pts.append(Point.make(off + u, "0"))
         pts.append(Point.make(off + u, "1"))

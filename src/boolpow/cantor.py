@@ -2,12 +2,12 @@
 points, and clopens of the punctured space X° = X minus the points.
 
 Clopens and labeled clopen partitions are canonical labeled binary trees,
-read out as sorted prefix antichains.  Points are eventually periodic
-binary sequences.  A context fixes n distinguished points x_i = 1^(i-1) 0^w
-whose punctured neighbourhoods decompose into the branch cells
-cell(i, j) = 1^(i-1) 0^j 1 . X (j >= 1); labelings and clopens of X° are
-one labeled tree below a threshold plus one periodic label word per
-branch.
+read out as sorted prefix antichains.  A point of X is an EPSeq over
+"01", an eventually periodic binary sequence.  A context fixes n
+distinguished points x_i = 1^(i-1) 0^w whose punctured neighbourhoods
+decompose into the branch cells cell(i, j) = 1^(i-1) 0^j 1 . X (j >= 1);
+labelings and clopens of X° are one labeled tree below a threshold plus
+one periodic label word per branch.
 """
 
 from __future__ import annotations
@@ -113,12 +113,12 @@ def _common_cells(ts, prefix, out):
     return out
 
 
-def _at(t, x: Point):
+def _at(t, x: EPSeq):
     """The leaf of t at the point x, and the length of its cell's word."""
     i = 0
     while t.__class__ is tuple:
-        t = t[x.bit(i) == "1"]
         i += 1
+        t = t[x.at(i) == "1"]
     return t, i
 
 
@@ -312,54 +312,16 @@ def split(b: Clopen) -> tuple[Clopen, Clopen]:
 
 
 # ---------------------------------------------------------------------------
-# eventually periodic points
+# points of X
 
 
-@dataclass(frozen=True)
-class Point:
-    """The sequence pre . per^w, with minimal preperiod and primitive period."""
-
-    pre: str
-    per: str
-
-    @staticmethod
-    def make(pre: str, per: str) -> "Point":
-        if not per or any(c not in "01" for c in pre + per):
-            raise ValueError((pre, per))
-        s = EPSeq.make(pre, per)
-        return Point(s.head, s.word)
-
-    def bit(self, i: int) -> str:
-        if i < len(self.pre):
-            return self.pre[i]
-        return self.per[(i - len(self.pre)) % len(self.per)]
-
-    def startswith(self, w: str) -> bool:
-        return self.prefix(len(w)) == w
-
-    def drop(self, k: int) -> "Point":
-        if k <= len(self.pre):
-            return Point.make(self.pre[k:], self.per)
-        sh = (k - len(self.pre)) % len(self.per)
-        return Point.make("", self.per[sh:] + self.per[:sh])
-
-    def prepend(self, w: str) -> "Point":
-        return Point.make(w + self.pre, self.per)
-
-    def prefix(self, k: int) -> str:
-        k = max(k, 0)
-        # ceil((k - len(pre)) / len(per)) periods reach past k
-        reps = -((len(self.pre) - k) // len(self.per))
-        return (self.pre + self.per * reps)[:k]
-
-
-def point_in(x: Point, b: Clopen) -> bool:
+def point_in(x: EPSeq, b: Clopen) -> bool:
     return _at(b._t, x)[0]
 
 
-def cell_witness(w: str) -> Point:
+def cell_witness(w: str) -> EPSeq:
     """A canonical point inside cell(w) distinct from every x_i."""
-    return Point.make(w, "01")
+    return EPSeq.make(w, "01")
 
 
 # ---------------------------------------------------------------------------
@@ -376,12 +338,12 @@ class PointContext:
         if self.n < 0:
             raise ValueError(self.n)
 
-    def point(self, i: int) -> Point:
+    def point(self, i: int) -> EPSeq:
         if not 1 <= i <= self.n:
             raise IndexError(i)
-        return Point("1" * (i - 1), "0")  # canonical as it stands
+        return EPSeq("1" * (i - 1), "0")  # canonical as it stands
 
-    def points(self) -> list[Point]:
+    def points(self) -> list[EPSeq]:
         return [self.point(i) for i in range(1, self.n + 1)]
 
     def cellword(self, i: int, j: int) -> str:
@@ -409,21 +371,21 @@ class PointContext:
             t = (below, t)
         return Clopen(t)
 
-    def locate(self, x: Point):
+    def locate(self, x: EPSeq):
         """("point", i) / ("cell", i, j, suffix) / ("off", None)."""
         ones = 0
-        while ones < self.n and x.bit(ones) == "1":
+        while ones < self.n and x.at(ones + 1) == "1":
             ones += 1
         if ones >= self.n:
             return ("off", None)
         i = ones + 1
-        rest = x.drop(ones)
-        if rest == Point.make("", "0"):
+        rest = x.shift(ones)
+        if rest == EPSeq("", "0"):
             return ("point", i)
         zeros = 0
-        while rest.bit(zeros) == "0":
+        while rest.at(zeros + 1) == "0":
             zeros += 1
-        return ("cell", i, zeros, rest.drop(zeros + 1))
+        return ("cell", i, zeros, rest.shift(zeros + 1))
 
 
 def tail_cells(ctx: PointContext, threshold: int, label, depths, ends) -> list:
@@ -710,7 +672,7 @@ class TailClopen:
                 out = out.union(Clopen.make([self.ctx.nbhd_word(i, self.threshold + 1)]))
         return out
 
-    def contains_point(self, x: Point) -> bool:
+    def contains_point(self, x: EPSeq) -> bool:
         loc = self.ctx.locate(x)
         if loc[0] == "point":
             return False

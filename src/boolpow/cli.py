@@ -23,7 +23,7 @@ from . import freealg as fa
 from . import power as bp
 from . import serialize as ser
 from .autgroup import PowerAutomorphism, characteristic
-from .cantor import Clopen, Point, PointContext, TailClopen
+from .cantor import Clopen, PointContext, TailClopen
 from .errors import BoolpowError, ParseError, SizeBudgetExceeded
 from .homeo import EPHomeo, cross_branch_involution
 from .rand import random_point_fixing_homeo, suffix_twist, tail_shift

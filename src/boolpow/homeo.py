@@ -17,7 +17,6 @@ from math import gcd, lcm
 
 from .cantor import (
     Clopen,
-    Point,
     PointContext,
     TailClopen,
     check_tiling,
@@ -32,7 +31,7 @@ from .errors import (
     SizeBudgetExceeded,
     TypeMismatch,
 )
-from .seqs import EPSet, ap_intersect, match_ones
+from .seqs import EPSeq, EPSet, ap_intersect, match_ones
 
 
 @dataclass(frozen=True)
@@ -122,7 +121,7 @@ class EPHomeo:
         return out
 
     def extends_to_X(self) -> bool:
-        """Point-fixing extension: every branch tail stays on its branch."""
+        """A point-fixing extension: every branch tail stays on its branch."""
         pm = self.point_map()
         return pm is not None and all(pm[i] == i for i in pm)
 
@@ -141,7 +140,7 @@ class EPHomeo:
 
     # -- action -------------------------------------------------------------
 
-    def apply_point(self, x: Point) -> Point:
+    def apply_point(self, x: EPSeq) -> EPSeq:
         loc = self.ctx.locate(x)
         if loc[0] == "point":
             pm = self.point_map()
@@ -158,7 +157,7 @@ class EPHomeo:
                     )
         for p, q in self.pairs:
             if x.startswith(p):
-                return x.drop(len(p)).prepend(q)
+                return x.shift(len(p)).prepend(q)
         raise AssertionError("point escaped the domain partition")
 
     def apply(self, b) -> TailClopen:
@@ -619,13 +618,13 @@ def witness_points(ctx: PointContext, depth: int):
     for i in range(1, ctx.n + 1):
         for j in range(1, depth + 1):
             for u in WITNESS_SUFFIXES:
-                pts.append(Point.make(ctx.cellword(i, j) + u + "01", "01"))
-            pts.append(Point.make(ctx.cellword(i, j), "0"))
+                pts.append(EPSeq.make(ctx.cellword(i, j) + u + "01", "01"))
+            pts.append(EPSeq.make(ctx.cellword(i, j), "0"))
     off = "1" * ctx.n
     for u in WITNESS_SUFFIXES:
-        pts.append(Point.make(off + u + "01", "01"))
-        pts.append(Point.make(off + u, "0"))
-        pts.append(Point.make(off + u, "1"))
+        pts.append(EPSeq.make(off + u + "01", "01"))
+        pts.append(EPSeq.make(off + u, "0"))
+        pts.append(EPSeq.make(off + u, "1"))
     return pts
 
 

@@ -14,7 +14,6 @@ from . import algebra as alg
 from .algebra import Endomap, FiniteAlgebra
 from .cantor import (
     Clopen,
-    Point,
     PointContext,
     _at,
     _common_cells,
@@ -36,6 +35,7 @@ from .errors import (
     SizeBudgetExceeded,
 )
 from .homeo import EPHomeo
+from .seqs import EPSeq
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ class PowerContext:
         )
 
     @cached_property
-    def marked(self) -> tuple[tuple[Point, int], ...]:
+    def marked(self) -> tuple[tuple[EPSeq, int], ...]:
         """Each distinguished point with its filter idempotent."""
         return tuple(zip(self.points.points(), self.filters))
 
@@ -136,7 +136,7 @@ class PowerElement:
         support = Clopen.all() if support is None else support
         return PowerElement.make(ctx, [(w, a) for w in support.words], support)
 
-    def value_at(self, x: Point) -> int:
+    def value_at(self, x: EPSeq) -> int:
         a = _at(self.tree, x)[0]
         if a is None:
             raise ValueError("point outside the support")

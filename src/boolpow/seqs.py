@@ -76,6 +76,20 @@ class EPSeq:
         r = (k - len(h)) % len(w)
         return type(self)(h[:0], w[r:] + w[:r])
 
+    def prefix(self, k: int):
+        """The first k terms (none for k <= 0)."""
+        k = max(k, 0)
+        # ceil((k - len(head)) / len(word)) words reach past k
+        reps = -((len(self.head) - k) // len(self.word))
+        return (self.head + self.word * reps)[:k]
+
+    def startswith(self, w) -> bool:
+        return self.prefix(len(w)) == w
+
+    def prepend(self, w):
+        """The sequence w . self, canonical."""
+        return self.make(w + self.head, self.word)
+
     def _window(self, t: int, L: int):
         """The first t terms and the next L terms; t >= len(head) and L a
         multiple of len(word)."""

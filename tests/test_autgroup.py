@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from boolpow import algebra as alg
 from boolpow import autgroup as ag
 from boolpow import power as bp
-from boolpow.cantor import Clopen, Point, PointContext, TailClopen, type_of
+from boolpow.cantor import Clopen, PointContext, TailClopen, type_of
 from boolpow.errors import (
     IllegalTriple,
     NotSinglePoint,
@@ -24,6 +24,7 @@ from boolpow.rand import (
     random_point_fixing_homeo,
     tail_shift,
 )
+from boolpow.seqs import EPSeq
 
 GF4 = alg.gf4_idempotent_reduct()
 RED = alg.gf2_idempotent_reduct()
@@ -99,7 +100,7 @@ def test_labeling_multiply_and_invert():
     k1 = random_labeling(CTX4, rng)
     k2 = random_labeling(CTX4, rng)
     prod = k1.multiply(k2)
-    x = Point.make("1101", "01")
+    x = EPSeq.make("1101", "01")
     m1 = k1.label_on_word(x.prefix(10))
     m2 = k2.label_on_word(x.prefix(10))
     assert prod.label_on_word(x.prefix(10)) == tuple(m1[m2[a]] for a in range(4))
@@ -145,15 +146,15 @@ def test_apply_from_labeling_squares_cells():
         CTX4, [("00", 0), ("01", 2), ("10", 1), ("11", 3)]
     )
     g = phi.apply(f)
-    assert g.value_at(Point.make("01", "0")) == FROB[2]
-    assert g.value_at(Point.make("11", "0")) == 3
+    assert g.value_at(EPSeq.make("01", "0")) == FROB[2]
+    assert g.value_at(EPSeq.make("11", "0")) == 3
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 3))
 def test_apply_pointwise_oracle(seed, moves):
     phi = random_automorphism(CTX4, random.Random(seed), moves)
-    pts = [Point.make(w + "01", "01") for w in ("000", "010", "101", "110", "111")]
+    pts = [EPSeq.make(w + "01", "01") for w in ("000", "010", "101", "110", "111")]
     pts += CTX4.points.points()
     elems = witness_elements(CTX4)
     for f in elems[:: len(elems) // 7]:

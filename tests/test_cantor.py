@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from boolpow.cantor import (
     Clopen,
     ClopenType,
-    Point,
     PointContext,
     TailClopen,
     cell_witness,
@@ -18,7 +17,7 @@ from boolpow.cantor import (
 )
 from boolpow.errors import EmptyInput, EmptyOrFull, NotGood
 from boolpow.homeo import EPHomeo
-from boolpow.seqs import EPSet, ap_intersect, match_ones
+from boolpow.seqs import EPSeq, EPSet, ap_intersect, match_ones
 
 words = st.lists(
     st.text(alphabet="01", min_size=0, max_size=6), min_size=0, max_size=5
@@ -27,7 +26,7 @@ clopens = words.map(Clopen.make)
 points = st.tuples(
     st.text(alphabet="01", min_size=0, max_size=4),
     st.text(alphabet="01", min_size=1, max_size=4),
-).map(lambda t: Point.make(*t))
+).map(lambda t: EPSeq.make(*t))
 
 
 def tailclopens(n):
@@ -94,16 +93,16 @@ def test_subset_via_difference(a, b):
 
 
 def test_point_membership_basics():
-    one = Point.make("", "1")
-    zero = Point.make("", "0")
+    one = EPSeq.make("", "1")
+    zero = EPSeq.make("", "0")
     assert point_in(one, Clopen.make(["1"]))
     assert not point_in(zero, Clopen.make(["1"]))
-    assert point_in(Point.make("", "01"), Clopen.make(["01"]))
+    assert point_in(EPSeq.make("", "01"), Clopen.make(["01"]))
 
 
 def test_point_canonical():
-    assert Point.make("01", "10") == Point.make("011", "01")
-    assert Point.make("1", "0") != Point.make("", "0")
+    assert EPSeq.make("01", "10") == EPSeq.make("011", "01")
+    assert EPSeq.make("1", "0") != EPSeq.make("", "0")
 
 
 @given(
@@ -113,10 +112,10 @@ def test_point_canonical():
 )
 def test_prefix_and_startswith_match_bits(x, k, tail):
     # the bit-by-bit forms the slicing ones replaced
-    bits = "".join(x.bit(i) for i in range(k))
+    bits = "".join(x.at(i + 1) for i in range(k))
     assert x.prefix(k) == bits
     w = bits + tail
-    assert x.startswith(w) == all(x.bit(i) == c for i, c in enumerate(w))
+    assert x.startswith(w) == all(x.at(i + 1) == c for i, c in enumerate(w))
 
 
 @given(points, clopens)
@@ -172,11 +171,11 @@ def test_cells_avoid_points():
 
 def test_locate():
     ctx = PointContext(2)
-    assert ctx.locate(Point.make("", "0")) == ("point", 1)
-    assert ctx.locate(Point.make("1", "0")) == ("point", 2)
-    assert ctx.locate(Point.make("", "1"))[0] == "off"
-    kind, i, j, suf = ctx.locate(Point.make("001", "1"))
-    assert (kind, i, j) == ("cell", 1, 2) and suf == Point.make("", "1")
+    assert ctx.locate(EPSeq.make("", "0")) == ("point", 1)
+    assert ctx.locate(EPSeq.make("1", "0")) == ("point", 2)
+    assert ctx.locate(EPSeq.make("", "1"))[0] == "off"
+    kind, i, j, suf = ctx.locate(EPSeq.make("001", "1"))
+    assert (kind, i, j) == ("cell", 1, 2) and suf == EPSeq.make("", "1")
 
 
 def test_region_partition():
@@ -326,7 +325,7 @@ def test_split_cyclic_partitions(c, parts):
 
 def test_table_identity_and_swap():
     t = EPHomeo.make(PointContext(0), [("0", "1"), ("1", "0")], ())
-    assert t.apply_point(Point.make("", "0")) == Point.make("1", "0")
+    assert t.apply_point(EPSeq.make("", "0")) == EPSeq.make("1", "0")
     assert t.compose(t).is_identity()
     assert t.inverse() == t
 

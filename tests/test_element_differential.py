@@ -69,7 +69,7 @@ def old_make(ctx, cells, support=None):
         x = ctx.points.point(i)
         if point_in(x, support):
             value = next(
-                a for w, a in cells if all(x.bit(j) == c for j, c in enumerate(w))
+                a for w, a in cells if all(x.at(j + 1) == c for j, c in enumerate(w))
             )
             if value != ctx.filters[i - 1]:
                 raise FilterViolation(

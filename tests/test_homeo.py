@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from boolpow import homeo as hm
 from boolpow.cantor import (
     Clopen,
-    Point,
     PointContext,
     TailClopen,
     is_good,
@@ -27,6 +26,7 @@ from boolpow.homeo import (
     witness_points,
 )
 from boolpow.rand import random_block_preserving_homeo, random_point_fixing_homeo
+from boolpow.seqs import EPSeq
 
 CTX1 = PointContext(1)
 CTX2 = PointContext(2)
@@ -94,7 +94,7 @@ def test_identity_is_built_canonical(n):
 def test_swap_tabular_n0():
     ctx = PointContext(0)
     h = EPHomeo.make(ctx, [("0", "1"), ("1", "0")], [])
-    assert h.apply_point(Point.make("", "0")) == Point.make("1", "0")
+    assert h.apply_point(EPSeq.make("", "0")) == EPSeq.make("1", "0")
     assert h.compose(h).is_identity()
 
 
@@ -107,7 +107,7 @@ def test_shift_compose_inverse():
 
 def test_shift_moves_cells():
     h = shift_homeo(CTX1, 1, by=1)
-    x = Point.make(CTX1.cellword(1, 3) + "01", "01")
+    x = EPSeq.make(CTX1.cellword(1, 3) + "01", "01")
     y = h.apply_point(x)
     assert y.startswith(CTX1.cellword(1, 4))
 
@@ -178,9 +178,9 @@ def test_cross_branch_not_extendable():
 def test_cross_branch_cell_images():
     psi = cross_branch_involution(CTX2)
     # even indices cross branches, odd stay
-    x = Point.make(CTX2.cellword(1, 2) + "01", "01")
+    x = EPSeq.make(CTX2.cellword(1, 2) + "01", "01")
     assert psi.apply_point(x).startswith(CTX2.cellword(2, 2))
-    x = Point.make(CTX2.cellword(1, 3) + "01", "01")
+    x = EPSeq.make(CTX2.cellword(1, 3) + "01", "01")
     assert psi.apply_point(x).startswith(CTX2.cellword(1, 3))
 
 
@@ -267,10 +267,10 @@ def test_glue_two_swapped_cells():
     )
     g = piecewise_glue([(c1, swap), (c2, swap)])
     assert g.compose(g).is_identity()
-    x = Point.make("10" + "01", "01")
+    x = EPSeq.make("10" + "01", "01")
     assert g.apply_point(x).startswith("11")
     # identity away from the two cells
-    y = Point.make(ctx.cellword(1, 1) + "01", "01")
+    y = EPSeq.make(ctx.cellword(1, 1) + "01", "01")
     assert g.apply_point(y) == y
 
 

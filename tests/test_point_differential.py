@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boolpow.cantor import Clopen, PointContext, point_in
-from boolpow.cantor import Point as NewPoint
 from boolpow.errors import NotExtendable
 from boolpow.homeo import EPHomeo, cross_branch_involution, witness_points
 from boolpow.rand import random_point_fixing_homeo
@@ -126,12 +125,8 @@ def oracle_apply_point(h: EPHomeo, x: Point) -> Point:
 # drawn points, as (pre, per) strings
 
 
-def new_point(pre: str, per: str):
-    return NewPoint.make(pre, per)
-
-
-def pair(x) -> tuple[str, str]:
-    return (x.pre, x.per)
+def pair(x: EPSeq) -> tuple[str, str]:
+    return (x.head, x.word)
 
 
 def old_pair(x: Point) -> tuple[str, str]:
@@ -168,20 +163,20 @@ def old_outcome(h, x: Point):
 
 @given(point_args, st.integers(0, 12), st.text("012", max_size=3), st.text("01", max_size=4))
 def test_point_steps_agree(args, k, tail, w):
-    x, o = new_point(*args), Point.make(*args)
+    x, o = EPSeq.make(*args), Point.make(*args)
     assert pair(x) == old_pair(o)
-    assert [x.bit(i) for i in range(16)] == [o.bit(i) for i in range(16)]
+    assert [x.at(i + 1) for i in range(16)] == [o.bit(i) for i in range(16)]
     assert x.prefix(k) == o.prefix(k)
     for v in (o.prefix(k) + tail, w):
         assert x.startswith(v) == o.startswith(v)
-    assert pair(x.drop(k)) == old_pair(o.drop(k))
+    assert pair(x.shift(k)) == old_pair(o.drop(k))
     assert pair(x.prepend(w)) == old_pair(o.prepend(w))
 
 
 @given(point_args, st.integers(0, 3))
 def test_locate_agrees(args, n):
     ctx = PointContext(n)
-    got = ctx.locate(new_point(*args))
+    got = ctx.locate(EPSeq.make(*args))
     want = oracle_locate(ctx, Point.make(*args))
     if want[0] == "cell":
         assert got[:3] == want[:3] and pair(got[3]) == old_pair(want[3])
@@ -191,7 +186,7 @@ def test_locate_agrees(args, n):
 
 @given(point_args, clopens)
 def test_point_in_agrees(args, b):
-    assert point_in(new_point(*args), b) == oracle_point_in(Point.make(*args), b)
+    assert point_in(EPSeq.make(*args), b) == oracle_point_in(Point.make(*args), b)
 
 
 def test_distinguished_points_agree():
@@ -207,7 +202,7 @@ def test_distinguished_points_agree():
 def test_apply_point_agrees(n, seed, drawn):
     ctx = PointContext(n)
     h = random_point_fixing_homeo(ctx, random.Random(seed))
-    xs = witness_points(ctx, 6) + ctx.points() + [new_point(*a) for a in drawn]
+    xs = witness_points(ctx, 6) + ctx.points() + [EPSeq.make(*a) for a in drawn]
     for x in xs:
         assert outcome(h.apply_point, x) == old_outcome(h, Point.make(*pair(x)))
 

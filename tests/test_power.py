@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from boolpow import algebra as alg
 from boolpow import power as bp
-from boolpow.cantor import Clopen, Point, PointContext, point_in
+from boolpow.cantor import Clopen, PointContext, point_in
 from boolpow.errors import (
     ContextMismatch,
     EmptyRestriction,
@@ -15,6 +15,7 @@ from boolpow.errors import (
     SizeBudgetExceeded,
 )
 from boolpow.homeo import EPHomeo
+from boolpow.seqs import EPSeq
 
 GF2 = alg.gf2_ring()
 RED = alg.gf2_idempotent_reduct()
@@ -27,7 +28,7 @@ CTX_RED_2 = bp.make_context(RED, (0, 1))
 def test_element_filter_enforced():
     # x_1 = 0^w sits in the cell "0": label must be the filter value 0
     f = bp.PowerElement.make(CTX_GF2_1, [("0", 0), ("1", 1)])
-    assert f.value_at(Point.make("", "0")) == 0
+    assert f.value_at(EPSeq.make("", "0")) == 0
     with pytest.raises(FilterViolation):
         bp.PowerElement.make(CTX_GF2_1, [("0", 1), ("1", 0)])
 
@@ -74,7 +75,7 @@ def level_witnesses(ctx, support):
     """A point inside every level-LEVEL cell of the support, and the
     distinguished points it holds."""
     words = ["".join(bits) for bits in product("01", repeat=LEVEL)]
-    pts = [Point.make(w, "01") for w in words]
+    pts = [EPSeq.make(w, "01") for w in words]
     pts += ctx.points.points()
     return [x for x in pts if point_in(x, support)]
 
@@ -180,7 +181,7 @@ def test_restrict_keeps_point():
     assert dst.points.n == 1 and dst.filters == (0,)
     f = bp.PowerElement.make(CTX_GF2_1, [("00", 0), ("01", 1), ("1", 1)])
     g = rmap.forward(f)
-    assert g.value_at(Point.make("", "0")) == 0
+    assert g.value_at(EPSeq.make("", "0")) == 0
     # homomorphism on samples
     h = bp.PowerElement.make(CTX_GF2_1, [("0", 0), ("1", 0)])
     s = bp.apply_operation("add", [f, h])

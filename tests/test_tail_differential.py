@@ -2,7 +2,7 @@
 (``seqs.EPSeq`` and the shared minimal-threshold rule) against the four
 encodings it replaced, kept here as oracles: the packed-int ``EPSet``,
 the string tails of ``TailClopen``, the tuple tails of ``AutLabeling``
-and the pre/per strings of ``Point``."""
+and the pre/per strings of the points of X."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from boolpow import algebra as alg
 from boolpow import power as bp
 from boolpow.autgroup import AutLabeling
-from boolpow.cantor import Clopen, Point, PointContext, TailClopen
+from boolpow.cantor import Clopen, PointContext, TailClopen
 from boolpow.seqs import EPSeq, EPSet
 
 # ---------------------------------------------------------------------------
@@ -471,8 +471,8 @@ def test_epseq_shift_and_zip(a, k):
 
 @given(st.text("01", max_size=5), char_words)
 def test_point_make_matches_oracle(pre, per):
-    x = Point.make(pre, per)
-    assert (x.pre, x.per) == oracle_point(pre, per)
+    x = EPSeq.make(pre, per)
+    assert (x.head, x.word) == oracle_point(pre, per)
 
 
 @settings(deadline=None)

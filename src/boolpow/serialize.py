@@ -54,19 +54,19 @@ def homeo_to_obj(h: EPHomeo):
 
 
 def homeo_from_obj(ctx: PointContext, obj) -> EPHomeo:
-    """The homeomorphism the object describes; a cell map that is no
-    bijection of X is a ValueError, as bad data."""
+    """The homeomorphism the object describes; pairs, pieces or a cell map
+    that make no bijection are a ValueError, as bad data."""
     pieces = []
-    for t in obj["tails"]:
-        first, ifirst, istep = t["affine"]
-        try:
+    try:
+        for t in obj["tails"]:
+            first, ifirst, istep = t["affine"]
             cellmap = EPHomeo.make(PointContext(0), t["cellmaps"], ())
-        except (OverlappingDomains, NotBijective) as e:
-            raise ValueError(f"cell map: {e}") from e
-        pieces.append(
-            TailPiece(t["branch"], first, t["modulus"], t["target"], ifirst, istep, cellmap)
-        )
-    return EPHomeo.make(ctx, [tuple(p) for p in obj["pairs"]], pieces)
+            pieces.append(
+                TailPiece(t["branch"], first, t["modulus"], t["target"], ifirst, istep, cellmap)
+            )
+        return EPHomeo.make(ctx, [tuple(p) for p in obj["pairs"]], pieces)
+    except (OverlappingDomains, NotBijective) as e:
+        raise ValueError(f"{type(e).__name__}: {e}") from e
 
 
 def element_to_obj(f: PowerElement):

@@ -220,6 +220,17 @@ OVERLAPPING_CELLMAP = json.dumps(
 )
 
 
+def _identity_tail(branch):
+    return {"branch": branch, "target": branch, "modulus": 1, "affine": [1, 1, 1], "cellmaps": [["", ""]]}
+
+
+# homeomorphisms whose tabular part lists the source cell 1^n twice
+OVERLAPPING_PAIRS = json.dumps({"pairs": [["1", "1"], ["1", "0"]], "tails": [_identity_tail(1)]})
+OVERLAPPING_PAIRS_GEN = json.dumps(
+    [{"pairs": [["11", "11"], ["11", "10"]], "tails": [_identity_tail(1), _identity_tail(2)]}]
+)
+
+
 @pytest.mark.parametrize(
     "argv, files",
     [
@@ -232,6 +243,11 @@ OVERLAPPING_CELLMAP = json.dumps(
         (["factor-homeo"], {"--sigma": "not json {"}),
         (["factor-homeo"], {"--sigma": "{}"}),
         (["factor-homeo"], {"--sigma": OVERLAPPING_CELLMAP}),
+        (["factor-homeo"], {"--sigma": OVERLAPPING_PAIRS}),
+        (
+            ["bergman-growth", "--builtin", "gf2-idempotent-reduct"],
+            {"--gens": OVERLAPPING_PAIRS_GEN},
+        ),
         (
             ["bergman-growth", "--builtin", "gf2-idempotent-reduct"],
             {"--gens": '[{"pairs": []}]'},
@@ -252,6 +268,8 @@ OVERLAPPING_CELLMAP = json.dumps(
         "sigma-not-json",
         "sigma-no-tails",
         "sigma-overlapping-cellmap",
+        "sigma-overlapping-pairs",
+        "gens-overlapping-pairs",
         "gens-entry-no-tails",
         "embedding-no-coords",
         "builtin-parameter-not-int",

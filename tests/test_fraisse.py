@@ -204,6 +204,45 @@ def test_bp_embedding_image_is_power():
     assert len(tuples) == 2 ** psi.u
 
 
+# on CTX: one source cell 11 and the blocks 0 (holding x_1) and 10 (x_2)
+BLOCKS = [Clopen.make(["0"]), Clopen.make(["10"])]
+
+
+def bp_cells(*specs):
+    return [(Clopen.make(words), m, j) for words, m, j in specs]
+
+
+def test_bp_embedding_make_accepts_the_base_case():
+    psi = fr.BPEmbedding.make(CTX, 1, bp_cells((["11"], ID2, 0)), BLOCKS)
+    assert psi.multiplicities() == [1]
+
+
+@pytest.mark.parametrize(
+    "u, cells, blocks, message",
+    [
+        (1, [(["11"], ID2, 0)], BLOCKS[:1], "one block per distinguished point"),
+        (1, [(["11"], (0, 0), 0)], BLOCKS, r"\(\(0, 0\), 0\)"),
+        (1, [(["11"], ID2, 1)], BLOCKS, r"\(\(0, 1\), 1\)"),
+        (1, [(["11"], ID2, 0)], BLOCKS[::-1], "block 1 misses its point"),
+        (1, [(["11"], ID2, 0), (["110"], ID2, 0)], BLOCKS, "cells overlap"),
+        (1, [(["110"], ID2, 0)], BLOCKS, "do not tile X"),
+        (2, [(["110"], ID2, 0), (["111"], ID2, 0)], BLOCKS, "source coordinate has no cell"),
+    ],
+    ids=[
+        "block-count",
+        "twist-not-automorphism",
+        "source-out-of-range",
+        "block-misses-point",
+        "cells-overlap",
+        "no-tiling",
+        "source-without-cell",
+    ],
+)
+def test_bp_embedding_make_rejects(u, cells, blocks, message):
+    with pytest.raises(NotEmbedding, match=message):
+        fr.BPEmbedding.make(CTX, u, bp_cells(*cells), blocks)
+
+
 # --- weak homogeneity ------------------------------------------------------------
 
 

@@ -18,6 +18,7 @@ from .cantor import (
     TailTree,
     _at,
     _common_cells,
+    _map,
     _words,
     _zip,
     build,
@@ -38,7 +39,7 @@ from .errors import (
     TailLabelViolation,
 )
 from .homeo import EPHomeo
-from .power import PowerContext, PowerElement
+from .power import PowerContext, PowerElement, _complement_fill
 from .seqs import EPSeq
 
 Mapping = tuple[int, ...]
@@ -91,7 +92,7 @@ class AutLabeling:
     def identity(ctx) -> "AutLabeling":
         e = ctx.aut_ids[_ident(ctx.algebra.size)]
         pts = ctx.points
-        tree = _zip(lambda inside: e if inside else None, pts.region(0)._t)
+        tree = _map(lambda inside: e if inside else None, pts.region(0)._t)
         return AutLabeling(ctx, TailTree(pts, 0, tree, ((e,),) * pts.n))
 
     def is_identity(self) -> bool:
@@ -205,8 +206,6 @@ def separating_element(k1: AutLabeling, k2: AutLabeling):
     """An element on which two distinct labelings act differently, or
     None when they are equal; its depth is bounded by the labelings'
     thresholds and periods."""
-    from .power import _complement_fill
-
     if k1.ctx != k2.ctx:
         raise ContextMismatch((k1.ctx, k2.ctx))
     ctx = k1.ctx

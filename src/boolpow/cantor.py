@@ -80,6 +80,13 @@ def _zip(f, *ts):
     return f(*ts)
 
 
+def _map(f, t):
+    """The tree of f applied to each leaf of t."""
+    if t.__class__ is tuple:
+        return _node(_map(f, t[0]), _map(f, t[1]))
+    return f(t)
+
+
 def _leaves(t, out: set) -> set:
     """Add the leaves of t to out."""
     if t.__class__ is tuple:
@@ -261,11 +268,6 @@ class Clopen:
 
     def is_subset(self, other: "Clopen") -> bool:
         return self.difference(other).is_empty()
-
-
-def prefix_overlap(words) -> bool:
-    """Whether two of the cells intersect (one word prefixes another)."""
-    return _meets(sorted(words))
 
 
 def _meets(ordered) -> bool:
@@ -600,7 +602,7 @@ class TailClopen:
 
     @cached_property
     def exceptional(self) -> Clopen:
-        return Clopen(_zip(lambda b: b is True, self.labels.tree))
+        return Clopen(_map(lambda b: b is True, self.labels.tree))
 
     @cached_property
     def tails(self) -> tuple[str, ...]:

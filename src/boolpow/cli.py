@@ -22,11 +22,10 @@ from . import fraisse as fr
 from . import freealg as fa
 from . import power as bp
 from . import serialize as ser
-from .autgroup import PowerAutomorphism, characteristic
-from .cantor import Clopen, PointContext, TailClopen
+from .cantor import PointContext
 from .errors import BoolpowError, ParseError, SizeBudgetExceeded
-from .homeo import EPHomeo, cross_branch_involution
-from .rand import random_point_fixing_homeo, suffix_twist, tail_shift
+from .homeo import cross_branch_involution
+from .rand import cell_swap, random_point_fixing_homeo, suffix_twist
 
 # --budget when not given; extend-homogeneity, which has no --budget,
 # bounds its chain by it
@@ -315,8 +314,6 @@ def cmd_bergman_growth(args):
         gens = [suffix_twist(pctx, 1)]
         if pctx.n:
             base = pctx.cellword(1, 1)
-            from .rand import cell_swap
-
             gens.append(cell_swap(pctx, base + "0", base + "1"))
     sizes, stabilized = fz.bergman_growth(ctx, gens, args.depth, args.steps)
     monotone = all(x <= y for x, y in zip(sizes, sizes[1:]))

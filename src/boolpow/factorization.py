@@ -17,7 +17,6 @@ from .cantor import (
     TailClopen,
     deal_cyclic,
     is_good,
-    type_of,
 )
 from .errors import (
     BoolpowError,
@@ -26,7 +25,7 @@ from .errors import (
     PreconditionNotGood,
     TypeWitnessFailure,
 )
-from .homeo import EPHomeo, orbit_witness, piecewise_glue
+from .homeo import EPHomeo, orbit_witness, piecewise_glue, restrict_homeo
 from .power import PowerContext, enumerate_elements
 from .autgroup import PowerAutomorphism
 
@@ -167,8 +166,6 @@ def three_factor_split(
 def fixes_pointwise(h: EPHomeo, blk: TailClopen) -> bool:
     """h restricted to blk is the identity (checked exactly through the
     canonical form of the glued restriction)."""
-    from .homeo import restrict_homeo
-
     ctx = h.ctx
     pairs, pieces = restrict_homeo(h, blk)
     for p, q in pairs:

@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 from . import algebra as alg
 from .algebra import FiniteAlgebra, _comp, _ident
-from .cantor import Clopen, point_in, prefix_overlap, split
+from .cantor import Clopen, _map, _words, build, point_in, split, subtree
 from .errors import (
     ArityOrder,
     ExtensionFailure,
@@ -20,7 +20,7 @@ from .errors import (
     SizeBudgetExceeded,
     SourceMismatch,
 )
-from .power import PowerContext, PowerElement
+from .power import PowerContext, PowerElement, enumerate_elements
 
 Mapping = tuple[int, ...]
 
@@ -243,64 +243,73 @@ def amalgamate(phi: PowerEmbedding, psi: PowerEmbedding):
 class BPEmbedding:
     """A^u -> D: a clopen partition of X into value cells (carrying an
     automorphism twist of one source coordinate) and one block per
-    distinguished point carrying its filter idempotent."""
+    distinguished point carrying its filter idempotent.
+
+    Stored as one canonical labeled tree: leaf k on value cell k, whose
+    twist and source are twists[k] = (m, j), and leaf -i on block i.
+    """
 
     ctx: PowerContext
     u: int
-    cells: tuple[tuple[Clopen, Mapping, int], ...]
-    blocks: tuple[Clopen, ...]
+    twists: tuple[tuple[Mapping, int], ...]
+    tree: object
 
     @staticmethod
     def make(ctx, u, cells, blocks) -> "BPEmbedding":
+        """NotEmbeddings come in this order: the block count, a twist or
+        source out of range, a block missing its point, parts that overlap
+        or do not tile X, a source with no cell."""
         auts = ctx.aut_mappings
-        cells = tuple((c, tuple(m), int(j)) for c, m, j in cells)
+        cells = tuple(cells)
+        twists = tuple((tuple(m), int(j)) for _, m, j in cells)
         blocks = tuple(blocks)
         if len(blocks) != ctx.points.n:
             raise NotEmbedding("one block per distinguished point")
-        hit = set()
-        words = []
-        for c, m, j in cells:
+        for m, j in twists:
             if m not in auts or not 0 <= j < u:
                 raise NotEmbedding((m, j))
-            words += list(c.words)
-            hit.add(j)
         for i, b in enumerate(blocks, start=1):
             if not point_in(ctx.points.point(i), b):
                 raise NotEmbedding(f"block {i} misses its point")
-            words += list(b.words)
-        if prefix_overlap(words):
-            raise NotEmbedding("cells overlap")
-        if not Clopen.make(words).is_all():
-            raise NotEmbedding("cells and blocks do not tile X")
-        if hit != set(range(u)):
+        parts = [(w, k) for k, (c, _, _) in enumerate(cells) for w in c.words]
+        parts += [(w, -i) for i, b in enumerate(blocks, start=1) for w in b.words]
+        try:
+            tree = build(parts, untiled="cells and blocks do not tile X")
+        except ValueError as e:
+            raise NotEmbedding(str(e)) from None
+        if {j for _, j in twists} != set(range(u)):
             raise NotEmbedding("some source coordinate has no cell")
-        return BPEmbedding(ctx, u, cells, blocks)
+        return BPEmbedding(ctx, u, twists, tree)
+
+    def _part(self, leaf) -> Clopen:
+        """The clopen where the tree carries the leaf."""
+        return Clopen(_map(lambda k: k == leaf, self.tree))
+
+    @property
+    def cells(self) -> tuple[tuple[Clopen, Mapping, int], ...]:
+        return tuple((self._part(k), m, j) for k, (m, j) in enumerate(self.twists))
+
+    @property
+    def blocks(self) -> tuple[Clopen, ...]:
+        return tuple(self._part(-i) for i in range(1, self.ctx.n + 1))
 
     def eval(self, a: Sequence[int]) -> PowerElement:
-        out = []
-        for c, m, j in self.cells:
-            out += [(w, m[a[j]]) for w in c.words]
-        for i, b in enumerate(self.blocks, start=1):
-            out += [(w, self.ctx.filters[i - 1]) for w in b.words]
-        return PowerElement.make(self.ctx, out)
+        # leaf -i reads the filter of point i from the end of the labels
+        labels = [m[a[j]] for m, j in self.twists] + list(self.ctx.filters[::-1])
+        return PowerElement.from_tree(self.ctx, _map(labels.__getitem__, self.tree))
 
     def multiplicities(self) -> list[int]:
-        out = [0] * self.u
-        for _, _, j in self.cells:
-            out[j] += 1
-        return out
+        return [sum(j == s for _, j in self.twists) for s in range(self.u)]
 
     def compose_power(self, e: PowerEmbedding) -> "BPEmbedding":
         """self o e for an automorphism-only power embedding."""
         if e.v != self.u:
             raise SourceMismatch((e.v, self.u))
-        cells = []
-        for c, m, j in self.cells:
-            d = e.coords[j]
-            if d[0] != "aut":
-                raise NotEmbedding("composition would need constant cells")
-            cells.append((c, _comp(m, d[1]), d[2]))
-        return BPEmbedding.make(self.ctx, e.u, cells, self.blocks)
+        coords = [e.coords[j] for _, j in self.twists]
+        if any(d[0] != "aut" for d in coords):
+            raise NotEmbedding("composition would need constant cells")
+        twists = tuple((_comp(m, d[1]), d[2]) for (m, _), d in zip(self.twists, coords))
+        return BPEmbedding(self.ctx, e.u, twists, self.tree)
 
 
 def _split_largest(cells, j):
@@ -418,10 +427,10 @@ def _stage_words(ctx: PowerContext, t: int):
 
 
 def first_stage_depth(ctx: PowerContext) -> int:
-    t = 1
-    while _stage_words(ctx, t) is None:
-        t += 1
-    return t
+    """The least t >= 1 where the n points have distinct level-t prefixes
+    (from t = n - 1 on) and leave a free cell (2^t > n)."""
+    n = ctx.points.n
+    return max(1, n - 1, n.bit_length())
 
 
 def check_chain_budget(ctx: PowerContext, depth: int, budget: int) -> None:
@@ -478,30 +487,25 @@ def chain_commutes(stages: Sequence[ChainStage]) -> bool:
     """Symbolic commuting of every square: the next stage composed with
     the step equals the current stage as a labeled partition."""
     for s in range(len(stages) - 1):
-        cur, nxt = stages[s], stages[s + 1]
+        cur, nxt = stages[s].bp, stages[s + 1].bp
+        ctx = cur.ctx
         got = {}
-        for c, m, j in nxt.bp.cells:
+        for w, k in _words(nxt.tree, "", []):
+            if k < 0:
+                got[w] = ("pt", -k)
+                continue
+            m, j = nxt.twists[k]
             coord = stages[s].step.coords[j]
-            for w in c.words:
-                got[w] = ("aut", m, coord[2]) if coord[0] == "aut" else (
-                    "idem",
-                    coord[1],
-                )
-        for i, b in enumerate(nxt.bp.blocks, start=1):
-            for w in b.words:
-                got[w] = ("pt", i)
+            got[w] = ("aut", m, coord[2]) if coord[0] == "aut" else ("idem", coord[1])
         want = {}
-        for c, m, j in cur.bp.cells:
-            for w in c.words:
-                for ch in "01":
-                    want[w + ch] = ("aut", m, j)
-        for i, b in enumerate(cur.bp.blocks, start=1):
-            e = cur.bp.ctx.filters[i - 1]
-            for w in b.words:
-                nextpt = cur.bp.ctx.points.point(i).prefix(len(w) + 1)
-                for ch in "01":
-                    ww = w + ch
-                    want[ww] = ("pt", i) if ww == nextpt else ("idem", e)
+        for w, k in _words(cur.tree, "", []):
+            for ww in (w + "0", w + "1"):
+                if k >= 0:
+                    want[ww] = ("aut",) + cur.twists[k]
+                elif ww == ctx.points.point(-k).prefix(len(ww)):
+                    want[ww] = ("pt", -k)
+                else:
+                    want[ww] = ("idem", ctx.filters[-k - 1])
         if got != want:
             return False
     return True
@@ -510,8 +514,6 @@ def chain_commutes(stages: Sequence[ChainStage]) -> bool:
 def chain_covers(ctx: PowerContext, stages: Sequence[ChainStage], depth: int) -> bool:
     """Every element constant on level-`depth` cells lies in the image of
     the stage at that depth."""
-    from .power import enumerate_elements
-
     stage = next(s for s in stages if s.depth == depth)
     elems = enumerate_elements(ctx, depth)
     hit = set()
@@ -537,33 +539,32 @@ def _express_through_stage(g: BPEmbedding, stage: ChainStage) -> PowerEmbedding:
     cell or block of g, and the stage's own twists are compensated."""
     ctx = g.ctx
     coords = [None] * stage.bp.u
-    for c, m, k in stage.bp.cells:
+    # the cells in order, then the blocks in order; each one's words sorted
+    words = _words(stage.bp.tree, "", [])
+    for w, k in sorted(words, key=lambda c: (c[1] < 0, abs(c[1]))):
+        part = subtree(g.tree, w)  # a tuple when w straddles g's parts
+        if k < 0:
+            if part != k:
+                raise ExtensionFailure(f"stage block {-k} leaves the partial iso block")
+            continue
+        m, j = stage.bp.twists[k]
         minv = _inv(m)
-        for w in c.words:
-            cell = Clopen.make([w])
-            coord = None
-            for cg, mg, jg in g.cells:
-                if cell.is_subset(cg):
-                    coord = ("aut", _comp(minv, mg), jg)
-            for i, b in enumerate(g.blocks, start=1):
-                if cell.is_subset(b):
-                    coord = ("idem", minv[ctx.filters[i - 1]])
-            if coord is None:
-                raise ExtensionFailure(f"stage cell {w} straddles the partial iso")
-            if coords[k] is None:
-                coords[k] = coord
-            elif coords[k] != coord:
-                raise ExtensionFailure(f"stage source {k} constrained twice")
-    for i, b in enumerate(stage.bp.blocks, start=1):
-        if not b.is_subset(g.blocks[i - 1]):
-            raise ExtensionFailure(f"stage block {i} leaves the partial iso block")
+        if part.__class__ is tuple:
+            raise ExtensionFailure(f"stage cell {w} straddles the partial iso")
+        if part < 0:
+            coord = ("idem", minv[ctx.filters[-part - 1]])
+        else:
+            mg, jg = g.twists[part]
+            coord = ("aut", _comp(minv, mg), jg)
+        if coords[j] is None:
+            coords[j] = coord
+        elif coords[j] != coord:
+            raise ExtensionFailure(f"stage source {j} constrained twice")
     return PowerEmbedding.make(ctx.algebra, g.u, coords)
 
 
 def _embedding_depth(g: BPEmbedding) -> int:
-    words = [w for c, _, _ in g.cells for w in c.words]
-    words += [w for b in g.blocks for w in b.words]
-    return max(len(w) for w in words)
+    return max(len(w) for w, _ in _words(g.tree, "", []))
 
 
 def back_and_forth(

@@ -12,15 +12,16 @@ from itertools import product
 from typing import Optional, Sequence
 
 from . import algebra as alg
-from .algebra import FiniteAlgebra, Term
-from .cantor import Clopen
+from .algebra import FiniteAlgebra, Term, _ident
+from .cantor import Clopen, split
 from .errors import (
     NotIdempotentOnSk,
     NotLoopOrRing,
     PatternMismatch,
     SizeBudgetExceeded,
 )
-from .power import PowerContext, PowerElement, make_context
+from .fraisse import BPEmbedding
+from .power import apply_operation, make_context
 
 
 @dataclass(frozen=True)
@@ -266,22 +267,6 @@ def no_atoms_at_rank(algebra: FiniteAlgebra, k: int) -> bool:
 # kernel classes as truncated filtered powers
 
 
-def _split_region(base: Clopen, count: int) -> list[Clopen]:
-    if count == 0:
-        return []
-    if count == 1:
-        return [base]
-    out = []
-    rest = base
-    for _ in range(count - 1):
-        ws = sorted(rest.words, key=lambda s: (len(s), s))
-        piece = Clopen.make([ws[0] + "0"])
-        out.append(piece)
-        rest = rest.difference(piece)
-    out.append(rest)
-    return out
-
-
 def kernel_class_power_iso(
     rep: FreeAlgebraRep,
     e: TermFunction,
@@ -308,25 +293,18 @@ def kernel_class_power_iso(
     n = len(filters)
     free = [t for t in orbit_transversal(A, k) if t not in set(sk)]
     blocks = [Clopen.make(["1" * (i - 1) + "0"]) for i in range(1, n)]
-    if n:
-        last_region = Clopen.make(["1" * (n - 1)])
-        pieces = _split_region(last_region, len(free) + 1)
-        from .cantor import point_in
-
-        x = ctx.points.point(n)
-        holder = next(p for p in pieces if point_in(x, p))
-        pieces = [p for p in pieces if p is not holder]
-        blocks.append(holder)
-    else:
-        pieces = _split_region(Clopen.all(), len(free))
-    mapping = {}
-    for f in cls:
-        cells = []
-        for i, b in enumerate(blocks, start=1):
-            cells += [(w, filters[i - 1]) for w in b.words]
-        for t, piece in zip(free, pieces):
-            cells += [(w, f.value(t, A.size)) for w in piece.words]
-        mapping[f] = PowerElement.make(ctx, cells)
+    rest = Clopen.make(["1" * (n - 1)]) if n else Clopen.all()
+    pieces = []
+    for _ in range(len(free) if n else len(free) - 1):
+        piece, rest = split(rest)
+        pieces.append(piece)
+    pieces.append(rest)
+    if n:  # the first piece cut from 1^(n-1) is 1^(n-1) 0, around x_n
+        blocks.append(pieces.pop(0))
+    ident = _ident(A.size)
+    cells = [(p, ident, j) for j, p in enumerate(pieces)]
+    emb = BPEmbedding.make(ctx, len(free), cells, blocks)
+    mapping = {f: emb.eval([f.value(t, A.size) for t in free]) for f in cls}
     report = {
         "class_size": len(cls),
         "power_exponent": len(free),
@@ -338,8 +316,6 @@ def kernel_class_power_iso(
 
 def kernel_class_iso_is_homomorphism(rep, mapping) -> bool:
     """The class-to-power map intertwines every basic operation."""
-    from .power import apply_operation
-
     A = rep.algebra
     cls = list(mapping)
     byt = {f.table: f for f in cls}

@@ -17,6 +17,7 @@ from .cantor import (
     PointContext,
     _at,
     _common_cells,
+    _map,
     _node,
     _words,
     _zip,
@@ -143,7 +144,7 @@ class PowerElement:
         return a
 
     def fiber(self, a: int) -> Clopen:
-        return Clopen(_zip(lambda b: b == a, self.tree))
+        return Clopen(_map(lambda b: b == a, self.tree))
 
     def restrict(self, b: Clopen) -> "PowerElement":
         tree = _zip(lambda a, inside: a if inside else None, self.tree, b._t)
@@ -444,7 +445,7 @@ def twist_iso(ctx: PowerContext, j: int, alpha: Endomap) -> ElementIso:
     dst = PowerContext(ctx.algebra, ctx.points, tuple(new_filters))
 
     def apply_block(f, a_map, target):
-        inside = _zip(a_map, subtree(f.tree, block))
+        inside = _map(a_map, subtree(f.tree, block))
         return PowerElement.from_tree(target, graft(f.tree, [(block, inside)]))
 
     return ElementIso(
@@ -618,9 +619,13 @@ def element_count(ctx: PowerContext, depth: int) -> int:
 def check_element_budget(ctx: PowerContext, depth: int, budget: int) -> None:
     """Raise SizeBudgetExceeded when enumerate_elements(ctx, depth) would
     return more than `budget` elements; run it before enumerating."""
-    # past this depth the 2^depth - n free cells alone exceed the budget
-    too_deep = depth > budget.bit_length() + ctx.n
-    if too_deep or element_count(ctx, depth) > budget:
+    # past this depth the 2^depth - n free cells alone exceed the budget;
+    # so do budget.bit_length() free cells, each taking |A| >= 2 values
+    over = depth > budget.bit_length() + ctx.n
+    if not over:
+        forced = _forced_cells(ctx, depth)
+        over = forced is not None and 2**depth - len(forced) >= budget.bit_length()
+    if over or element_count(ctx, depth) > budget:
         raise SizeBudgetExceeded(
             f"depth {depth} has more than --budget {budget} elements"
         )

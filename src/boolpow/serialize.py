@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .algebra import FiniteAlgebra, from_json as algebra_from_json, to_json as algebra_to_json
+from .algebra import FiniteAlgebra
 from .cantor import Clopen, PointContext, TailClopen
 from .errors import NotBijective, OverlappingDomains
 from .fraisse import PowerEmbedding

@@ -37,7 +37,6 @@ from boolpow.cantor import (
     PointContext,
     build,
     merge_sibling_pairs,
-    prefix_overlap,
 )
 from boolpow.errors import BoolpowError, NotBijective, OverlappingDomains
 from boolpow.homeo import _ap_coverage
@@ -60,6 +59,11 @@ TWISTS = [
 
 # ---------------------------------------------------------------------------
 # oracle: the Fraction-based validation and canonical form
+
+
+def prefix_overlap(words) -> bool:
+    ordered = sorted(words)
+    return any(b.startswith(a) for a, b in zip(ordered, ordered[1:]))
 
 
 def divisors(m: int) -> list[int]:

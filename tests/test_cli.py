@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -371,5 +372,26 @@ def test_bergman_growth_budget_checked_first(capsys):
 )
 def test_unbounded_inputs_stop_before_work(capsys, argv):
     code, rep = run(capsys, *argv)
+    assert code == 1
+    assert rep["error"].startswith("SizeBudgetExceeded: ")
+
+
+FORTY_ZEROS = ",".join(["0"] * 40)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fraisse-chain", "--builtin", "gf2-ring", "--filters", FORTY_ZEROS],
+        ["extend-homogeneity", "--builtin", "gf2-ring", "--filters", FORTY_ZEROS],
+        ["build-power", "--builtin", "gf2-ring", "--filters", FORTY_ZEROS, "--depth", "40"],
+    ],
+    ids=["fraisse-chain", "extend-homogeneity", "build-power-d40"],
+)
+def test_long_filter_list_stops_before_work(capsys, argv):
+    # the budget checks themselves take no time exponential in the points
+    start = time.process_time()
+    code, rep = run(capsys, *argv)
+    assert time.process_time() - start < 1.0
     assert code == 1
     assert rep["error"].startswith("SizeBudgetExceeded: ")

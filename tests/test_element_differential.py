@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from boolpow import algebra as alg
 from boolpow import power as bp
-from boolpow.cantor import Clopen, point_in, prefix_overlap
+from boolpow.cantor import Clopen, point_in
 from boolpow.errors import FilterViolation
 
 CTXS = {
@@ -34,6 +34,11 @@ DEFECTS = ("none", "overlap", "gap", "outside", "char", "label", "point")
 
 # ---------------------------------------------------------------------------
 # oracle: the make of the tree-backed Clopen
+
+
+def prefix_overlap(words) -> bool:
+    ordered = sorted(words)
+    return any(b.startswith(a) for a, b in zip(ordered, ordered[1:]))
 
 
 def old_merge(cells):

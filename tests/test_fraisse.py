@@ -176,6 +176,15 @@ def test_chain_budget_sums_stage_cells():
         fr.check_chain_budget(CTX, 10**12, 200_000)
 
 
+def test_first_stage_depth_closed_form():
+    for n in range(13):
+        ctx = bp.make_context(GF2, (0,) * n)
+        t = 1
+        while fr._stage_words(ctx, t) is None:
+            t += 1
+        assert fr.first_stage_depth(ctx) == t
+
+
 def test_bp_embedding_eval_is_embedding():
     psi = stage_bp(2)
     vals = {}
@@ -224,7 +233,7 @@ def test_bp_embedding_make_accepts_the_base_case():
         (1, [(["11"], (0, 0), 0)], BLOCKS, r"\(\(0, 0\), 0\)"),
         (1, [(["11"], ID2, 1)], BLOCKS, r"\(\(0, 1\), 1\)"),
         (1, [(["11"], ID2, 0)], BLOCKS[::-1], "block 1 misses its point"),
-        (1, [(["11"], ID2, 0), (["110"], ID2, 0)], BLOCKS, "cells overlap"),
+        (1, [(["11"], ID2, 0), (["110"], ID2, 0)], BLOCKS, "overlapping cells"),
         (1, [(["110"], ID2, 0)], BLOCKS, "do not tile X"),
         (2, [(["110"], ID2, 0), (["111"], ID2, 0)], BLOCKS, "source coordinate has no cell"),
     ],

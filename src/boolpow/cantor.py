@@ -270,14 +270,6 @@ class Clopen:
         return self.difference(other).is_empty()
 
 
-def _meets(ordered) -> bool:
-    # in sorted order a word prefixing a later one prefixes the next
-    for a, b in zip(ordered, ordered[1:]):
-        if b.startswith(a):
-            return True
-    return False
-
-
 def check_tiling(words, cells, what: str, untiled: str) -> None:
     """Check that the words tile the union of the pairwise disjoint cells,
     without building a tree.  Raises, in this order: OverlappingDomains
@@ -286,8 +278,10 @@ def check_tiling(words, cells, what: str, untiled: str) -> None:
     words tile the cells when each lies below one of them and their
     integer Kraft sums agree."""
     ordered = sorted(words)
-    if _meets(ordered):
-        raise OverlappingDomains(f"{what} overlap")
+    # in sorted order a word prefixing a later one prefixes the next
+    for a, b in zip(ordered, ordered[1:]):
+        if b.startswith(a):
+            raise OverlappingDomains(f"{what} overlap")
     for w in words:
         if w.strip("01"):
             raise ValueError(f"bad word {w!r}")

@@ -594,7 +594,7 @@ def test_express_through_stage_agrees_on_drawn_embeddings(data):
     [("red-01", "red-01"), ("red-01", "red-01-swapped"), ("red-01-swapped", "red-01")],
 )
 def test_back_and_forth_agrees(first, second):
-    for depth in range(0, 5):
+    for depth in range(0, 6):
         new = outcome(fr.back_and_forth, CHAINS[first], CHAINS[second], depth)
         old = outcome(old_back_and_forth, OLD_CHAINS[first], OLD_CHAINS[second], depth)
         assert trace_key(new) == trace_key(old)

@@ -10,10 +10,11 @@ generation and finite direct powers.
 from __future__ import annotations
 
 import json
+import sys
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice, product
-from operator import add
+from itertools import product
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -503,59 +504,92 @@ def pointwise_closure(alg: FiniteAlgebra, gens, budget: int) -> dict:
     tuples, each at every coordinate.  Raises SizeBudgetExceeded exactly
     when the closure has more than `budget` members, or before a round
     that would take these pointwise evaluations past CLOSURE_EVALS.
-    """
-    found: dict = {}
-    members: list = []
-    size = alg.size
 
-    def admit(vec, record):
-        if len(members) >= budget:
+    A vector is packed in one int, a lane of bytes per coordinate wide
+    enough for every table index, so Horner's rule on the ints computes
+    the table offsets at every coordinate without carries.  With one-byte
+    lanes (every table at most 256 entries) one bytes.translate reads a
+    table at every coordinate; wider lanes are read one at a time.
+    """
+    size = alg.size
+    top = max([size, *map(len, alg.tables)])
+    fmt = next(f for f in "BHIQ" if 256 ** array(f).itemsize >= top)
+    order = sys.byteorder
+    index: dict = {}  # member as lane bytes -> its discovery index
+    vals: list = []  # members as ints
+    records: list = []  # None, or (k, discovery indices of the arguments)
+
+    def pack(vec):
+        return array(fmt, vec).tobytes()
+
+    def lanes(n):
+        return array(fmt, n.to_bytes(nbytes, order))
+
+    def admit(key, record):
+        if len(index) >= budget:
             raise SizeBudgetExceeded(f"closure passed {budget} members")
-        found[vec] = record
-        members.append(vec)
+        index[key] = len(index)
+        vals.append(int.from_bytes(key, order))
+        records.append(record)
 
     for g in gens:
-        g = tuple(g)
-        if g not in found:
+        if (g := pack(g)) not in index:
             admit(g, None)
-    if not members:
-        return found
-    width = len(members[0])
+    if not index:
+        return {}
+    nbytes = len(next(iter(index)))
+    width = nbytes // array(fmt).itemsize
     for k, (_, arity) in enumerate(alg.signature):
-        if arity == 0 and (c := (alg.tables[k][0],) * width) not in found:
+        if arity == 0 and (c := pack([alg.tables[k][0]] * width)) not in index:
             admit(c, (k, ()))
 
-    def walk(k, get, pools, base, off, args):
-        # off[c] is the table offset of the operands fixed so far at
-        # coordinate c; the last operand completes the index
-        lim = pools[len(args)]
-        pool = (base,) if lim is None else islice(members, lim)
-        if len(args) + 1 == len(pools):
-            for x in pool:
-                v = tuple(map(get, map(add, off, x)))
-                if v not in found:
-                    admit(v, (k, args + (x,)))
-        else:
-            for x in pool:
-                nxt = tuple([(o + y) * size for o, y in zip(off, x)])
-                walk(k, get, pools, base, nxt, args + (x,))
+    if fmt == "B":
+        tabs = [bytes(t).ljust(256, b"\0") for t in alg.tables]
 
-    ops = [
-        (k, arity, alg.tables[k].__getitem__)
-        for k, (_, arity) in enumerate(alg.signature)
-        if arity
-    ]
-    zero = (0,) * width
-    for i, base in enumerate(members):  # members grows as the frontier
-        if sum((i + 1) ** arity for _, arity, _ in ops) * width > CLOSURE_EVALS:
+        def read(tab, off, xs):
+            return [(off + x).to_bytes(nbytes, order).translate(tab) for x in xs]
+
+    else:
+        tabs = [t.__getitem__ for t in alg.tables]
+
+        def read(get, off, xs):
+            return [pack(map(get, lanes(off + x))) for x in xs]
+
+    def walk(k, pools, off, args, tail):
+        # off packs the table offsets of the operands fixed so far; the
+        # last pool is read as one vector, after a fixed last operand (the
+        # frontier member, in tail) is folded into the offsets
+        lo, hi = pools[len(args)]
+        xs = vals[lo:hi]
+        if len(args) + 1 < len(pools):
+            for j, x in enumerate(xs, lo):
+                walk(k, pools, (off + x) * size, args + (j,), tail)
+            return
+        if tail:
+            off = off * size + vals[tail[0]]
+            xs = [x * size for x in xs]
+        for j, v in enumerate(read(tabs[k], off, xs), lo):
+            if v not in index:
+                admit(v, (k, args + (j,) + tail))
+
+    ops = [(k, arity) for k, (_, arity) in enumerate(alg.signature) if arity]
+    for i, _ in enumerate(vals):  # vals grows as the frontier
+        if sum((i + 1) ** arity for _, arity in ops) * width > CLOSURE_EVALS:
             raise SizeBudgetExceeded(
                 f"closure passed {CLOSURE_EVALS} pointwise evaluations"
             )
-        for k, arity, get in ops:
+        for k, arity in ops:
             for pos in range(arity):
-                pools = [i] * pos + [None] + [i + 1] * (arity - 1 - pos)
-                walk(k, get, pools, base, zero, ())
-    return found
+                pools = [(0, i)] * pos + [(i, i + 1)] + [(0, i + 1)] * (arity - 1 - pos)
+                if 0 < pos == arity - 1:  # read the operand before member i
+                    walk(k, pools[:-1], 0, (), (i,))
+                else:
+                    walk(k, pools, 0, (), ())
+    members = [tuple(lanes(v)) for v in vals]
+    return {
+        m: None if r is None else (r[0], tuple(members[j] for j in r[1]))
+        for m, r in zip(members, records)
+    }
 
 
 def subalgebras(alg: FiniteAlgebra) -> list[frozenset[int]]:

@@ -1,9 +1,14 @@
 """Differential tests of the semi-naive ``algebra.pointwise_closure`` and of
 the three functions built on it (``freealg.clone_generate``,
 ``freealg.loop_ring_split`` and ``power.generated_subalgebra``) against
-the naive fixpoint loops they replaced, kept here as oracles."""
+the naive fixpoint loops they replaced, kept here as oracles.  The kernel
+on packed vectors is also compared with the tuple walk it replaced, which
+must give the same members in the same order with the same records."""
 
-from itertools import product
+import sys
+from contextlib import contextmanager
+from itertools import islice, product
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -77,6 +82,61 @@ def old_pointwise_closure(algebra, domain, gens):
                     closed.add(v)
                     changed = True
     return closed
+
+
+def seed_pointwise_closure(algebra, gens, budget):
+    """The kernel before vectors were packed: the same semi-naive order,
+    walking tuples one coordinate at a time."""
+    found: dict = {}
+    members: list = []
+    size = algebra.size
+
+    def admit(vec, record):
+        if len(members) >= budget:
+            raise SizeBudgetExceeded(f"closure passed {budget} members")
+        found[vec] = record
+        members.append(vec)
+
+    for g in gens:
+        g = tuple(g)
+        if g not in found:
+            admit(g, None)
+    if not members:
+        return found
+    width = len(members[0])
+    for k, (_, arity) in enumerate(algebra.signature):
+        if arity == 0 and (c := (algebra.tables[k][0],) * width) not in found:
+            admit(c, (k, ()))
+
+    def walk(k, get, pools, base, off, args):
+        lim = pools[len(args)]
+        pool = (base,) if lim is None else islice(members, lim)
+        if len(args) + 1 == len(pools):
+            for x in pool:
+                v = tuple(map(get, map(add, off, x)))
+                if v not in found:
+                    admit(v, (k, args + (x,)))
+        else:
+            for x in pool:
+                nxt = tuple([(o + y) * size for o, y in zip(off, x)])
+                walk(k, get, pools, base, nxt, args + (x,))
+
+    ops = [
+        (k, arity, algebra.tables[k].__getitem__)
+        for k, (_, arity) in enumerate(algebra.signature)
+        if arity
+    ]
+    zero = (0,) * width
+    for i, base in enumerate(members):
+        if sum((i + 1) ** arity for _, arity, _ in ops) * width > alg.CLOSURE_EVALS:
+            raise SizeBudgetExceeded(
+                f"closure passed {alg.CLOSURE_EVALS} pointwise evaluations"
+            )
+        for k, arity, get in ops:
+            for pos in range(arity):
+                pools = [i] * pos + [None] + [i + 1] * (arity - 1 - pos)
+                walk(k, get, pools, base, zero, ())
+    return found
 
 
 def old_generated_subalgebra(elems, budget=200_000):
@@ -178,6 +238,9 @@ def test_kernel_matches_fixpoint_loop(case, slack):
     assert set(found) == want
     assert len(found) == len(want)
     _check_records(a, found, [tuple(g) for g in gens])
+    # the same discovery order and records as the tuple walk
+    seed = seed_pointwise_closure(a, gens, len(want))
+    assert list(found.items()) == list(seed.items())
     # the budget fires exactly when the closure has more members
     budget = max(0, len(want) - slack)
     if len(want) > budget:
@@ -220,6 +283,22 @@ def test_evaluation_budget_fires_exactly(case):
             alg.pointwise_closure(a, gens, 1 << 16)
 
 
+@contextmanager
+def _translates():
+    """Count the bytes.translate calls made inside the block."""
+    count = [0]
+
+    def hook(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__qualname__", "") == "bytes.translate":
+            count[0] += 1
+
+    sys.setprofile(hook)
+    try:
+        yield count
+    finally:
+        sys.setprofile(None)
+
+
 class _CountingTable(tuple):
     """An operation table that counts its lookups."""
 
@@ -240,10 +319,52 @@ def test_evaluation_budget_counts_before_the_round(monkeypatch):
     gens = [tuple(t[j] for t in product(range(2), repeat=5)) for j in range(5)]
     monkeypatch.setattr(alg, "CLOSURE_EVALS", 64_000)
     _CountingTable.lookups = 0
-    with pytest.raises(SizeBudgetExceeded, match="passed 64000 pointwise evaluations"):
+    message = "passed 64000 pointwise evaluations"
+    with pytest.raises(SizeBudgetExceeded, match=message), _translates() as translates:
         alg.pointwise_closure(a, gens, budget=10**6)
-    # one lookup per evaluation, and one for the constant zero
-    assert _CountingTable.lookups == 62_496 + 1
+    # one bytes.translate reads a table at all 32 coordinates of one
+    # argument tuple, and the constant zero is one table lookup
+    assert translates[0] * 32 + _CountingTable.lookups == 62_496 + 1
+
+
+def _outcome(f):
+    try:
+        return list(f().items())
+    except SizeBudgetExceeded as e:
+        return str(e)
+
+
+@pytest.mark.parametrize(
+    "algebra",
+    # 16 * 16 = 256 table entries: one byte per coordinate; at 17 the
+    # binary tables take two
+    [alg.cyclic_group(16), alg.cyclic_group(17), alg.zero_ring(17)],
+    ids=["cyclic-group-16", "cyclic-group-17", "zero-ring-17"],
+)
+def test_kernel_on_both_sides_of_the_byte_lane(algebra, monkeypatch):
+    # at rank 2 the projections generate the |A|^2 linear forms: the member
+    # budget, or this lowered evaluation budget, refuses them
+    monkeypatch.setattr(alg, "CLOSURE_EVALS", 1 << 20)
+    for k in (1, 2):
+        tuples = list(product(range(algebra.size), repeat=k))
+        projections = [tuple(t[j] for t in tuples) for j in range(k)]
+        for gens, budget in [
+            (projections[:1], 40),
+            (projections, 40),
+            (projections, 10**4),
+        ]:
+            with _translates() as translates:
+                found = _outcome(lambda: alg.pointwise_closure(algebra, gens, budget))
+            # one-byte lanes exactly when the tables have at most 256 entries
+            assert (translates[0] > 0) == (algebra.size <= 16)
+            want = _outcome(lambda: seed_pointwise_closure(algebra, gens, budget))
+            assert found == want
+            if k == 1 or len(gens) == 1:
+                want = old_pointwise_closure(algebra, tuples, gens)
+                assert {v for v, _ in found} == want
+                _check_records(algebra, dict(found), gens)
+            else:
+                assert "passed" in found
 
 
 # ---------------------------------------------------------------------------

@@ -174,8 +174,15 @@ def cmd_fraisse_chain(args):
     ctx = bp.make_context(a, _filters(args, a))
     # the depth of chain[0], known before the chain is built
     first = fr.first_stage_depth(ctx)
-    cover_depth = max(min(args.depth, 2 + ctx.points.n), first)
-    bp.check_element_budget(ctx, cover_depth, args.budget)
+    n = ctx.points.n
+    cover_depth = max(min(args.depth, 2 + n), first)
+    if cover_depth == args.depth:
+        name = None
+    elif cover_depth == first:
+        name = f"depth {first}, the first stage for {n} points,"
+    else:
+        name = f"the coverage depth {cover_depth} (2 + {n} points)"
+    bp.check_element_budget(ctx, cover_depth, args.budget, name)
     fr.check_chain_budget(ctx, args.depth, args.budget)
     chain = fr.limit_chain(ctx, args.depth)
     commutes = fr.chain_commutes(chain)

@@ -441,9 +441,12 @@ def check_chain_budget(ctx: PowerContext, depth: int, budget: int) -> None:
     top = max(depth, t0)
     # past this depth the last stage alone exceeds the budget
     if top >= budget.bit_length() or (1 << (top + 1)) - (1 << t0) > budget:
-        raise SizeBudgetExceeded(
-            f"a chain to depth {depth} has more than {budget} stage cells"
+        chain = (
+            f"a chain to depth {depth}"
+            if top == depth
+            else f"the first stage, at depth {t0} for {ctx.points.n} points,"
         )
+        raise SizeBudgetExceeded(f"{chain} has more than {budget} stage cells")
 
 
 def limit_chain(ctx: PowerContext, depth: int) -> list[ChainStage]:

@@ -101,6 +101,11 @@ class PowerElement:
     tree: object
     support: Clopen = field(default_factory=Clopen.all)
 
+    def __hash__(self) -> int:
+        # equal elements have equal trees; hashing ctx would re-hash the
+        # algebra's tables on every call
+        return hash(self.tree)
+
     @staticmethod
     def make(ctx, cells, support: Optional[Clopen] = None) -> "PowerElement":
         """Validate (word, label) cells and build their tree.
@@ -616,9 +621,13 @@ def element_count(ctx: PowerContext, depth: int) -> int:
     return 0 if forced is None else ctx.algebra.size ** (2**depth - len(forced))
 
 
-def check_element_budget(ctx: PowerContext, depth: int, budget: int) -> None:
+def check_element_budget(
+    ctx: PowerContext, depth: int, budget: int, name: Optional[str] = None
+) -> None:
     """Raise SizeBudgetExceeded when enumerate_elements(ctx, depth) would
-    return more than `budget` elements; run it before enumerating."""
+    return more than `budget` elements; run it before enumerating.  `name`
+    replaces "depth <depth>" in the message, for a depth the caller
+    derived."""
     # past this depth the 2^depth - n free cells alone exceed the budget;
     # so do budget.bit_length() free cells, each taking |A| >= 2 values
     over = depth > budget.bit_length() + ctx.n
@@ -627,7 +636,7 @@ def check_element_budget(ctx: PowerContext, depth: int, budget: int) -> None:
         over = forced is not None and 2**depth - len(forced) >= budget.bit_length()
     if over or element_count(ctx, depth) > budget:
         raise SizeBudgetExceeded(
-            f"depth {depth} has more than --budget {budget} elements"
+            f"{name or f'depth {depth}'} has more than --budget {budget} elements"
         )
 
 
@@ -644,6 +653,7 @@ def enumerate_elements(ctx: PowerContext, depth: int) -> list[PowerElement]:
         significant; subtrees are shared between them."""
         if len(w) == depth:
             return [forced[w]] if w in forced else labels
-        return [_node(t0, t1) for t0 in trees(w + "0") for t1 in trees(w + "1")]
+        right = trees(w + "1")
+        return [_node(t0, t1) for t0 in trees(w + "0") for t1 in right]
 
     return [PowerElement.from_tree(ctx, t) for t in trees("")]

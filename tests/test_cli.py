@@ -178,6 +178,13 @@ def test_bergman_growth_gf4_matches_golden(capsys):
     assert capsys.readouterr().out == golden.read_text()
 
 
+def test_free_algebra_wide_tables_match_golden(capsys):
+    # zero-ring 17 has 289-entry tables: the closure reads two-byte lanes
+    golden = Path(__file__).parent / "golden" / "free-algebra-zero-ring-17-r1.json"
+    assert main(["free-algebra", "--builtin", "zero-ring 17", "--rank", "1"]) == 0
+    assert capsys.readouterr().out == golden.read_text()
+
+
 def test_seed_determinism(capsys):
     c1, rep1 = run(capsys, "factor-homeo", "--points", "1", "--seed", "3")
     c2, rep2 = run(capsys, "factor-homeo", "--points", "1", "--seed", "3")
@@ -395,3 +402,33 @@ def test_long_filter_list_stops_before_work(capsys, argv):
     assert time.process_time() - start < 1.0
     assert code == 1
     assert rep["error"].startswith("SizeBudgetExceeded: ")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ["fraisse-chain", "--builtin", "gf2-ring", "--filters", FORTY_ZEROS],
+            "depth 39, the first stage for 40 points, has more than --budget"
+            " 200000 elements",
+        ),
+        (
+            ["extend-homogeneity", "--builtin", "gf2-ring", "--filters", FORTY_ZEROS],
+            "the first stage, at depth 39 for 40 points, has more than 200000"
+            " stage cells",
+        ),
+        (
+            ["fraisse-chain", "--builtin", "gf2-ring", "--filters", "0,0,0", "--depth", "6"],
+            "the coverage depth 5 (2 + 3 points) has more than --budget 200000 elements",
+        ),
+        (
+            ["fraisse-chain", "--builtin", "gf2-ring", "--depth", "40"],
+            "a chain to depth 40 has more than 200000 stage cells",
+        ),
+    ],
+    ids=["chain-first-stage", "homogeneity-first-stage", "chain-coverage", "chain-asked"],
+)
+def test_refusals_name_the_depth_checked(capsys, argv, message):
+    code, rep = run(capsys, *argv)
+    assert code == 1
+    assert rep["error"] == f"SizeBudgetExceeded: {message}"

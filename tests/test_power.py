@@ -1,12 +1,15 @@
-import pytest
+import json
 from itertools import product
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boolpow import algebra as alg
 from boolpow import power as bp
-from boolpow.cantor import Clopen, PointContext, point_in
+from boolpow import serialize
+from boolpow.cantor import Clopen, PointContext, _node, point_in
 from boolpow.errors import (
     ContextMismatch,
     EmptyRestriction,
@@ -421,3 +424,47 @@ def test_check_element_budget_arithmetic():
     for depth in (6, 10**6):
         with pytest.raises(SizeBudgetExceeded):
             bp.check_element_budget(CTX_GF2_1, depth, 200_000)
+
+
+def _unshared_trees(ctx, depth):
+    """enumerate_elements' trees as its comprehension built them before the
+    right-hand subtree lists were hoisted: rebuilt once per left subtree."""
+    forced = bp._forced_cells(ctx, depth)
+    if forced is None:
+        return []
+    labels = range(ctx.algebra.size)
+
+    def trees(w):
+        if len(w) == depth:
+            return [forced[w]] if w in forced else labels
+        return [_node(t0, t1) for t0 in trees(w + "0") for t1 in trees(w + "1")]
+
+    return trees("")
+
+
+@pytest.mark.parametrize(
+    "ctx,depths",
+    # gf4 with two points has 4^14 elements at depth 4
+    [(CTX_GF2_1, range(5)), (bp.make_context(GF4, (0, 1)), range(4))],
+    ids=["gf2-ring-0", "gf4-idempotent-reduct-0-1"],
+)
+def test_enumerate_elements_order_with_hoisted_subtrees(ctx, depths):
+    for depth in depths:
+        got = [f.tree for f in bp.enumerate_elements(ctx, depth)]
+        assert got == _unshared_trees(ctx, depth)
+
+
+def test_equal_elements_hash_alike():
+    for ctx, depth in [(CTX_GF2_1, 2), (CTX_RED_2, 2), (bp.make_context(GF4, ()), 1)]:
+        for f in bp.enumerate_elements(ctx, depth):
+            made = bp.PowerElement.make(ctx, f.cells)
+            relabeled = bp.PowerElement.from_tree(ctx, f.tree)
+            obj = json.loads(json.dumps(serialize.element_to_obj(f)))
+            for g in (made, relabeled, serialize.element_from_obj(ctx, obj)):
+                assert g == f and g is not f
+                assert hash(g) == hash(f)
+    # a context built again is equal, and so are its elements
+    again = bp.make_context(alg.gf2_ring(), (0,))
+    f, g = (bp.PowerElement.make(c, [("0", 0), ("1", 1)]) for c in (CTX_GF2_1, again))
+    assert f == g and hash(f) == hash(g)
+    assert len({f, g}) == 1

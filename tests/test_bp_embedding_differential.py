@@ -20,8 +20,9 @@ agree on ``eval`` at every argument, on ``multiplicities`` and on
 ``PowerEmbedding.make``) at every argument.  The one message allowed to
 differ is the overlap: "cells overlap" became "overlapping cells".
 
-On the limit chains to depth 5 and on ``test_fraisse.swapped_chain``,
-both sides must give the same ``chain_commutes`` verdict, also after one
+On the limit chains to depth 5 and on ``test_fraisse.swapped_chain``
+(conjugated steps, and the canonical steps that do not commute), both
+sides must give the same ``chain_commutes`` verdict, also after one
 coordinate of a step is corrupted (then both are False), the same
 ``_express_through_stage`` result or error for every pair of a stage or
 drawn embedding and a stage, and the same ``back_and_forth`` trace.
@@ -535,6 +536,8 @@ def test_each_defect_is_refused(defect):
 
 CHAINS = {key: fr.limit_chain(ctx, 5) for key, ctx in CTXS.items()}
 CHAINS["red-01-swapped"] = swapped_chain(5)
+# the swapped stages on the canonical steps: squares that do not commute
+CHAINS["red-01-unconjugated"] = swapped_chain(5, conjugate=False)
 OLD_CHAINS = {key: [as_old(s) for s in chain] for key, chain in CHAINS.items()}
 
 
@@ -557,7 +560,7 @@ def test_chain_commutes_agrees(key):
     chain, old = CHAINS[key], OLD_CHAINS[key]
     for top in range(1, len(chain) + 1):
         assert fr.chain_commutes(chain[:top]) == old_chain_commutes(old[:top])
-    assert fr.chain_commutes(chain) == (key != "red-01-swapped")
+    assert fr.chain_commutes(chain) == (key != "red-01-unconjugated")
     for s in range(len(chain) - 1):
         for k in sorted({0, chain[s].step.v // 2, chain[s].step.v - 1}):
             assert not fr.chain_commutes(corrupted(chain, s, k))

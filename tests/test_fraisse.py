@@ -351,18 +351,39 @@ def test_chain_covers_depth_3_gf2():
 # --- back and forth -----------------------------------------------------------------
 
 
-def swapped_chain(depth):
-    """A second presentation whose stage cells are enumerated with the
-    first two free cells exchanged."""
-    out = []
-    for st in fr.limit_chain(CTX, depth):
+def swapped_chain(depth, conjugate=True):
+    """A second presentation whose stages read the source coordinates of
+    their first two free cells exchanged: stage t is the canonical one
+    after the coordinate swap s_t.  Each step is conjugated, s_(t+1) after
+    step after s_t, so the squares still commute; with conjugate=False the
+    canonical steps are kept and they do not."""
+    stages = fr.limit_chain(CTX, depth)
+    swaps, bps = [], []
+    for st in stages:
         cells = list(st.bp.cells)
+        swap = list(range(st.bp.u))
         if len(cells) >= 2:
             (c0, m0, j0), (c1, m1, j1) = cells[0], cells[1]
             cells[0], cells[1] = (c0, m0, j1), (c1, m1, j0)
-        bp2 = fr.BPEmbedding.make(st.bp.ctx, st.bp.u, cells, st.bp.blocks)
-        out.append(fr.ChainStage(st.depth, st.free_words, bp2, st.step))
+            swap[j0], swap[j1] = j1, j0
+        swaps.append(swap)
+        bps.append(fr.BPEmbedding.make(st.bp.ctx, st.bp.u, cells, st.bp.blocks))
+    out = []
+    for s, st in enumerate(stages):
+        step = st.step
+        if conjugate and step is not None:
+            coords = [step.coords[q] for q in swaps[s + 1]]
+            coords = [
+                (c[0], c[1], swaps[s][c[2]]) if c[0] == "aut" else c for c in coords
+            ]
+            step = fr.PowerEmbedding.make(step.algebra, step.u, coords)
+        out.append(fr.ChainStage(st.depth, st.free_words, bps[s], step))
     return out
+
+
+def test_swapped_chain_is_a_limit_chain():
+    assert fr.chain_commutes(swapped_chain(5))
+    assert not fr.chain_commutes(swapped_chain(5, conjugate=False))
 
 
 def test_back_and_forth_identity():

@@ -516,13 +516,12 @@ def chain_commutes(stages: Sequence[ChainStage]) -> bool:
 
 def chain_covers(ctx: PowerContext, stages: Sequence[ChainStage], depth: int) -> bool:
     """Every element constant on level-`depth` cells lies in the image of
-    the stage at that depth."""
+    the stage at that depth; each image is dropped once it is struck off."""
     stage = next(s for s in stages if s.depth == depth)
-    elems = enumerate_elements(ctx, depth)
-    hit = set()
+    missing = set(enumerate_elements(ctx, depth))
     for a in product(range(ctx.algebra.size), repeat=stage.bp.u):
-        hit.add(stage.bp.eval(a))
-    return all(f in hit for f in elems)
+        missing.discard(stage.bp.eval(a))
+    return not missing
 
 
 # ---------------------------------------------------------------------------

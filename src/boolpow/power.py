@@ -5,7 +5,7 @@ isomorphisms that add, twist, relocate and merge filtering points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import product
 from typing import Callable, Optional, Sequence
@@ -88,7 +88,7 @@ def make_context(algebra: FiniteAlgebra, filters: Sequence[int]) -> PowerContext
     return PowerContext(algebra, PointContext(len(filters)), tuple(filters))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PowerElement:
     """Continuous map support -> A, constant on finitely many prefix cells.
 
@@ -99,7 +99,7 @@ class PowerElement:
 
     ctx: PowerContext
     tree: object
-    support: Clopen = field(default_factory=Clopen.all)
+    support: Clopen = Clopen.all()  # one X shared by every default
 
     def __hash__(self) -> int:
         # equal elements have equal trees; hashing ctx would re-hash the
@@ -656,4 +656,5 @@ def enumerate_elements(ctx: PowerContext, depth: int) -> list[PowerElement]:
         right = trees(w + "1")
         return [_node(t0, t1) for t0 in trees(w + "0") for t1 in right]
 
-    return [PowerElement.from_tree(ctx, t) for t in trees("")]
+    # the forced cells carry their filters, so from_tree's check would pass
+    return [PowerElement(ctx, t) for t in trees("")]

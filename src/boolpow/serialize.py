@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .algebra import FiniteAlgebra
-from .cantor import Clopen, PointContext, TailClopen
+from .cantor import Clopen, PointContext, TailClopen, _words
 from .errors import NotBijective, OverlappingDomains
 from .fraisse import PowerEmbedding
 from .homeo import EPHomeo, TailPiece
@@ -70,7 +70,7 @@ def homeo_from_obj(ctx: PointContext, obj) -> EPHomeo:
 
 
 def element_to_obj(f: PowerElement):
-    return {"cells": [{"prefix": w, "label": a} for w, a in f.cells]}
+    return {"cells": [{"prefix": w, "label": a} for w, a in _words(f.tree, "", [])]}
 
 
 def element_from_obj(ctx: PowerContext, obj) -> PowerElement:

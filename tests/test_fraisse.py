@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -346,6 +347,19 @@ def test_chain_covers_depth_3_gf2():
     ctx = bp.make_context(GF2, (0,))
     chain = fr.limit_chain(ctx, 3)
     assert fr.chain_covers(ctx, chain, 3)
+
+
+def test_chain_covers_holds_elements_not_images():
+    # 16,384 stage images kept in one set peak at about 15 MiB here; the
+    # enumerated elements, whose subtrees are shared, take under 4 MiB
+    chain = fr.limit_chain(CTX, 4)
+    tracemalloc.start()
+    try:
+        assert fr.chain_covers(CTX, chain, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
 
 
 # --- back and forth -----------------------------------------------------------------

@@ -468,3 +468,24 @@ def test_equal_elements_hash_alike():
     f, g = (bp.PowerElement.make(c, [("0", 0), ("1", 1)]) for c in (CTX_GF2_1, again))
     assert f == g and hash(f) == hash(g)
     assert len({f, g}) == 1
+
+
+@pytest.mark.parametrize(
+    "algebra,filters",
+    [(GF2, (0,)), (GF2, (0, 0)), (GF4, (0, 1)), (RED, (0, 1))],
+    ids=["gf2-ring-0", "gf2-ring-0-0", "gf4-idempotent-reduct-0-1", "gf2-idempotent-reduct-0-1"],
+)
+def test_enumerated_elements_pass_from_tree_check(algebra, filters):
+    # enumerate_elements builds its elements unchecked; from_tree re-checks
+    # the value at every retained point
+    ctx = bp.make_context(algebra, filters)
+    for depth in range(4):
+        for f in bp.enumerate_elements(ctx, depth):
+            assert bp.PowerElement.from_tree(ctx, f.tree) == f
+
+
+def test_element_has_no_instance_dict():
+    f = bp.PowerElement.make(CTX_GF2_1, [("0", 0), ("1", 1)])
+    assert not hasattr(f, "__dict__")
+    with pytest.raises(AttributeError):
+        object.__setattr__(f, "extra", 1)

@@ -229,8 +229,12 @@ def cmd_reduce_idempotents(args):
     a = _load_algebra(args)
     ctx = bp.make_context(a, _filters(args, a))
     red, iso = bp.reduce_idempotents(ctx)
-    depth = max(2, fr.first_stage_depth(red))
+    # the points past the depth share the cell 1^depth, so the source has
+    # elements from the last point whose filter is not the last one's on
+    differ = [i for i, e in enumerate(ctx.filters, 1) if e != ctx.filters[-1]]
+    depth = max([2, fr.first_stage_depth(red)] + differ)
     bp.check_element_budget(ctx, depth, args.budget)
+    bp.check_reduction_budget(ctx, depth)
     elems = bp.enumerate_elements(ctx, depth)
     ok = True
     seen = set()

@@ -1,6 +1,7 @@
 """Filtered Boolean powers: elements as labeled prefix trees,
-congruences as clopen projection kernels, restrictions, and the concrete
-isomorphisms that add, twist, relocate and merge filtering points.
+congruences as clopen projection kernels, restrictions, the concrete
+isomorphisms that glue two powers or restrict along an automorphism, and
+the reduction that merges the filtering points of one orbit into one.
 """
 
 from __future__ import annotations
@@ -341,20 +342,6 @@ class ElementIso:
     forward: Callable[[PowerElement], PowerElement]
     backward: Callable[[PowerElement], PowerElement]
 
-    def then(self, other: "ElementIso") -> "ElementIso":
-        if self.dst != other.src:
-            raise ContextMismatch("isomorphisms do not compose")
-        return ElementIso(
-            self.src,
-            other.dst,
-            lambda f: other.forward(self.forward(f)),
-            lambda g: self.backward(other.backward(g)),
-        )
-
-    @staticmethod
-    def identity(ctx) -> "ElementIso":
-        return ElementIso(ctx, ctx, lambda f: f, lambda f: f)
-
 
 def product_iso(f1: PowerElement, f2: PowerElement) -> PowerElement:
     """Glue two single-point powers with a common idempotent: values f1 on
@@ -435,139 +422,114 @@ def restriction_iso(
 
 
 # ---------------------------------------------------------------------------
-# reduction to orbit representatives (twist, relocate, merge)
+# reduction to orbit representatives
+
+# reading the cells of a tree, zipping it or comparing two trees recurses
+# once per level, so reduce-idempotents refuses a round trip whose trees
+# grow deeper
+REDUCTION_MAX_WORD = 512
 
 
-def twist_iso(ctx: PowerContext, j: int, alpha: Endomap) -> ElementIso:
-    """Apply alpha on the standard block of x_j, identity elsewhere; lands
-    in the power whose j-th filter is alpha(e_j)."""
-    if not alpha.is_automorphism:
-        raise NotAutomorphism(alpha)
-    m = ctx.points.n
-    block = "1" * (j - 1) + ("0" if j < m else "")
-    new_filters = list(ctx.filters)
-    new_filters[j - 1] = alpha(ctx.filters[j - 1])
-    dst = PowerContext(ctx.algebra, ctx.points, tuple(new_filters))
-
-    def apply_block(f, a_map, target):
-        inside = _map(a_map, subtree(f.tree, block))
-        return PowerElement.from_tree(target, graft(f.tree, [(block, inside)]))
-
-    return ElementIso(
-        ctx,
-        dst,
-        lambda f: apply_block(f, alpha, dst),
-        lambda g: apply_block(g, alpha.inverse(), ctx),
-    )
-
-
-def swap_points_iso(ctx: PowerContext, j: int) -> ElementIso:
-    """Exchange the roles of x_j and the last point x_m by the prefix swap
-    of their standard blocks."""
-    m = ctx.points.n
-    if j == m:
-        return ElementIso.identity(ctx)
-    pj, pm = "1" * (j - 1) + "0", "1" * (m - 1)
-    new_filters = list(ctx.filters)
-    new_filters[j - 1], new_filters[m - 1] = new_filters[m - 1], new_filters[j - 1]
-    dst = PowerContext(ctx.algebra, ctx.points, tuple(new_filters))
-
-    def act(f, target):
-        cells = [(pm, subtree(f.tree, pj)), (pj, subtree(f.tree, pm))]
-        return PowerElement.from_tree(target, graft(f.tree, cells))
-
-    return ElementIso(ctx, dst, lambda f: act(f, dst), lambda g: act(g, ctx))
-
-
-def merge_last_iso(ctx: PowerContext, i: int) -> ElementIso:
-    """Merge the last point x_m into x_i (equal filters required): the
-    concrete quotient identifying the two points, realized by interleaving
-    the branch cells of x_i and x_m on the target branch i."""
-    m = ctx.points.n
-    if not 1 <= i < m:
-        raise PointMismatch(i)
-    if ctx.filters[i - 1] != ctx.filters[m - 1]:
-        raise IdempotentMismatch((ctx.filters[i - 1], ctx.filters[m - 1]))
-    e = ctx.filters[i - 1]
-    dst = PowerContext(
-        ctx.algebra, PointContext(m - 1), ctx.filters[:-1]
-    )
-    src_pts, dst_pts = ctx.points, dst.points
-
-    def interleave(J):
-        """Prefix pairs source -> target away from the neighbourhood of
-        x_i at depth J in the target: cell j of branch i goes to cell 2j
-        of branch i and cell j of branch m to cell 2j - 1, below J; the
-        other blocks stay and the off-branch region shifts.  Also returns
-        the two source neighbourhoods and the target one."""
-        ki, km = (J + 1) // 2, (J + 2) // 2
-        pairs = [
-            (src_pts.cellword(i, j), dst_pts.cellword(i, 2 * j))
-            for j in range(1, ki)
-        ]
-        pairs += [
-            (src_pts.cellword(m, j), dst_pts.cellword(i, 2 * j - 1))
-            for j in range(1, km)
-        ]
-        pairs += [("1" * (k - 1) + "0",) * 2 for k in range(1, m) if k != i]
-        pairs.append(("1" * m, "1" * (m - 1)))
-        nbhds = [src_pts.nbhd_word(i, ki), src_pts.nbhd_word(m, km)]
-        return pairs, nbhds, dst_pts.nbhd_word(i, J)
-
-    def reach(f, k):
-        """Zeros after 1^(k-1) in the cell of f holding x_k."""
-        return _at(f.tree, f.ctx.points.point(k))[1] - (k - 1)
-
-    # f is e on the point neighbourhoods, which lie inside f's cells there:
-    # they are left out and filled with e on the other side
-    def fwd(f: PowerElement) -> PowerElement:
-        pairs, nbhds, nb = interleave(max(2 * reach(f, i), 2 * reach(f, m) - 1, 1))
-        cells = [(nb, e)] + [(q, subtree(f.tree, p)) for p, q in pairs]
-        return PowerElement.from_tree(dst, graft(None, cells))
-
-    def bwd(g: PowerElement) -> PowerElement:
-        pairs, nbhds, nb = interleave(max(reach(g, i), 1))
-        cells = [(w, e) for w in nbhds] + [(p, subtree(g.tree, q)) for p, q in pairs]
-        return PowerElement.from_tree(ctx, graft(None, cells))
-
-    return ElementIso(ctx, dst, fwd, bwd)
+def _orbits(ctx: PowerContext) -> list[list[tuple[int, Endomap, Endomap]]]:
+    """The source points of each point of the reduced power, as (point,
+    automorphism onto the kept idempotent, its inverse): the merged
+    duplicates in merge order, then the representative with the identity.
+    The first point whose idempotent an automorphism carries onto an
+    earlier point's is merged into it, and the last point takes its place."""
+    auts = ctx.aut_mappings
+    kept = [(s, e, []) for s, e in enumerate(ctx.filters, start=1)]
+    while True:
+        dup = next(
+            (
+                (i, j, m)
+                for j in range(1, len(kept))
+                for i in range(j)
+                for m in auts
+                if m[kept[j][1]] == kept[i][1]
+            ),
+            None,
+        )
+        if dup is None:
+            ident = Endomap(tuple(range(ctx.algebra.size)), True)
+            return [merged + [(s, ident, ident)] for s, _, merged in kept]
+        i, j, m = dup
+        alpha = Endomap(m, True)
+        kept[i][2].append((kept[j][0], alpha, alpha.inverse()))
+        kept[j] = kept[-1]
+        kept.pop()
 
 
 def reduce_idempotents(ctx: PowerContext):
     """Reduce repeated-orbit filter idempotents to orbit representatives.
 
-    Returns (reduced context, ElementIso).  Implements the block
-    decomposition: twist the duplicate's block by an automorphism onto the
-    representative idempotent, relocate it to the last position, and merge
-    it into the representative's point.
+    Returns (reduced context, ElementIso).  Point t of the reduced power
+    gathers the k points of one orbit: cell j of the branch of the r-th of
+    them goes to cell k(j - 1) + r of branch t, its labels carried by that
+    point's automorphism onto the representative's idempotent, and the
+    off-branch region 1^n goes to 1^(number of orbits).  Both directions
+    build their trees bottom-up, one branch cell at a time.
     """
-    auts = ctx.aut_mappings
-    iso = ElementIso.identity(ctx)
-    cur = ctx
-    while True:
-        dup = None
-        for j in range(2, cur.points.n + 1):
-            for i in range(1, j):
-                for m in auts:
-                    if m[cur.filters[j - 1]] == cur.filters[i - 1]:
-                        dup = (i, j, Endomap(m, True))
-                        break
-                if dup:
-                    break
-            if dup:
-                break
-        if not dup:
-            return cur, iso
-        i, j, a = dup
-        step = twist_iso(cur, j, a)
-        iso = iso.then(step)
-        cur = step.dst
-        step = swap_points_iso(cur, j)
-        iso = iso.then(step)
-        cur = step.dst
-        step = merge_last_iso(cur, i)
-        iso = iso.then(step)
-        cur = step.dst
+    orbits = _orbits(ctx)
+    filters = tuple(ctx.filters[src[-1][0] - 1] for src in orbits)
+    red = PowerContext(ctx.algebra, PointContext(len(filters)), filters)
+    src_pts, dst_pts = ctx.points, red.points
+
+    def reach(tree, pts, s):
+        """Cells of branch s from this index on lie in the cell of the tree
+        holding x_s, which carries its filter."""
+        return max(_at(tree, pts.point(s))[1] - (s - 1), 1)
+
+    def fwd(f: PowerElement) -> PowerElement:
+        tree = subtree(f.tree, "1" * ctx.n)
+        for t in range(red.n, 0, -1):
+            src = orbits[t - 1]
+            d = max(reach(f.tree, src_pts, s) for s, _, _ in src)
+            branch = red.filters[t - 1]  # the target cells from k(d - 1) + 1 on
+            for j in range(d - 1, 0, -1):
+                for s, a, _ in reversed(src):
+                    cell = subtree(f.tree, src_pts.cellword(s, j))
+                    branch = _node(branch, _map(a, cell))
+            tree = _node(branch, tree)
+        return PowerElement.from_tree(red, tree)
+
+    def bwd(g: PowerElement) -> PowerElement:
+        branches = {}
+        for t, src in enumerate(orbits, start=1):
+            k = len(src)
+            d = (reach(g.tree, dst_pts, t) + k - 2) // k + 1
+            for r, (s, _, b) in enumerate(src, start=1):
+                branch = ctx.filters[s - 1]  # the source cells from d on
+                for j in range(d - 1, 0, -1):
+                    cell = subtree(g.tree, dst_pts.cellword(t, k * (j - 1) + r))
+                    branch = _node(branch, _map(b, cell))
+                branches[s] = branch
+        tree = subtree(g.tree, "1" * red.n)
+        for s in range(ctx.n, 0, -1):
+            tree = _node(branches[s], tree)
+        return PowerElement.from_tree(ctx, tree)
+
+    return red, ElementIso(ctx, red, fwd, bwd)
+
+
+def check_reduction_budget(ctx: PowerContext, depth: int) -> int:
+    """The longest cell word of the trees that the round trip of
+    reduce_idempotents over the depth-`depth` elements may build, before
+    equal sibling leaves merge; raise SizeBudgetExceeded when it is over
+    REDUCTION_MAX_WORD letters.  Run it before any image is built."""
+    longest = depth
+    for t, src in enumerate(_orbits(ctx), start=1):
+        # from its lowest point x_a on, an orbit's sources reach at most
+        # depth + 1 - a cells deep
+        a, b = min(s for s, _, _ in src), max(s for s, _, _ in src)
+        extra = max(depth - a, 0)
+        # the image's neighbourhood of x_t, and the sources' of x_b
+        longest = max(longest, t + len(src) * extra, b + extra)
+    if longest > REDUCTION_MAX_WORD:
+        raise SizeBudgetExceeded(
+            f"the round trip at depth {depth} builds words of up to {longest} "
+            f"letters, over the ceiling {REDUCTION_MAX_WORD}"
+        )
+    return longest
 
 
 # ---------------------------------------------------------------------------

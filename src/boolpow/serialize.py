@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .algebra import FiniteAlgebra
-from .cantor import Clopen, PointContext, TailClopen, _words
+from .cantor import Clopen, PointContext, _words
 from .errors import NotBijective, OverlappingDomains
 from .fraisse import PowerEmbedding
 from .homeo import EPHomeo, TailPiece
@@ -16,25 +16,6 @@ def clopen_to_obj(b: Clopen):
 
 def clopen_from_obj(obj) -> Clopen:
     return Clopen.make(obj)
-
-
-def tailclopen_to_obj(c: TailClopen):
-    return {
-        "threshold": c.threshold,
-        "exceptional": clopen_to_obj(c.exceptional),
-        "tails": [
-            {"branch": i + 1, "word": w} for i, w in enumerate(c.tails)
-        ],
-    }
-
-
-def tailclopen_from_obj(ctx: PointContext, obj) -> TailClopen:
-    tails = [None] * ctx.n
-    for t in obj["tails"]:
-        tails[t["branch"] - 1] = t["word"]
-    return TailClopen.make(
-        ctx, obj["threshold"], clopen_from_obj(obj["exceptional"]), tails
-    )
 
 
 def homeo_to_obj(h: EPHomeo):

@@ -7,7 +7,7 @@ import pytest
 from boolpow import algebra as alg
 from boolpow import power as bp
 from boolpow import serialize as ser
-from boolpow.cantor import Clopen, PointContext, TailClopen
+from boolpow.cantor import PointContext
 from boolpow.cli import COMMANDS, build_parser, main
 from boolpow.homeo import EPHomeo
 from boolpow.rand import random_point_fixing_homeo, tail_shift
@@ -127,6 +127,59 @@ def test_reduce_idempotents(capsys):
     assert rep["verified"]
 
 
+@pytest.mark.parametrize("n", [11, 16, 40])
+def test_reduce_idempotents_many_equal_filters(capsys, n):
+    # the chained merges of the earlier reduction built words of 2^(n-1) + 1
+    # letters and ran out of recursion from n = 11 on
+    code, rep = run(
+        capsys,
+        "reduce-idempotents",
+        "--builtin",
+        "gf2-ring",
+        "--filters",
+        ",".join(["0"] * n),
+    )
+    assert code == 0
+    assert rep["reduced_filters"] == [0]
+    assert rep["round_trip_on_depth"] == 2
+    assert rep["verified"] is True
+
+
+def test_reduce_idempotents_refuses_long_words(capsys):
+    code, rep = run(
+        capsys,
+        "reduce-idempotents",
+        "--builtin",
+        "gf2-ring",
+        "--filters",
+        ",".join(["0"] * 2000),
+    )
+    assert code == 1
+    assert rep["error"] == (
+        "SizeBudgetExceeded: the round trip at depth 2 builds words of up to "
+        "2001 letters, over the ceiling 512"
+    )
+
+
+def test_reduce_idempotents_checks_a_depth_with_elements(capsys):
+    # points 3 and 4 force the cell 11 to 0 and to 1: depth 2 has no
+    # element, and a round trip over none verified nothing
+    code, rep = run(
+        capsys,
+        "reduce-idempotents",
+        "--builtin",
+        "gf4-idempotent-reduct",
+        "--filters",
+        "0,1,0,1",
+    )
+    assert code == 0
+    assert rep["reduced_filters"] == [0, 1]
+    assert rep["round_trip_on_depth"] == 3
+    assert rep["verified"] is True
+    ctx = bp.make_context(alg.builtin("gf4-idempotent-reduct"), (0, 1, 0, 1))
+    assert bp.element_count(ctx, 2) == 0 < bp.element_count(ctx, 3)
+
+
 def test_demo_nonextendable(capsys):
     code, rep = run(capsys, "demo-example-2-3", "--depth", "6")
     assert code == 0
@@ -203,12 +256,6 @@ def test_homeo_json_roundtrip():
     rng = random.Random(9)
     h = random_point_fixing_homeo(pctx, rng, moves=2)
     assert ser.homeo_from_obj(pctx, ser.homeo_to_obj(h)) == h
-
-
-def test_tailclopen_json_roundtrip():
-    pctx = PointContext(2)
-    c = TailClopen.make(pctx, 1, Clopen.make(["11", "011"]), ("10", "1"))
-    assert ser.tailclopen_from_obj(pctx, ser.tailclopen_to_obj(c)) == c
 
 
 # a homeomorphism whose cell map lists the source cell "0" twice

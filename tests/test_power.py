@@ -305,7 +305,6 @@ def test_restriction_iso_frobenius():
     frob = [a for a in alg.automorphisms(GF4) if a.mapping != (0, 1, 2, 3)][0]
     # alpha(e_1)=alpha(0)=0 must equal e_2=1: mismatch expected
     b1, b2 = Clopen.make(["0"]), Clopen.make(["1"])
-    swap = bp.swap_points_iso(ctx, 1)  # context-level helper sanity
     with pytest.raises(IdempotentMismatch):
         bp.restriction_iso(b1, b2, frob, _swap_homeo(ctx.points), ctx)
 

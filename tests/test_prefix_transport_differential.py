@@ -8,13 +8,12 @@ loops it replaced, kept here as oracles:
   stripping the cell word, applying the piece's table and prepending the
   image cell word;
 - the ``RestrictionMap`` substitution loops;
-- ``twist_iso`` restricting each cell to the block and its outside,
-  ``swap_points_iso`` refining each word until it lies in one block, and
-  ``merge_last_iso`` restricting the element to one cell at a time;
 - the bottom-up dict merge of sibling cells and of table pairs.
 
 Homeomorphisms come from ``rand``; elements are enumerated at depth 0 to 3
-or drawn at depth up to 5.  Images are compared element by element.
+or drawn at depth up to 5.  Images are compared element by element.  The
+round trip of ``reduce_idempotents`` is checked here too; its oracle, the
+chained twist, swap and merge, is in ``test_reduction_differential``.
 """
 
 import random
@@ -26,7 +25,6 @@ from hypothesis import strategies as st
 
 from boolpow import algebra as alg
 from boolpow import power as bp
-from boolpow.algebra import Endomap
 from boolpow.cantor import (
     Clopen,
     PointContext,
@@ -137,7 +135,7 @@ def old_apply(h, b):
 
 
 # ---------------------------------------------------------------------------
-# oracles: the restriction loops and the reduction isomorphisms
+# oracles: the restriction loops
 
 
 def old_forward(rmap, f):
@@ -161,117 +159,6 @@ def old_backward(rmap, g):
                 cells.append((p, a))
     fill = bp._complement_fill(rmap.src, Clopen.all().difference(rmap.b))
     return bp.PowerElement.make(rmap.src, cells + fill)
-
-
-def old_twist(ctx, j, alpha):
-    m = ctx.points.n
-    block = Clopen.make(["1" * (j - 1) + ("0" if j < m else "")])
-    new_filters = list(ctx.filters)
-    new_filters[j - 1] = alpha(ctx.filters[j - 1])
-    dst = bp.PowerContext(ctx.algebra, ctx.points, tuple(new_filters))
-
-    def apply_block(f, a_map, target):
-        cells = []
-        for w, a in f.cells:
-            cell = Clopen.make([w])
-            cells += [(u, a_map(a)) for u in cell.intersect(block).words]
-            cells += [(u, a) for u in cell.difference(block).words]
-        return bp.PowerElement.make(target, cells)
-
-    return (
-        lambda f: apply_block(f, alpha, dst),
-        lambda g: apply_block(g, alpha.inverse(), ctx),
-    )
-
-
-def old_swap(ctx, j):
-    m = ctx.points.n
-    pj, pm = "1" * (j - 1) + "0", "1" * (m - 1)
-    new_filters = list(ctx.filters)
-    new_filters[j - 1], new_filters[m - 1] = new_filters[m - 1], new_filters[j - 1]
-    dst = bp.PowerContext(ctx.algebra, ctx.points, tuple(new_filters))
-
-    def swap_word(w):
-        if w.startswith(pj):
-            return [pm + w[len(pj):]]
-        if w.startswith(pm):
-            return [pj + w[len(pm):]]
-        if pj.startswith(w) or pm.startswith(w):
-            return [u for c in "01" for u in swap_word(w + c)]
-        return [w]
-
-    def act(f, target):
-        cells = []
-        for w, a in f.cells:
-            cells += [(u, a) for u in swap_word(w)]
-        return bp.PowerElement.make(target, cells)
-
-    return lambda f: act(f, dst), lambda g: act(g, ctx)
-
-
-def old_merge_last(ctx, i):
-    m = ctx.points.n
-    e = ctx.filters[i - 1]
-    dst = bp.PowerContext(ctx.algebra, PointContext(m - 1), ctx.filters[:-1])
-    src_pts, dst_pts = ctx.points, dst.points
-    prei = "1" * (i - 1)
-
-    def cellwords(f):
-        return [w for w, _ in f.cells]
-
-    def depth(f, pts, k):
-        w = next(w for w in cellwords(f) if pts.point(k).startswith(w))
-        return len(w) - (k - 1)
-
-    def fwd(f):
-        ai, am = depth(f, src_pts, i), depth(f, src_pts, m)
-        J = max(2 * ai, 2 * am - 1, 1)
-        cells = [(prei + "0" * J, e)]
-        for l in range(1, J):
-            if l % 2 == 0:
-                srcw = src_pts.cellword(i, l // 2)
-            else:
-                srcw = src_pts.cellword(m, (l + 1) // 2)
-            dstw = dst_pts.cellword(i, l)
-            part = f.restrict(Clopen.make([srcw]))
-            cells += [(dstw + w[len(srcw):], a) for w, a in part.cells]
-        for k in range(1, m):
-            if k == i:
-                continue
-            part = f.restrict(Clopen.make(["1" * (k - 1) + "0"]))
-            cells += list(part.cells)
-        off = f.restrict(Clopen.make(["1" * m]))
-        cells += [("1" * (m - 1) + w[m:], a) for w, a in off.cells]
-        return bp.PowerElement.make(dst, cells)
-
-    def bwd(g):
-        a = depth(g, dst_pts, i)
-        Ki = (a + 1) // 2
-        Km = (a + 2) // 2
-        cells = [
-            (prei + "0" * max(Ki, 1), e),
-            ("1" * (m - 1) + "0" * max(Km, 1), e),
-        ]
-        for j in range(1, max(Ki, 1)):
-            srcw = src_pts.cellword(i, j)
-            dstw = dst_pts.cellword(i, 2 * j)
-            part = g.restrict(Clopen.make([dstw]))
-            cells += [(srcw + w[len(dstw):], aa) for w, aa in part.cells]
-        for j in range(1, max(Km, 1)):
-            srcw = src_pts.cellword(m, j)
-            dstw = dst_pts.cellword(i, 2 * j - 1)
-            part = g.restrict(Clopen.make([dstw]))
-            cells += [(srcw + w[len(dstw):], aa) for w, aa in part.cells]
-        for k in range(1, m):
-            if k == i:
-                continue
-            part = g.restrict(Clopen.make(["1" * (k - 1) + "0"]))
-            cells += list(part.cells)
-        offg = g.restrict(Clopen.make(["1" * (m - 1)]))
-        cells += [("1" * m + w[m - 1:], aa) for w, aa in offg.cells]
-        return bp.PowerElement.make(ctx, cells)
-
-    return fwd, bwd
 
 
 # ---------------------------------------------------------------------------
@@ -420,37 +307,7 @@ def test_restriction_map_matches_substitution_loops(case, words, data):
 
 
 # ---------------------------------------------------------------------------
-# twist, swap and merge
-
-
-def _isos(ctx):
-    """(name, ElementIso, (old forward, old backward)) for every twist,
-    swap and merge the context admits."""
-    m = ctx.points.n
-    out = []
-    for j in range(1, m + 1):
-        for mapping in ctx.aut_mappings:
-            alpha = Endomap(mapping, True)
-            iso = bp.twist_iso(ctx, j, alpha)
-            out.append((f"twist{j}{mapping}", iso, old_twist(ctx, j, alpha)))
-        if j < m:
-            out.append((f"swap{j}", bp.swap_points_iso(ctx, j), old_swap(ctx, j)))
-    for i in range(1, m):
-        if ctx.filters[i - 1] == ctx.filters[m - 1]:
-            out.append((f"merge{i}", bp.merge_last_iso(ctx, i), old_merge_last(ctx, i)))
-    return out
-
-
-@settings(max_examples=200, deadline=None)
-@given(ctx_elements(), st.data())
-def test_reduction_isos_match_old_images(case, data):
-    ctx, f = case
-    for name, iso, (old_fwd, old_bwd) in _isos(ctx):
-        g = iso.forward(f)
-        assert g == old_fwd(f), name
-        assert iso.backward(g) == old_bwd(g) == f, name
-        g2 = data.draw(elements(iso.dst))
-        assert iso.backward(g2) == old_bwd(g2), name
+# the reduction and the restriction isomorphism
 
 
 @pytest.mark.parametrize("name", sorted(CTXS))
@@ -461,11 +318,6 @@ def test_reduce_idempotents_images_exhaustive_depth_2(name):
         g = iso.forward(f)
         assert g.ctx == red
         assert iso.backward(g) == f
-    for _, new, (old_fwd, old_bwd) in _isos(ctx):
-        for f in bp.enumerate_elements(ctx, 2):
-            assert new.forward(f) == old_fwd(f)
-        for g in bp.enumerate_elements(new.dst, 2):
-            assert new.backward(g) == old_bwd(g)
 
 
 def test_restriction_iso_matches_per_cell_images():

@@ -12,8 +12,9 @@ The live reduction is a different isomorphism once an orbit holds three
 points or more, so it is checked against the oracle's reduced context and
 for the properties of an isomorphism: both round trips, injectivity, every
 operation of positive arity preserved pointwise, and the filter values at
-the retained points.  Where every orbit holds at most two points with
-equal filters, the images must be the oracle's.
+the retained points.  Where the oracle only merges the last point into an
+earlier one with an equal filter (two equal filters, say), the images must
+be the oracle's: that merge is the two-point case of the live map.
 
 Cases: up to six points on the three builtins with two idempotents and on
 two JSON-built 3-element algebras, the max-chain (three orbits, no
@@ -167,13 +168,12 @@ def old_merge_last(ctx, i):
 
 
 def old_reduce(ctx):
-    """(reduced context, forward, backward, merge count per kept point, a
-    twist not the identity was used)."""
+    """(reduced context, forward, backward, the (i, j, m, automorphism)
+    of each step: x_j twisted, swapped with the last point x_m and merged
+    into x_i)."""
     auts = alg.automorphisms(ctx.algebra)
-    steps = []
+    steps, found = [], []
     cur = ctx
-    merges = [0] * ctx.n
-    twisted = False
     while True:
         dup = None
         for j in range(2, cur.points.n + 1):
@@ -189,10 +189,7 @@ def old_reduce(ctx):
         if not dup:
             break
         i, j, a = dup
-        twisted = twisted or a.mapping != tuple(range(ctx.algebra.size))
-        m = cur.points.n
-        merges[i - 1] += 1 + merges[j - 1]
-        merges[j - 1], merges[m - 1] = merges[m - 1], 0
+        found.append((i, j, cur.points.n, a.mapping))
         for make_step in (
             lambda c: old_twist(c, j, a),
             lambda c: old_swap(c, j),
@@ -211,7 +208,7 @@ def old_reduce(ctx):
             g = bwd(g)
         return g
 
-    return cur, forward, backward, merges[: cur.n], twisted
+    return cur, forward, backward, found
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +273,16 @@ def test_max_chain_reduction_keeps_the_swap_order():
     assert bp.reduce_idempotents(ctx)[0].filters == (0, 2, 1)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_equal_filters_image_words_grow_by_one_letter(n):
+    # the chained merges of the earlier reduction reached 2^(n-1) + 1
+    ctx = bp.make_context(ALGEBRAS["gf2-ring"], (0,) * n)
+    _, iso = bp.reduce_idempotents(ctx)
+    images = [iso.forward(f) for f in bp.enumerate_elements(ctx, 2)]
+    longest = max(len(w) for g in images for w, _ in g.cells)
+    assert longest == bp.check_reduction_budget(ctx, 2) == max(n + 1, 2)
+
+
 def _operation_args(elems, arity):
     """len(elems) argument tuples that run through every element in each
     position, each shifted by a different stride."""
@@ -295,9 +302,11 @@ def test_reduction_is_an_isomorphism(name, filters):
         elems = bp.enumerate_elements(ctx, depth)
         images = [iso.forward(f) for f in elems]
         assert len(set(images)) == len(elems)
+        longest = bp.check_reduction_budget(ctx, depth)
         for f, g in zip(elems, images):
             assert g.ctx == red
             assert iso.backward(g) == f
+            assert max(len(w) for w, _ in g.cells) <= longest
             for t, x in enumerate(red.points.points()):
                 assert g.value_at(x) == red.filters[t]
         for g in bp.enumerate_elements(red, depth):
@@ -312,20 +321,26 @@ def test_reduction_is_an_isomorphism(name, filters):
                 assert lhs == rhs, (op, depth)
 
 
-def _merges_two_equal_filters(name, filters):
-    """Whether the oracle merges one point into each of some kept points
-    with equal filters, and nothing else."""
-    _, _, _, merges, twisted = old_reduce(bp.make_context(ALGEBRAS[name], filters))
-    return not twisted and max(merges) == 1
+def _only_last_merged(name, filters):
+    """Whether each step of the oracle merges the last point, untwisted,
+    into a point that nothing else is merged into."""
+    a = ALGEBRAS[name]
+    found = old_reduce(bp.make_context(a, filters))[3]
+    ident = tuple(range(a.size))
+    return (
+        len(found) > 0
+        and all(j == m and mapping == ident for _, j, m, mapping in found)
+        and len({i for i, _, _, _ in found}) == len(found)
+    )
 
 
 @pytest.mark.parametrize(
     "name,filters",
-    [c for c in ELEMENT_CASES if _merges_two_equal_filters(*c.values)],
+    [c for c in ELEMENT_CASES if _only_last_merged(*c.values)],
 )
 def test_images_match_oracle_for_two_equal_filters(name, filters):
     ctx = bp.make_context(ALGEBRAS[name], filters)
-    red, old_fwd, old_bwd, _, _ = old_reduce(ctx)
+    red, old_fwd, old_bwd, _ = old_reduce(ctx)
     _, iso = bp.reduce_idempotents(ctx)
     for depth in _depths(ctx):
         for f in bp.enumerate_elements(ctx, depth):

@@ -91,18 +91,6 @@ def make_algebra(size, signature, tables, malcev_hint=None) -> FiniteAlgebra:
     return alg
 
 
-def to_json(alg: FiniteAlgebra) -> str:
-    return json.dumps(
-        {
-            "carrier": alg.size,
-            "ops": [
-                {"name": n, "arity": r, "table": list(t)}
-                for (n, r), t in zip(alg.signature, alg.tables)
-            ],
-        }
-    )
-
-
 def from_json(text: str, source: str = "algebra JSON") -> FiniteAlgebra:
     """Parse the algebra JSON schema; malformed input raises ParseError
     naming the source and the missing or ill-typed field."""
@@ -751,11 +739,3 @@ def _encode(tup: Sequence[int], base: int) -> int:
     for v in tup:
         a = a * base + v
     return a
-
-
-def power_decode(alg: FiniteAlgebra, a: int, k: int) -> tuple[int, ...]:
-    return _decode(a, alg.size, k)
-
-
-def power_encode(alg: FiniteAlgebra, tup: Sequence[int]) -> int:
-    return _encode(tup, alg.size)

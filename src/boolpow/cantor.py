@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import count
 from math import gcd, lcm
 from typing import Iterable
@@ -156,45 +156,115 @@ def graft(t, cells):
     return t
 
 
+# the word lists whose checked shape `shape` keeps, the least recently
+# used dropped first; an entry holds its words, joined into one string,
+# and three small ints a cell
+SHAPE_MEMO_SIZE = 2048
+
+
 def build(cells, s=True, what="cells", untiled="cells do not tile the support"):
     """The tree of the (word, leaf) cells, which must tile the clopen
     tree s.  ValueErrors come in this order: two cells that meet
     ("overlapping <what>"), a word not over 01, cells that do not tile s
-    (`untiled`)."""
-    ordered = sorted(cells)
+    (`untiled`).  The checks read the words alone and run once per word
+    list (`shape`); the leaves are then filled in."""
+    program, _ = shape([w for w, _ in cells], s, what, untiled)
+    return fill(program, [a for _, a in cells] + [None])
+
+
+def shape(words, s=True, what="cells", untiled="cells do not tile the support"):
+    """The checked shape of cells with this list of words, which must
+    tile the clopen tree s, raising as `build` does: (program, holders).
+    The program is the tree in postorder over the cells' indices, -1 for
+    the outside and None for joining the last two trees.  holders[i-1] is
+    the index of the cell holding the point 1^(i-1) 0^w, -1 outside s;
+    the last one holds every later point.  A shape is kept per word list,
+    support tree and messages; a refusal is not kept."""
+    key = ",".join(words)
+    if key.count(",") != len(words) - 1:  # no words, or one not over 01
+        return _shape(words, s, what, untiled)
+    return _kept_shape(key, s, what, untiled)
+
+
+@lru_cache(maxsize=SHAPE_MEMO_SIZE)
+def _kept_shape(key, s, what, untiled):
+    return _shape(key.split(","), s, what, untiled)
+
+
+def _shape(words, s, what, untiled):
+    order = sorted(range(len(words)), key=words.__getitem__)
+    ordered = [words[k] for k in order]
     # in sorted order a word prefixing a later one prefixes the next
-    for (u, _), (v, _) in zip(ordered, ordered[1:]):
+    for u, v in zip(ordered, ordered[1:]):
         if v.startswith(u):
             raise ValueError(f"overlapping {what}")
-    for w, _ in cells:
+    for w in words:
         if w.strip("01"):
             raise ValueError(f"bad word {w!r}")
-    return _tile(ordered, 0, len(ordered), 0, s, untiled)
+    tree = _tile(ordered, order, 0, len(order), 0, s, untiled)
+    # the cell holding 1^(i-1) 0^w is the leftmost leaf below 1^(i-1)
+    holders = []
+    t = tree
+    while True:
+        x = t
+        while x.__class__ is tuple:
+            x = x[0]
+        holders.append(x)
+        if t.__class__ is not tuple:  # the cell of every later point too
+            return tuple(_postorder(tree, [])), tuple(holders)
+        t = t[1]
 
 
-def _tile(cells, lo, hi, d, s, untiled):
-    """The tree of the sorted cells[lo:hi], no two of which meet, whose
-    words share their first d letters and, cut after them, tile the
-    clopen tree s."""
+def _tile(words, order, lo, hi, d, s, untiled):
+    """The tree of cell indices order[lo:hi] of the sorted words[lo:hi], no
+    two of which meet, which share their first d letters and, cut after
+    them, tile the clopen tree s; -1 outside s."""
     if s is False:
         if lo < hi:
             raise ValueError(untiled)
-        return None
+        return -1
     if lo == hi:
         raise ValueError(untiled)
-    w, a = cells[lo]
-    if len(w) == d:  # the only cell
+    if len(words[lo]) == d:  # the only cell
         if s is not True:
             raise ValueError(untiled)
-        return a
+        return order[lo]
     mid = lo
-    while mid < hi and cells[mid][0][d] == "0":
+    while mid < hi and words[mid][d] == "0":
         mid += 1
     s0, s1 = s if s.__class__ is tuple else (s, s)
     return _node(
-        _tile(cells, lo, mid, d + 1, s0, untiled),
-        _tile(cells, mid, hi, d + 1, s1, untiled),
+        _tile(words, order, lo, mid, d + 1, s0, untiled),
+        _tile(words, order, mid, hi, d + 1, s1, untiled),
     )
+
+
+def _postorder(t, out):
+    if t.__class__ is tuple:
+        _postorder(t[0], out)
+        _postorder(t[1], out)
+        out.append(None)
+    else:
+        out.append(t)
+    return out
+
+
+def fill(program, labels):
+    """The canonical tree of a shape's program on the cells' labels,
+    followed by None for the outside (index -1): equal leaf siblings
+    collapse as in `_node`."""
+    stack = []
+    push, pop = stack.append, stack.pop
+    for k in program:
+        if k is None:
+            t1 = pop()
+            t0 = stack[-1]
+            if t0.__class__ is not tuple and t0 == t1:
+                continue
+            stack[-1] = (t0, t1)
+        else:
+            push(labels[k])
+    return stack[0]
 
 
 class Clopen:

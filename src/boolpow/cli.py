@@ -27,8 +27,8 @@ from .errors import BoolpowError, ParseError, SizeBudgetExceeded
 from .homeo import cross_branch_involution
 from .rand import cell_swap, random_point_fixing_homeo, suffix_twist
 
-# --budget when not given; extend-homogeneity, which has no --budget,
-# bounds its chain by it
+# --budget when not given; extend-homogeneity and amalgamate, which have
+# no --budget, bound their chain and source tuples by it
 DEFAULT_BUDGET = 200_000
 
 # demo-example-2-3 takes time quadratic in --depth (1.2 s at 200, 57 s at 800)
@@ -73,6 +73,18 @@ def _filters(args, algebra) -> tuple[int, ...]:
         except ValueError as e:
             raise ParseError(f"--filters {args.filters!r}: {e}") from e
     return tuple(sorted(alg.idempotents(algebra)))
+
+
+def check_source_tuples(a: alg.FiniteAlgebra, u: int) -> None:
+    """Raise SizeBudgetExceeded when the |A|^u source tuples of an
+    exhaustive check are more than DEFAULT_BUDGET, without computing
+    |A|^u for a large u."""
+    # |A| >= 2, so from budget.bit_length() coordinates on |A|^u is over
+    if u >= DEFAULT_BUDGET.bit_length() or a.size**u > DEFAULT_BUDGET:
+        raise SizeBudgetExceeded(
+            f"|A|^u source tuples, with |A| = {a.size} and u = {u}, "
+            f"are more than {DEFAULT_BUDGET}"
+        )
 
 
 def cmd_inspect_algebra(args):
@@ -121,6 +133,7 @@ def cmd_amalgamate(args):
     else:
         phi = fr.PowerEmbedding.identity(a, 1)
         psi = fr.PowerEmbedding.identity(a, 1)
+    check_source_tuples(a, phi.u)
     m, phi2, psi2 = fr.amalgamate(phi, psi)
     commutes = phi2.compose(phi) == psi2.compose(psi)
     exhaustive = all(
@@ -156,6 +169,7 @@ def cmd_extend_homogeneity(args):
         )
     rng.shuffle(coords)
     phi = fr.PowerEmbedding.make(a, u, coords)
+    check_source_tuples(a, u)
     psi2 = fr.extend_weak_homogeneity(phi, psi)
     verified = all(
         psi2.eval(phi.eval(t)) == psi.eval(t)

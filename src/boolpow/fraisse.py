@@ -7,15 +7,17 @@ limit chains, and finite back-and-forth traces.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Optional, Sequence
 
 from . import algebra as alg
 from .algebra import FiniteAlgebra, _comp, _ident
-from .cantor import Clopen, _map, _words, build, point_in, split, subtree
+from .cantor import Clopen, _at, _map, _words, build, point_in, split, subtree
 from .errors import (
     ArityOrder,
     ExtensionFailure,
+    FilterViolation,
     NotEmbedding,
     SizeBudgetExceeded,
     SourceMismatch,
@@ -293,10 +295,18 @@ class BPEmbedding:
     def blocks(self) -> tuple[Clopen, ...]:
         return tuple(self._part(-i) for i in range(1, self.ctx.n + 1))
 
+    @cached_property
+    def _point_leaves(self) -> tuple:
+        """The leaf at each distinguished point, in point order."""
+        return tuple(_at(self.tree, x)[0] for x, _ in self.ctx.marked)
+
     def eval(self, a: Sequence[int]) -> PowerElement:
         # leaf -i reads the filter of point i from the end of the labels
         labels = [m[a[j]] for m, j in self.twists] + list(self.ctx.filters[::-1])
-        return PowerElement.from_tree(self.ctx, _map(labels.__getitem__, self.tree))
+        for i, (k, e) in enumerate(zip(self._point_leaves, self.ctx.filters), start=1):
+            if labels[k] != e:
+                raise FilterViolation(f"value at point {i} must be {e}")
+        return PowerElement(self.ctx, _map(labels.__getitem__, self.tree))
 
     def multiplicities(self) -> list[int]:
         return [sum(j == s for _, j in self.twists) for s in range(self.u)]

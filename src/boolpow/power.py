@@ -22,9 +22,10 @@ from .cantor import (
     _node,
     _words,
     _zip,
-    build,
+    fill,
     graft,
     point_in,
+    shape,
     subtree,
 )
 from .errors import (
@@ -113,15 +114,27 @@ class PowerElement:
 
         Errors come in this order: a label outside the carrier, two cells
         that meet, a word not over 01, cells that do not tile the support,
-        a wrong value at a retained point.
+        a wrong value at a retained point.  The checks that read the words
+        alone run once per word list and support (`cantor.shape`), which
+        also names the cell holding each point.
         """
         support = Clopen.all() if support is None else support
-        cells = [(str(w), int(a)) for w, a in cells]
-        labels = range(ctx.algebra.size)
-        for _, a in cells:
-            if a not in labels:
+        words, labels = [], []
+        for w, a in cells:
+            words.append(str(w))
+            labels.append(int(a))
+        carrier = range(ctx.algebra.size)
+        for a in labels:
+            if a not in carrier:
                 raise FilterViolation(f"label {a} outside carrier")
-        return PowerElement.from_tree(ctx, build(cells, support._t), support)
+        program, holders = shape(words, support._t)
+        labels.append(None)  # the outside, cell -1
+        last = len(holders)
+        for i, e in enumerate(ctx.filters, start=1):
+            a = labels[holders[min(i, last) - 1]]
+            if a is not None and a != e:
+                raise FilterViolation(f"value at point {i} must be {e}")
+        return PowerElement(ctx, fill(program, labels), support)
 
     @staticmethod
     def from_tree(ctx, tree, support: Optional[Clopen] = None) -> "PowerElement":

@@ -180,9 +180,6 @@ class EPSet(EPSeq):
     def is_finite(self) -> bool:
         return not any(self.word)
 
-    def is_cofinite(self) -> bool:
-        return all(self.word)
-
     def finite_part(self) -> list[int]:
         """Positions of the head ones (all ones when the set is finite)."""
         return list(compress(range(1, len(self.head) + 1), self.head))

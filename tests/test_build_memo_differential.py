@@ -40,10 +40,8 @@ DEFECTS = ("none", "overlap", "duplicate", "char", "gap", "outside", "label", "p
 
 
 def clear_memo():
-    """Empty the memo behind cantor.build, where there is one."""
-    memo = getattr(cantor, "shape", None)
-    if memo is not None:
-        memo.cache_clear()
+    """Empty the memo behind cantor.build."""
+    cantor._kept_shape.cache_clear()
 
 
 # ---------------------------------------------------------------------------

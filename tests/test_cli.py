@@ -479,3 +479,45 @@ def test_refusals_name_the_depth_checked(capsys, argv, message):
     code, rep = run(capsys, *argv)
     assert code == 1
     assert rep["error"] == f"SizeBudgetExceeded: {message}"
+
+
+@pytest.mark.parametrize("n,u", [(4, 4), (5, 11)])
+def test_extend_homogeneity_within_the_tuple_budget(capsys, n, u):
+    filters = ",".join(["0"] * n)
+    code, rep = run(capsys, "extend-homogeneity", "--builtin", "gf2-ring", "--filters", filters)
+    assert code == 0 and rep["source_arity"] == u and rep["verified"]
+
+
+def test_extend_homogeneity_stops_at_the_tuple_budget(capsys):
+    # the second stage of 6 zero filters has u = 26 source coordinates
+    start = time.process_time()
+    code, rep = run(
+        capsys, "extend-homogeneity", "--builtin", "gf2-ring", "--filters", "0,0,0,0,0,0"
+    )
+    assert time.process_time() - start < 1.0
+    assert code == 1
+    assert rep["error"] == (
+        "SizeBudgetExceeded: |A|^u source tuples, with |A| = 2 and u = 26, "
+        "are more than 200000"
+    )
+
+
+@pytest.mark.parametrize("u,ok", [(17, True), (18, False), (30, False), (10_000, False)])
+def test_amalgamate_stops_at_the_tuple_budget(tmp_path, capsys, u, ok):
+    # identity embeddings A^u -> A^u; 2^17 tuples are within the budget
+    emb = {"u": u, "coords": [{"aut": [0, 1], "src": j} for j in range(u)]}
+    path = tmp_path / "emb.json"
+    path.write_text(json.dumps(emb))
+    argv = ["amalgamate", "--builtin", "gf2-ring", "--emb1", str(path), "--emb2", str(path)]
+    if ok:
+        code, rep = run(capsys, *argv)
+        assert code == 0 and rep["exhaustive"]
+        return
+    start = time.process_time()
+    code, rep = run(capsys, *argv)
+    assert time.process_time() - start < 1.0
+    assert code == 1
+    assert rep["error"] == (
+        f"SizeBudgetExceeded: |A|^u source tuples, with |A| = 2 and u = {u}, "
+        "are more than 200000"
+    )

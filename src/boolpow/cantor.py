@@ -120,6 +120,20 @@ def _common_cells(ts, prefix, out):
     return out
 
 
+def point_leaves(t, n: int) -> list:
+    """The leaf of t at each point 1^(i-1) 0^w, i = 1..n: the leftmost
+    leaf below 1^(i-1)."""
+    out = []
+    for _ in range(n):
+        x = t
+        while x.__class__ is tuple:
+            x = x[0]
+        out.append(x)
+        if t.__class__ is tuple:
+            t = t[1]
+    return out
+
+
 def _at(t, x: EPSeq):
     """The leaf of t at the point x, and the length of its cell's word."""
     i = 0
@@ -158,7 +172,7 @@ def graft(t, cells):
 
 # the word lists whose checked shape `shape` keeps, the least recently
 # used dropped first; an entry holds its words, joined into one string,
-# and three small ints a cell
+# and two small ints a cell
 SHAPE_MEMO_SIZE = 2048
 
 
@@ -168,17 +182,15 @@ def build(cells, s=True, what="cells", untiled="cells do not tile the support"):
     ("overlapping <what>"), a word not over 01, cells that do not tile s
     (`untiled`).  The checks read the words alone and run once per word
     list (`shape`); the leaves are then filled in."""
-    program, _ = shape([w for w, _ in cells], s, what, untiled)
+    program = shape([w for w, _ in cells], s, what, untiled)
     return fill(program, [a for _, a in cells] + [None])
 
 
 def shape(words, s=True, what="cells", untiled="cells do not tile the support"):
     """The checked shape of cells with this list of words, which must
-    tile the clopen tree s, raising as `build` does: (program, holders).
-    The program is the tree in postorder over the cells' indices, -1 for
-    the outside and None for joining the last two trees.  holders[i-1] is
-    the index of the cell holding the point 1^(i-1) 0^w, -1 outside s;
-    the last one holds every later point.  A shape is kept per word list,
+    tile the clopen tree s, raising as `build` does: their tree as a
+    program in postorder over the cells' indices, -1 for the outside and
+    None for joining the last two trees.  A shape is kept per word list,
     support tree and messages; a refusal is not kept."""
     key = ",".join(words)
     if key.count(",") != len(words) - 1:  # no words, or one not over 01
@@ -202,17 +214,7 @@ def _shape(words, s, what, untiled):
         if w.strip("01"):
             raise ValueError(f"bad word {w!r}")
     tree = _tile(ordered, order, 0, len(order), 0, s, untiled)
-    # the cell holding 1^(i-1) 0^w is the leftmost leaf below 1^(i-1)
-    holders = []
-    t = tree
-    while True:
-        x = t
-        while x.__class__ is tuple:
-            x = x[0]
-        holders.append(x)
-        if t.__class__ is not tuple:  # the cell of every later point too
-            return tuple(_postorder(tree, [])), tuple(holders)
-        t = t[1]
+    return tuple(_postorder(tree, []))
 
 
 def _tile(words, order, lo, hi, d, s, untiled):

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 from . import algebra as alg
 from .algebra import FiniteAlgebra, _comp, _ident
-from .cantor import Clopen, _at, _map, _words, build, point_in, split, subtree
+from .cantor import Clopen, _map, _words, build, point_in, point_leaves, split, subtree
 from .errors import (
     ArityOrder,
     ExtensionFailure,
@@ -296,9 +296,9 @@ class BPEmbedding:
         return tuple(self._part(-i) for i in range(1, self.ctx.n + 1))
 
     @cached_property
-    def _point_leaves(self) -> tuple:
+    def _point_leaves(self) -> list:
         """The leaf at each distinguished point, in point order."""
-        return tuple(_at(self.tree, x)[0] for x, _ in self.ctx.marked)
+        return point_leaves(self.tree, self.ctx.n)
 
     def eval(self, a: Sequence[int]) -> PowerElement:
         # leaf -i reads the filter of point i from the end of the labels

@@ -25,6 +25,7 @@ from .cantor import (
     fill,
     graft,
     point_in,
+    point_leaves,
     shape,
     subtree,
 )
@@ -115,8 +116,7 @@ class PowerElement:
         Errors come in this order: a label outside the carrier, two cells
         that meet, a word not over 01, cells that do not tile the support,
         a wrong value at a retained point.  The checks that read the words
-        alone run once per word list and support (`cantor.shape`), which
-        also names the cell holding each point.
+        alone run once per word list and support (`cantor.shape`).
         """
         support = Clopen.all() if support is None else support
         words, labels = [], []
@@ -127,14 +127,13 @@ class PowerElement:
         for a in labels:
             if a not in carrier:
                 raise FilterViolation(f"label {a} outside carrier")
-        program, holders = shape(words, support._t)
         labels.append(None)  # the outside, cell -1
-        last = len(holders)
-        for i, e in enumerate(ctx.filters, start=1):
-            a = labels[holders[min(i, last) - 1]]
+        tree = fill(shape(words, support._t), labels)
+        points = point_leaves(tree, ctx.n)
+        for i, (a, e) in enumerate(zip(points, ctx.filters), start=1):
             if a is not None and a != e:
                 raise FilterViolation(f"value at point {i} must be {e}")
-        return PowerElement(ctx, fill(program, labels), support)
+        return PowerElement(ctx, tree, support)
 
     @staticmethod
     def from_tree(ctx, tree, support: Optional[Clopen] = None) -> "PowerElement":

@@ -128,19 +128,13 @@ class PowerElement:
             if a not in carrier:
                 raise FilterViolation(f"label {a} outside carrier")
         labels.append(None)  # the outside, cell -1
-        tree = fill(shape(words, support._t), labels)
-        points = point_leaves(tree, ctx.n)
-        for i, (a, e) in enumerate(zip(points, ctx.filters), start=1):
-            if a is not None and a != e:
-                raise FilterViolation(f"value at point {i} must be {e}")
-        return PowerElement(ctx, tree, support)
+        return PowerElement.from_tree(ctx, fill(shape(words, support._t), labels), support)
 
     @staticmethod
     def from_tree(ctx, tree, support: Optional[Clopen] = None) -> "PowerElement":
         """The element of a canonical tree whose leaves other than None tile
         the support, after checking the value at each retained point."""
-        for i, (x, e) in enumerate(ctx.marked, start=1):
-            a = _at(tree, x)[0]
+        for i, (a, e) in enumerate(zip(point_leaves(tree, ctx.n), ctx.filters), start=1):
             if a is not None and a != e:
                 raise FilterViolation(f"value at point {i} must be {e}")
         return PowerElement(ctx, tree, Clopen.all() if support is None else support)

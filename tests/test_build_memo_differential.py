@@ -1,7 +1,7 @@
 """Differential test of ``cantor.build`` and of the point checks of
 ``PowerElement.make`` and ``BPEmbedding.eval`` against the code they
 replaced, kept here as the oracle: a ``build`` that sorts, scans and tiles
-every cell list from scratch, and ``from_tree``'s walk along each
+every cell list anew, and ``from_tree``'s walk along each
 distinguished point.
 
 Inputs are cell lists on two supports, all of X and the clopen

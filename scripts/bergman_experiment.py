@@ -45,9 +45,7 @@ def main() -> int:
         )
 
     ctx4 = bp.make_context(gf4, (0, 1))
-    frob = next(
-        a for a in alg.automorphisms(gf4) if a.mapping != tuple(range(4))
-    )
+    frob = next(m for m in alg.automorphisms(gf4) if m != tuple(range(4)))
     chi = characteristic(
         ctx4, TailClopen.from_clopen(ctx4.points, Clopen.make(["110"])), frob
     )

@@ -607,45 +607,31 @@ def subalgebras(alg: FiniteAlgebra) -> list[frozenset[int]]:
     return sorted((s for s in found if s), key=lambda s: (len(s), sorted(s)))
 
 
-def _ident(size: int) -> tuple[int, ...]:
+# an automorphism, or any self-map of a carrier, as the tuple of its values
+Mapping = tuple[int, ...]
+
+
+def _ident(size: int) -> Mapping:
     """The identity map of a carrier of this size, as a mapping tuple."""
     return tuple(range(size))
 
 
-def _comp(m1: tuple[int, ...], m2: tuple[int, ...]) -> tuple[int, ...]:
+def _comp(m1: Mapping, m2: Mapping) -> Mapping:
     """The mapping tuple of m1 after m2."""
     return tuple(m1[m2[a]] for a in range(len(m1)))
 
 
-@dataclass(frozen=True)
-class Endomap:
-    """Total carrier self-map; flagged when it is an automorphism."""
-
-    mapping: tuple[int, ...]
-    is_automorphism: bool
-
-    def __call__(self, a: int) -> int:
-        return self.mapping[a]
-
-    def compose(self, other: "Endomap") -> "Endomap":
-        m = _comp(self.mapping, other.mapping)
-        return Endomap(m, self.is_automorphism and other.is_automorphism)
-
-    def inverse(self) -> "Endomap":
-        if not self.is_automorphism:
-            raise ValueError("not invertible")
-        inv = [0] * len(self.mapping)
-        for a, b in enumerate(self.mapping):
-            inv[b] = a
-        return Endomap(tuple(inv), True)
+def _inv(m: Mapping) -> Mapping:
+    """The mapping tuple of the inverse of a bijection m."""
+    out = [0] * len(m)
+    for a, b in enumerate(m):
+        out[b] = a
+    return tuple(out)
 
 
-def identity_endomap(alg: FiniteAlgebra) -> Endomap:
-    return Endomap(tuple(alg.carrier), True)
-
-
-def automorphisms(alg: FiniteAlgebra) -> list[Endomap]:
-    """All bijective operation-preserving maps, by pruned backtracking."""
+def automorphisms(alg: FiniteAlgebra) -> list[Mapping]:
+    """All bijective operation-preserving maps, as mapping tuples, by
+    pruned backtracking."""
     n = alg.size
     out = []
     nodes = 0
@@ -669,7 +655,7 @@ def automorphisms(alg: FiniteAlgebra) -> list[Endomap]:
         if nodes > AUTOMORPHISM_NODES:
             raise SearchBudgetExceeded("automorphism search budget")
         if a == n:
-            out.append(Endomap(tuple(partial), True))
+            out.append(tuple(partial))
             return
         for b in range(n):
             if b in used:

@@ -11,7 +11,7 @@ from itertools import product
 from typing import Sequence
 
 from . import algebra as alg
-from .algebra import Endomap, _comp, _ident
+from .algebra import Mapping, _comp, _ident
 from .cantor import (
     Clopen,
     TailClopen,
@@ -41,8 +41,6 @@ from .errors import (
 from .homeo import EPHomeo
 from .power import PowerContext, PowerElement, _complement_fill
 from .seqs import EPSeq
-
-Mapping = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -322,30 +320,24 @@ class PowerAutomorphism:
 
 
 def characteristic(
-    ctx: PowerContext, c: TailClopen, alpha: Endomap
+    ctx: PowerContext, c: TailClopen, alpha: Mapping
 ) -> PowerAutomorphism:
     """Kernel automorphism acting by alpha on c and trivially elsewhere;
-    legal when alpha fixes the idempotents of all branches accumulating c."""
-    if not alpha.is_automorphism:
+    legal when alpha is an automorphism fixing the idempotents of all
+    branches accumulating c.  Its labeling is one zip of c."""
+    if alpha not in ctx.aut_ids:
         raise IllegalTriple(f"{alpha} is not an automorphism")
     if c.ctx != ctx.points:
         raise ContextMismatch((c.ctx, ctx.points))
-    ins = {
-        i for i in range(1, ctx.points.n + 1) if "1" in c.tails[i - 1]
-    }
-    for i in ins:
+    for i, word in enumerate(c.tails, start=1):
         e = ctx.filters[i - 1]
-        if alpha(e) != e:
+        if "1" in word and alpha[e] != e:
             raise IllegalTriple(
                 f"label moves idempotent {e} accumulating at point {i}"
             )
-    if c.is_empty() or alpha.mapping == _ident(ctx.algebra.size):
-        return PowerAutomorphism.identity(ctx)
-    fibers = [(c, alpha.mapping)]
-    comp = c.complement()
-    if not comp.is_empty():
-        fibers.append((comp, _ident(ctx.algebra.size)))
-    return PowerAutomorphism.from_labeling(AutLabeling.from_fibers(ctx, fibers))
+    a, e = ctx.aut_ids[alpha], ctx.aut_ids[_ident(ctx.algebra.size)]
+    labels = c.labels.zip(lambda b: None if b is None else a if b else e)
+    return PowerAutomorphism.from_labeling(AutLabeling(ctx, labels))
 
 
 def characteristic_factors(k: AutLabeling) -> list[PowerAutomorphism]:
@@ -359,15 +351,15 @@ def characteristic_factors(k: AutLabeling) -> list[PowerAutomorphism]:
         fib = k.fiber(m)
         if fib.is_empty():
             continue
-        out.append(characteristic(k.ctx, fib, Endomap(m, True)))
+        out.append(characteristic(k.ctx, fib, m))
     return out
 
 
-def stabilizer(algebra, e: int) -> list[Endomap]:
-    return [a for a in alg.automorphisms(algebra) if a(e) == e]
+def stabilizer(algebra, e: int) -> list[Mapping]:
+    return [m for m in alg.automorphisms(algebra) if m[e] == e]
 
 
-def dense_fiber_pair(ctx: PowerContext, c: TailClopen, alpha: Endomap):
+def dense_fiber_pair(ctx: PowerContext, c: TailClopen, alpha: Mapping):
     """Split a characteristic automorphism over a single-point power into
     sigma o tau^{-1} where every stabilizer fiber of sigma and of tau
     accumulates at the distinguished point.
@@ -378,54 +370,28 @@ def dense_fiber_pair(ctx: PowerContext, c: TailClopen, alpha: Endomap):
     if ctx.points.n != 1:
         raise NotSinglePoint(ctx.points.n)
     e1 = ctx.filters[0]
-    if not alpha.is_automorphism or alpha(e1) != e1:
+    if alpha not in ctx.aut_ids or alpha[e1] != e1:
         raise NotStabilizing((alpha, e1))
-    stab = stabilizer(ctx.algebra, e1)
-    maps = [s.mapping for s in stab]
     ident = _ident(ctx.algebra.size)
-    maps.sort(key=lambda m: (m != ident, m))  # identity first
+    # the identity first
+    maps = sorted(stabilizer(ctx.algebra, e1), key=lambda m: (m != ident, m))
     ins = "1" in c.tails[0] if c.ctx.n else False
     outs = "0" in c.tails[0] if c.ctx.n else True
+    # the parts are disjoint, and from_fibers takes any that share a label
     if not ins:
         case = 1
-        comp = c.complement()
-        parts = split_cyclic(comp, len(maps), exceptional_to=0)
-        sigma_fibers = []
-        tau_fibers = []
-        for part, m in zip(parts, maps):
-            if part.is_empty():
-                continue
-            sigma_fibers.append((part.difference(c), m))
-            tau_fibers.append((part.difference(c), m))
-        if not c.is_empty():
-            sigma_fibers.append((c, alpha.mapping))
-            tau_fibers.append((c, ident))
+        parts = list(zip(split_cyclic(c.complement(), len(maps), exceptional_to=0), maps))
+        sigma_fibers = parts + [(c, alpha)]
+        tau_fibers = parts + [(c, ident)]
     else:
         case = 2 if not outs else 3
-        parts = split_cyclic(c, len(maps), exceptional_to=maps.index(ident))
-        sigma_fibers = []
-        tau_fibers = []
-        for part, m in zip(parts, maps):
-            if part.is_empty():
-                continue
-            sigma_fibers.append((part, _comp(alpha.mapping, m)))
-            tau_fibers.append((part, m))
+        parts = list(zip(split_cyclic(c, len(maps), exceptional_to=maps.index(ident)), maps))
         comp = c.complement()
-        if not comp.is_empty():
-            sigma_fibers.append((comp, ident))
-            tau_fibers.append((comp, ident))
-    sigma = PowerAutomorphism.from_labeling(
-        _merge_fibers(ctx, sigma_fibers)
-    )
-    tau = PowerAutomorphism.from_labeling(_merge_fibers(ctx, tau_fibers))
+        sigma_fibers = [(part, _comp(alpha, m)) for part, m in parts] + [(comp, ident)]
+        tau_fibers = parts + [(comp, ident)]
+    sigma = PowerAutomorphism.from_labeling(AutLabeling.from_fibers(ctx, sigma_fibers))
+    tau = PowerAutomorphism.from_labeling(AutLabeling.from_fibers(ctx, tau_fibers))
     return sigma, tau, case
-
-
-def _merge_fibers(ctx, fibers):
-    byl = {}
-    for tc, m in fibers:
-        byl[m] = byl[m].union(tc) if m in byl else tc
-    return AutLabeling.from_fibers(ctx, [(tc, m) for m, tc in byl.items()])
 
 
 def fiber_types_dense(phi: PowerAutomorphism) -> bool:
@@ -434,8 +400,8 @@ def fiber_types_dense(phi: PowerAutomorphism) -> bool:
     ctx = phi.ctx
     if ctx.points.n != 1:
         raise NotSinglePoint(ctx.points.n)
-    for s in stabilizer(ctx.algebra, ctx.filters[0]):
-        fib = phi.labeling.fiber(s.mapping)
+    for m in stabilizer(ctx.algebra, ctx.filters[0]):
+        fib = phi.labeling.fiber(m)
         if "1" not in fib.tails[0]:
             return False
     return True

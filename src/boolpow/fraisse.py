@@ -12,7 +12,7 @@ from itertools import product
 from typing import Optional, Sequence
 
 from . import algebra as alg
-from .algebra import FiniteAlgebra, _comp, _ident
+from .algebra import FiniteAlgebra, Mapping, _comp, _ident, _inv
 from .cantor import Clopen, _map, _words, build, point_in, point_leaves, split, subtree
 from .errors import (
     ArityOrder,
@@ -23,15 +23,6 @@ from .errors import (
     SourceMismatch,
 )
 from .power import PowerContext, PowerElement, enumerate_elements
-
-Mapping = tuple[int, ...]
-
-
-def _inv(m: Mapping) -> Mapping:
-    out = [0] * len(m)
-    for a, b in enumerate(m):
-        out[b] = a
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -49,7 +40,7 @@ class PowerEmbedding:
             ("aut", tuple(c[1]), int(c[2])) if c[0] == "aut" else ("idem", int(c[1]))
             for c in coords
         )
-        auts = {a.mapping for a in alg.automorphisms(algebra)}
+        auts = set(alg.automorphisms(algebra))
         idems = alg.idempotents(algebra)
         hit = set()
         for c in coords:

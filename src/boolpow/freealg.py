@@ -121,7 +121,7 @@ def orbit_transversal(algebra: FiniteAlgebra, k: int) -> list[tuple[int, ...]]:
     auts = alg.automorphisms(algebra)
     out = []
     for t in product(range(algebra.size), repeat=k):
-        rep = min(tuple(a(x) for x in t) for a in auts)
+        rep = min(tuple(m[x] for x in t) for m in auts)
         if rep == t:
             out.append(t)
     return out

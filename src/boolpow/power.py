@@ -12,7 +12,7 @@ from itertools import product
 from typing import Callable, Optional, Sequence
 
 from . import algebra as alg
-from .algebra import Endomap, FiniteAlgebra
+from .algebra import FiniteAlgebra, Mapping, _ident, _inv
 from .cantor import (
     Clopen,
     PointContext,
@@ -63,10 +63,10 @@ class PowerContext:
         return self.points.n
 
     @cached_property
-    def aut_mappings(self) -> tuple[tuple[int, ...], ...]:
+    def aut_mappings(self) -> tuple[Mapping, ...]:
         """Automorphisms of the algebra as mapping tuples, in the order
         algebra.automorphisms finds them; searched once per context."""
-        return tuple(a.mapping for a in alg.automorphisms(self.algebra))
+        return tuple(alg.automorphisms(self.algebra))
 
     @cached_property
     def aut_ids(self) -> dict:
@@ -380,7 +380,7 @@ def product_iso_split(g: PowerElement) -> tuple[PowerElement, PowerElement]:
 
 
 def restriction_iso(
-    b1: Clopen, b2: Clopen, alpha: Endomap, h: EPHomeo, ctx: PowerContext
+    b1: Clopen, b2: Clopen, alpha: Mapping, h: EPHomeo, ctx: PowerContext
 ) -> ElementIso:
     """f -> alpha o f o h^{-1} between the restrictions to b1 and b2.
 
@@ -388,7 +388,7 @@ def restriction_iso(
     in b1, b2, and h a homeomorphism of X carrying b1 onto b2 and the
     b1-point onto the b2-point.
     """
-    if not alpha.is_automorphism:
+    if alpha not in ctx.aut_ids:
         raise NotAutomorphism(alpha)
     pts1 = [
         i for i in range(1, ctx.points.n + 1) if point_in(ctx.points.point(i), b1)
@@ -407,24 +407,23 @@ def restriction_iso(
     for i1 in pts1:
         e1 = ctx.filters[i1 - 1]
         e2 = ctx.filters[pm[i1] - 1]
-        if alpha(e1) != e2:
+        if alpha[e1] != e2:
             raise IdempotentMismatch((e1, e2))
     if h.apply_clopen_in_X(b1) != b2:
         raise PointMismatch("h does not carry b1 onto b2")
     hinv = h.inverse()
 
     def fwd(f: PowerElement) -> PowerElement:  # f has support b1
-        cells = [(u, alpha(a)) for w, a in f.cells for u in h.cell_image(w).words]
+        cells = [(u, alpha[a]) for w, a in f.cells for u in h.cell_image(w).words]
         return PowerElement.from_tree(ctx, graft(None, cells), b2)
 
-    ainv = alpha.inverse()
+    ainv = _inv(alpha)
 
     def bwd(g: PowerElement) -> PowerElement:
-        cells = [(u, ainv(a)) for w, a in g.cells for u in hinv.cell_image(w).words]
+        cells = [(u, ainv[a]) for w, a in g.cells for u in hinv.cell_image(w).words]
         return PowerElement.from_tree(ctx, graft(None, cells), b1)
 
-    sub1 = PowerContext(ctx.algebra, ctx.points, ctx.filters)
-    return ElementIso(sub1, sub1, fwd, bwd)
+    return ElementIso(ctx, ctx, fwd, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +435,7 @@ def restriction_iso(
 REDUCTION_MAX_WORD = 512
 
 
-def _orbits(ctx: PowerContext) -> list[list[tuple[int, Endomap, Endomap]]]:
+def _orbits(ctx: PowerContext) -> list[list[tuple[int, Mapping, Mapping]]]:
     """The source points of each point of the reduced power, as (point,
     automorphism onto the kept idempotent, its inverse): the merged
     duplicates in merge order, then the representative with the identity.
@@ -456,11 +455,10 @@ def _orbits(ctx: PowerContext) -> list[list[tuple[int, Endomap, Endomap]]]:
             None,
         )
         if dup is None:
-            ident = Endomap(tuple(range(ctx.algebra.size)), True)
+            ident = _ident(ctx.algebra.size)
             return [merged + [(s, ident, ident)] for s, _, merged in kept]
         i, j, m = dup
-        alpha = Endomap(m, True)
-        kept[i][2].append((kept[j][0], alpha, alpha.inverse()))
+        kept[i][2].append((kept[j][0], m, _inv(m)))
         kept[j] = kept[-1]
         kept.pop()
 
@@ -494,7 +492,7 @@ def reduce_idempotents(ctx: PowerContext):
             for j in range(d - 1, 0, -1):
                 for s, a, _ in reversed(src):
                     cell = subtree(f.tree, src_pts.cellword(s, j))
-                    branch = _node(branch, _map(a, cell))
+                    branch = _node(branch, _map(a.__getitem__, cell))
             tree = _node(branch, tree)
         return PowerElement.from_tree(red, tree)
 
@@ -507,7 +505,7 @@ def reduce_idempotents(ctx: PowerContext):
                 branch = ctx.filters[s - 1]  # the source cells from d on
                 for j in range(d - 1, 0, -1):
                     cell = subtree(g.tree, dst_pts.cellword(t, k * (j - 1) + r))
-                    branch = _node(branch, _map(b, cell))
+                    branch = _node(branch, _map(b.__getitem__, cell))
                 branches[s] = branch
         tree = subtree(g.tree, "1" * red.n)
         for s in range(ctx.n, 0, -1):

@@ -168,7 +168,7 @@ def test_criterion_03_amalgamation():
 def _seeded_bp_embedding(ctx, u, rng):
     """A random embedding of A^u into the power: random clopen partition
     with random twists of random source coordinates."""
-    auts = [a.mapping for a in alg.automorphisms(ctx.algebra)]
+    auts = alg.automorphisms(ctx.algebra)
     pctx = ctx.points
     blocks = []
     for i in range(1, pctx.n + 1):
@@ -432,7 +432,7 @@ def test_criterion_11_characteristic_decomposition():
                 )
     # dense fiber pairs in all three support cases
     ctx1 = bp.make_context(GF4, (0,))
-    frob = next(a for a in auts if a.mapping != tuple(range(4)))
+    frob = next(a for a in auts if a != tuple(range(4)))
     cases = [
         TailClopen.make(ctx1.points, 0, Clopen.make(["11"]), ("0",)),
         TailClopen.make(ctx1.points, 0, Clopen.empty(), ("1",)),

@@ -10,6 +10,7 @@ from boolpow import power as bp
 from boolpow.cantor import Clopen, PointContext, TailClopen, type_of
 from boolpow.errors import (
     IllegalTriple,
+    NotAutomorphism,
     NotSinglePoint,
     NotStabilizing,
     PointNotFixed,
@@ -34,10 +35,6 @@ CTXR = bp.make_context(RED, (0, 1))
 
 IDENT4 = tuple(range(4))
 FROB = (0, 1, 3, 2)
-
-
-def frob():
-    return alg.Endomap(FROB, True)
 
 
 def witness_elements(ctx, depth=2):
@@ -72,7 +69,7 @@ def test_labeling_tail_violation():
     # algebra: fabricate one by demanding a label that moves filters
     swap01 = None
     for a in alg.automorphisms(RED):
-        if a.mapping != (0, 1):
+        if a != (0, 1):
             swap01 = a
     assert swap01 is None  # Aut of the reduct is trivial
     with pytest.raises(TailLabelViolation):
@@ -141,7 +138,7 @@ def test_apply_identity():
 
 def test_apply_from_labeling_squares_cells():
     c = TailClopen.from_clopen(CTX4.points, Clopen.make(["01"]))
-    phi = ag.characteristic(CTX4, c, frob())
+    phi = ag.characteristic(CTX4, c, FROB)
     f = bp.PowerElement.make(
         CTX4, [("00", 0), ("01", 2), ("10", 1), ("11", 3)]
     )
@@ -277,7 +274,7 @@ def test_kernel_induced_point_action_trivial():
 
 def test_characteristic_identity():
     c = TailClopen.from_clopen(CTX4.points, Clopen.make(["01"]))
-    phi = ag.characteristic(CTX4, c, alg.identity_endomap(GF4))
+    phi = ag.characteristic(CTX4, c, IDENT4)
     assert phi.is_identity()
 
 
@@ -287,7 +284,7 @@ def test_characteristic_frobenius_any_type():
         c = TailClopen.make(CTX4.points, 0, Clopen.empty(), tails)
         if c.is_empty():
             continue
-        phi = ag.characteristic(CTX4, c, frob())
+        phi = ag.characteristic(CTX4, c, FROB)
         assert phi.in_kernel()
 
 
@@ -295,7 +292,7 @@ def test_characteristic_illegal_triple():
     # an automorphism moving an accumulated idempotent must be rejected;
     # a bare two-element set has a swap moving every idempotent
     bare = alg.make_algebra(2, [], [])
-    mover = next(a for a in alg.automorphisms(bare) if a.mapping == (1, 0))
+    mover = next(a for a in alg.automorphisms(bare) if a == (1, 0))
     ctx = bp.make_context(bare, (0,))
     c = TailClopen.make(ctx.points, 0, Clopen.empty(), ("10",))
     with pytest.raises(IllegalTriple):
@@ -339,15 +336,15 @@ def test_dense_fiber_pair_cases(tails, case):
     ctx = CTX4_1
     exc = Clopen.make(["11"]) if tails == ("0",) else Clopen.empty()
     c = TailClopen.make(ctx.points, 0, exc, tails)
-    sigma, tau, got = ag.dense_fiber_pair(ctx, c, frob())
+    sigma, tau, got = ag.dense_fiber_pair(ctx, c, FROB)
     assert got == case
-    chi = kernel_char(ctx, c, frob())
+    chi = kernel_char(ctx, c, FROB)
     assert sigma.compose(tau.inverse()) == chi
     assert ag.fiber_types_dense(sigma)
     assert ag.fiber_types_dense(tau)
     for phi in (sigma, tau):
         for s in ag.stabilizer(GF4, 0):
-            fib = phi.labeling.fiber(s.mapping)
+            fib = phi.labeling.fiber(s)
             if not (fib.is_empty() or fib.is_full()):
                 assert 1 in type_of(fib).ins
 
@@ -355,20 +352,33 @@ def test_dense_fiber_pair_cases(tails, case):
 def test_dense_fiber_pair_identity_label():
     ctx = CTX4_1
     c = TailClopen.make(ctx.points, 0, Clopen.empty(), ("10",))
-    sigma, tau, _ = ag.dense_fiber_pair(ctx, c, alg.identity_endomap(GF4))
+    sigma, tau, _ = ag.dense_fiber_pair(ctx, c, IDENT4)
     assert sigma == tau
 
 
 def test_dense_fiber_pair_guards():
     with pytest.raises(NotSinglePoint):
         ag.dense_fiber_pair(
-            CTX4, TailClopen.empty(CTX4.points), frob()
+            CTX4, TailClopen.empty(CTX4.points), FROB
         )
     bare = alg.make_algebra(2, [], [])
     ctx = bp.make_context(bare, (0,))
-    mover = next(a for a in alg.automorphisms(bare) if a.mapping == (1, 0))
+    mover = next(a for a in alg.automorphisms(bare) if a == (1, 0))
     with pytest.raises(NotStabilizing):
         ag.dense_fiber_pair(ctx, TailClopen.empty(ctx.points), mover)
+
+
+@pytest.mark.parametrize("m", [(1, 0, 2, 3), (0, 0, 0, 0), (0, 1, 3)])
+def test_non_automorphisms_are_refused(m):
+    # each is refused by its membership in Aut A, before any other check
+    c = TailClopen.from_clopen(CTX4_1.points, Clopen.make(["01"]))
+    with pytest.raises(IllegalTriple, match="is not an automorphism"):
+        ag.characteristic(CTX4_1, c, m)
+    with pytest.raises(NotStabilizing):
+        ag.dense_fiber_pair(CTX4_1, c, m)
+    b = Clopen.make(["0"])
+    with pytest.raises(NotAutomorphism):
+        bp.restriction_iso(b, b, m, EPHomeo.identity(CTX4_1.points), CTX4_1)
 
 
 # --- stabilizer containment ------------------------------------------------------

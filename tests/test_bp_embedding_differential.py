@@ -39,10 +39,10 @@ from boolpow import algebra as alg
 from boolpow import fraisse as fr
 from boolpow import freealg as fa
 from boolpow import power as bp
-from boolpow.algebra import _comp, _ident
+from boolpow.algebra import _comp, _ident, _inv
 from boolpow.cantor import Clopen, point_in, split
 from boolpow.errors import ArityOrder, ExtensionFailure, NotEmbedding, SourceMismatch
-from boolpow.fraisse import PowerEmbedding, _inv, _invert_adjust, normalize_embedding
+from boolpow.fraisse import PowerEmbedding, _invert_adjust, normalize_embedding
 from boolpow.power import PowerElement
 
 from test_fraisse import swapped_chain
@@ -471,7 +471,7 @@ def embedding_inputs(draw, ctx, defects=DEFECTS):
 def power_embeddings(draw, algebra, v, idem=True):
     """An automorphism-only A^w -> A^v through PowerEmbedding.make, or,
     when idem, maybe one with a constant coordinate."""
-    auts = [a.mapping for a in alg.automorphisms(algebra)]
+    auts = alg.automorphisms(algebra)
     w = draw(st.integers(min(1, v), v))
     srcs = list(range(w)) + [draw(st.integers(0, w - 1)) for _ in range(v - w)]
     coords = [("aut", draw(st.sampled_from(auts)), j) for j in srcs]

@@ -179,9 +179,7 @@ def test_bergman_growth_with_characteristic():
 
     gf4 = alg.gf4_idempotent_reduct()
     ctx = bp.make_context(gf4, (0, 1))
-    frob = next(
-        a for a in alg.automorphisms(gf4) if a.mapping != tuple(range(4))
-    )
+    frob = next(a for a in alg.automorphisms(gf4) if a != tuple(range(4)))
     c = TailClopen.from_clopen(ctx.points, Clopen.make(["110"]))
     chi = ag.characteristic(ctx, c, frob)
     sizes, stab = fz.bergman_growth(ctx, [chi], depth=3, steps=6)

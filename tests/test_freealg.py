@@ -118,7 +118,7 @@ def test_transversal_orbit_count():
     # orbit counting: sum of orbit sizes equals |A|^2
     total = 0
     for t in reps:
-        orbit = {tuple(a(x) for x in t) for a in auts}
+        orbit = {tuple(a[x] for x in t) for a in auts}
         total += len(orbit)
     assert total == 16
 

@@ -293,7 +293,7 @@ def test_restriction_iso_identity():
     ctx = CTX_GF2_1
     b = Clopen.make(["0"])
     iso = bp.restriction_iso(
-        b, b, alg.identity_endomap(GF2), EPHomeo.identity(ctx.points), ctx
+        b, b, (0, 1), EPHomeo.identity(ctx.points), ctx
     )
     f = bp.PowerElement.make(CTX_GF2_1, [("00", 0), ("01", 1), ("1", 1)]).restrict(b)
     assert iso.forward(f) == f
@@ -302,7 +302,7 @@ def test_restriction_iso_identity():
 def test_restriction_iso_frobenius():
     # two-point GF(4) power; twist block 1 onto block 2 through the swap
     ctx = bp.make_context(GF4, (0, 1))
-    frob = [a for a in alg.automorphisms(GF4) if a.mapping != (0, 1, 2, 3)][0]
+    frob = [a for a in alg.automorphisms(GF4) if a != (0, 1, 2, 3)][0]
     # alpha(e_1)=alpha(0)=0 must equal e_2=1: mismatch expected
     b1, b2 = Clopen.make(["0"]), Clopen.make(["1"])
     with pytest.raises(IdempotentMismatch):
@@ -327,7 +327,7 @@ def test_restriction_iso_same_idempotent_swap():
     ctx = bp.make_context(GF2, (0, 0))
     b1, b2 = Clopen.make(["0"]), Clopen.make(["10"])
     h = _swap_homeo(ctx.points)
-    iso = bp.restriction_iso(b1, b2, alg.identity_endomap(GF2), h, ctx)
+    iso = bp.restriction_iso(b1, b2, (0, 1), h, ctx)
     for f in bp.enumerate_elements(ctx, 2):
         r = f.restrict(b1)
         img = iso.forward(r)

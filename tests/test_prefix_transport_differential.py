@@ -331,7 +331,7 @@ def test_restriction_iso_matches_per_cell_images():
         ],
     )
     b1, b2 = Clopen.make(["0"]), Clopen.make(["10"])
-    iso = bp.restriction_iso(b1, b2, alg.identity_endomap(GF2), h, ctx)
+    iso = bp.restriction_iso(b1, b2, (0, 1), h, ctx)
     for f in bp.enumerate_elements(ctx, 3):
         r = f.restrict(b1)
         cells = [

@@ -53,6 +53,20 @@ MAX_ELEMENTS = 3000
 # the oracle: the chained twist, swap and merge
 
 
+class OldAut:
+    """An automorphism as the oracle calls it: by value, with its tuple
+    and its inverse."""
+
+    def __init__(self, mapping):
+        self.mapping = mapping
+
+    def __call__(self, a):
+        return self.mapping[a]
+
+    def inverse(self):
+        return OldAut(alg._inv(self.mapping))
+
+
 def old_twist(ctx, j, alpha):
     m = ctx.points.n
     block = Clopen.make(["1" * (j - 1) + ("0" if j < m else "")])
@@ -171,7 +185,7 @@ def old_reduce(ctx):
     """(reduced context, forward, backward, the (i, j, m, automorphism)
     of each step: x_j twisted, swapped with the last point x_m and merged
     into x_i)."""
-    auts = alg.automorphisms(ctx.algebra)
+    auts = [OldAut(m) for m in alg.automorphisms(ctx.algebra)]
     steps, found = [], []
     cur = ctx
     while True:

@@ -581,17 +581,9 @@ def pointwise_closure(alg: FiniteAlgebra, gens, budget: int) -> dict:
 
 
 def subalgebras(alg: FiniteAlgebra) -> list[frozenset[int]]:
-    """All nonempty closed subsets.
-
-    Direct subset check up to size 8, generator-closure enumeration above.
-    """
-    if alg.size <= 8:
-        out = []
-        for mask in range(1, 1 << alg.size):
-            sub = frozenset(a for a in alg.carrier if mask >> a & 1)
-            if subalgebra_generated(alg, sub) == sub:
-                out.append(sub)
-        return sorted(out, key=lambda s: (len(s), sorted(s)))
+    """All nonempty closed subsets: each is the closure of a smaller one
+    plus one element, so closing every found one with each element finds
+    them all."""
     found: set[frozenset[int]] = set()
     count = 0
     frontier = [frozenset()]

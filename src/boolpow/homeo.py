@@ -466,38 +466,28 @@ def orbit_witness(c1: TailClopen, c2: TailClopen) -> EPHomeo:
     a, b = c1.raised(D), c2.raised(D)
     region = ctx.region(D)
     E1, E2 = a.exceptional, b.exceptional
-    F1, F2 = region.difference(E1), region.difference(E2)
+    # each side's exceptional contents: inside c, then outside it
+    sides = [[E1, E2], [region.difference(E1), region.difference(E2)]]
+    head = EPSet.from_ap(1, 1).difference(EPSet.from_ap(D + 1, 1))  # cells 1..D
     pairs = []
     pieces = []
     ident = EPHomeo.identity(PointContext(0))
     for i in range(1, ctx.n + 1):
         in1, in2 = a.tail_epset(i), b.tail_epset(i)
-        out1 = in1.complement().difference(EPSet.from_ap(1, 1).difference(EPSet.from_ap(D + 1, 1)))
-        out2 = in2.complement().difference(EPSet.from_ap(1, 1).difference(EPSet.from_ap(D + 1, 1)))
-        if i in t1.ins:
-            j1, j2 = in1.kth_one(0), in2.kth_one(0)
-            E1 = E1.union(ctx.cell(i, j1))
-            E2 = E2.union(ctx.cell(i, j2))
-            in1 = in1.difference(EPSet.singleton(j1))
-            in2 = in2.difference(EPSet.singleton(j2))
-            singles, aps = match_ones(in1, in2)
-            pairs += [
-                (ctx.cellword(i, j), ctx.cellword(i, jj)) for j, jj in singles
-            ]
+        outs = (in1.complement().difference(head), in2.complement().difference(head))
+        for side, held, (s1, s2) in zip(sides, (t1.ins, t1.outs), ((in1, in2), outs)):
+            if i not in held:
+                continue
+            j1, j2 = s1.kth_one(0), s2.kth_one(0)
+            side[0] = side[0].union(ctx.cell(i, j1))
+            side[1] = side[1].union(ctx.cell(i, j2))
+            singles, aps = match_ones(
+                s1.difference(EPSet.singleton(j1)), s2.difference(EPSet.singleton(j2))
+            )
+            pairs += [(ctx.cellword(i, j), ctx.cellword(i, jj)) for j, jj in singles]
             pieces += [TailPiece(i, f, s, i, f2, s2, ident) for (f, s), (f2, s2) in aps]
-        if i in t1.outs:
-            j1, j2 = out1.kth_one(0), out2.kth_one(0)
-            F1 = F1.union(ctx.cell(i, j1))
-            F2 = F2.union(ctx.cell(i, j2))
-            out1 = out1.difference(EPSet.singleton(j1))
-            out2 = out2.difference(EPSet.singleton(j2))
-            singles, aps = match_ones(out1, out2)
-            pairs += [
-                (ctx.cellword(i, j), ctx.cellword(i, jj)) for j, jj in singles
-            ]
-            pieces += [TailPiece(i, f, s, i, f2, s2, ident) for (f, s), (f2, s2) in aps]
-    pairs += _match_clopens(E1, E2)
-    pairs += _match_clopens(F1, F2)
+    for u, v in sides:
+        pairs += _match_clopens(u, v)
     return EPHomeo.make(ctx, pairs, pieces)
 
 

@@ -3,19 +3,11 @@
 from __future__ import annotations
 
 from .algebra import FiniteAlgebra
-from .cantor import Clopen, PointContext, _words
+from .cantor import PointContext, _words
 from .errors import NotBijective, OverlappingDomains
 from .fraisse import PowerEmbedding
 from .homeo import EPHomeo, TailPiece
 from .power import PowerContext, PowerElement
-
-
-def clopen_to_obj(b: Clopen):
-    return list(b.words)
-
-
-def clopen_from_obj(obj) -> Clopen:
-    return Clopen.make(obj)
 
 
 def homeo_to_obj(h: EPHomeo):

@@ -372,11 +372,12 @@ def dense_fiber_pair(ctx: PowerContext, c: TailClopen, alpha: Mapping):
     e1 = ctx.filters[0]
     if alpha not in ctx.aut_ids or alpha[e1] != e1:
         raise NotStabilizing((alpha, e1))
+    if c.ctx != ctx.points:
+        raise ContextMismatch((c.ctx, ctx.points))
     ident = _ident(ctx.algebra.size)
     # the identity first
     maps = sorted(stabilizer(ctx.algebra, e1), key=lambda m: (m != ident, m))
-    ins = "1" in c.tails[0] if c.ctx.n else False
-    outs = "0" in c.tails[0] if c.ctx.n else True
+    ins, outs = "1" in c.tails[0], "0" in c.tails[0]
     # the parts are disjoint, and from_fibers takes any that share a label
     if not ins:
         case = 1

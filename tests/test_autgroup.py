@@ -9,6 +9,7 @@ from boolpow import autgroup as ag
 from boolpow import power as bp
 from boolpow.cantor import Clopen, PointContext, TailClopen, type_of
 from boolpow.errors import (
+    ContextMismatch,
     IllegalTriple,
     NotAutomorphism,
     NotSinglePoint,
@@ -366,6 +367,11 @@ def test_dense_fiber_pair_guards():
     mover = next(a for a in alg.automorphisms(bare) if a == (1, 0))
     with pytest.raises(NotStabilizing):
         ag.dense_fiber_pair(ctx, TailClopen.empty(ctx.points), mover)
+    # a clopen of another point context
+    for pts in (PointContext(0), CTX4.points):
+        c = TailClopen.from_clopen(pts, Clopen.make(["01"]))
+        with pytest.raises(ContextMismatch):
+            ag.dense_fiber_pair(CTX4_1, c, FROB)
 
 
 @pytest.mark.parametrize("m", [(1, 0, 2, 3), (0, 0, 0, 0), (0, 1, 3)])

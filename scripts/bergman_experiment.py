@@ -20,6 +20,10 @@ def main() -> int:
     ap.add_argument("--depth", type=int, default=3)
     ap.add_argument("--steps", type=int, default=10)
     args = ap.parse_args()
+    if args.depth < 3:
+        # the generator sets below do not act at depth 2, and at depths
+        # 0 and 1 each acts as the identity
+        ap.error("--depth must be at least 3, where every generator set acts")
 
     red = alg.gf2_idempotent_reduct()
     gf4 = alg.gf4_idempotent_reduct()

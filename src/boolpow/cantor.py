@@ -12,21 +12,13 @@ one periodic label word per branch.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import count
 from math import gcd, lcm
 from typing import Iterable
 
-from .errors import (
-    ContextMismatch,
-    EmptyInput,
-    EmptyOrFull,
-    NotBijective,
-    NotGood,
-    OverlappingDomains,
-)
+from .errors import ContextMismatch, EmptyInput, EmptyOrFull, NotGood
 from .seqs import EPSeq, EPSet, common_threshold
 
 # ---------------------------------------------------------------------------
@@ -204,6 +196,7 @@ def _kept_shape(key, s, what, untiled):
 
 
 def _shape(words, s, what, untiled):
+    """`shape` without the memo, for word lists that seldom recur."""
     order = sorted(range(len(words)), key=words.__getitem__)
     ordered = [words[k] for k in order]
     # in sorted order a word prefixing a later one prefixes the next
@@ -340,34 +333,6 @@ class Clopen:
 
     def is_subset(self, other: "Clopen") -> bool:
         return self.difference(other).is_empty()
-
-
-def check_tiling(words, cells, what: str, untiled: str) -> None:
-    """Check that the words tile the union of the pairwise disjoint cells,
-    without building a tree.  Raises, in this order: OverlappingDomains
-    ("<what> overlap") when two words meet, ValueError for a word not
-    over 01, NotBijective(`untiled`) when they do not tile.  Disjoint
-    words tile the cells when each lies below one of them and their
-    integer Kraft sums agree."""
-    ordered = sorted(words)
-    # in sorted order a word prefixing a later one prefixes the next
-    for a, b in zip(ordered, ordered[1:]):
-        if b.startswith(a):
-            raise OverlappingDomains(f"{what} overlap")
-    for w in words:
-        if w.strip("01"):
-            raise ValueError(f"bad word {w!r}")
-    cells = sorted(cells)
-    L = max(map(len, ordered + cells))
-    kraft = 0
-    for w in ordered:
-        # a cell prefixing w is the last cell sorted at or before it
-        i = bisect_right(cells, w) - 1
-        if i < 0 or not w.startswith(cells[i]):
-            raise NotBijective(untiled)
-        kraft += 1 << (L - len(w))
-    if kraft != sum(1 << (L - len(c)) for c in cells):
-        raise NotBijective(untiled)
 
 
 def split(b: Clopen) -> tuple[Clopen, Clopen]:

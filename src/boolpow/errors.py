@@ -160,6 +160,10 @@ class EmptyGeneratorSet(BoolpowError):
     pass
 
 
+class GeneratorNotActing(BoolpowError):
+    pass
+
+
 # cli
 class ParseError(BoolpowError):
     pass

@@ -21,6 +21,7 @@ from .cantor import (
 from .errors import (
     BoolpowError,
     EmptyGeneratorSet,
+    GeneratorNotActing,
     NoPoints,
     PreconditionNotGood,
     TypeWitnessFailure,
@@ -259,7 +260,7 @@ def bergman_growth(
         for f in elems:
             img = g.apply(f)
             if img not in index:
-                raise ValueError(
+                raise GeneratorNotActing(
                     "generator does not act on the depth-%d approximation" % depth
                 )
             images.append(index[img])

@@ -19,7 +19,7 @@ from .cantor import (
     Clopen,
     PointContext,
     TailClopen,
-    check_tiling,
+    _shape,
     merge_sibling_pairs,
     type_of,
 )
@@ -273,7 +273,16 @@ def _before(first: int, step: int) -> range:
 
 def _validate(ctx, pairs, pieces):
     """Check that pairs and pieces form a homeomorphism of X°; returns
-    each branch's pieces with the residue analysis of their domains."""
+    each branch's pieces with the residue analysis of their domains.
+
+    The tabular sources, then the tabular images, must tile the
+    exceptional region: the cell 1^n and the branch cells the tail pieces
+    leave out.  Each side goes through `build`'s shape check, but not
+    its memo (`cantor._shape`, not `shape`): a homeomorphism's word lists
+    seldom recur, and kept they would crowd out the element shapes the
+    memo is for.  Its ValueErrors come back typed: overlapping sources
+    raise OverlappingDomains, overlapping images and either side not
+    tiling raise NotBijective; a word not over 01 stays a ValueError."""
     plists = [[] for _ in range(ctx.n)]
     images = [[] for _ in range(ctx.n)]
     for p in pieces:
@@ -300,21 +309,20 @@ def _validate(ctx, pairs, pieces):
         image_cells += [ctx.cellword(t, j) for j in leftover]
     # tabular part must tile exactly the complement of the tails
     off = "1" * ctx.n
-    check_tiling(
-        [p for p, _ in pairs],
-        [off] + leftover_cells,
-        "tabular sources",
-        "tabular sources do not tile the exceptional region",
-    )
-    try:
-        check_tiling(
-            [q for _, q in pairs],
-            [off] + image_cells,
-            "tabular images",
-            "tabular images do not tile the exceptional region",
-        )
-    except OverlappingDomains as e:
-        raise NotBijective("tabular images overlap") from e
+    for k, what, cells, overlap in (
+        (0, "tabular sources", leftover_cells, OverlappingDomains),
+        (1, "tabular images", image_cells, NotBijective),
+    ):
+        untiled = f"{what} do not tile the exceptional region"
+        support = Clopen.make([off] + cells)._t
+        try:
+            _shape([pair[k] for pair in pairs], support, what, untiled)
+        except ValueError as e:
+            if str(e) == untiled:
+                raise NotBijective(untiled) from None
+            if str(e) == f"overlapping {what}":
+                raise overlap(f"{what} overlap") from None
+            raise
     return branches
 
 

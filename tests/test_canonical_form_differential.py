@@ -18,8 +18,9 @@ routes, which must return equal homeomorphisms.  The canonical forms are
 also re-expressed (pieces split into two classes, their first cells
 peeled off into tabular pairs, tabular pairs split) and perturbed into
 invalid data (overlapping pieces, untiled sources or images, changed
-image steps, bad indices); both routes must then return the same normal
-form, or raise the same exception type with the same message.
+image steps, bad indices, a source or image word not over 01); both
+routes must then return the same normal form, or raise the same
+exception type with the same message.
 """
 
 import random
@@ -495,6 +496,24 @@ def bad_word(ctx, pairs, pieces, rng):
     return pairs[:k] + [rng.choice([(p + "2", q), (p, q + "2")])] + pairs[k + 1:], pieces
 
 
+def _misspelt(w, rng):
+    """w with a letter not over 01 put in at a random place."""
+    i = rng.randrange(len(w) + 1)
+    return w[:i] + rng.choice("2a ") + w[i:]
+
+
+def bad_source_word(ctx, pairs, pieces, rng):
+    k = rng.randrange(len(pairs))
+    p, q = pairs[k]
+    return pairs[:k] + [(_misspelt(p, rng), q)] + pairs[k + 1:], pieces
+
+
+def bad_image_word(ctx, pairs, pieces, rng):
+    k = rng.randrange(len(pairs))
+    p, q = pairs[k]
+    return pairs[:k] + [(p, _misspelt(q, rng))] + pairs[k + 1:], pieces
+
+
 ON_PIECES = [
     dup_piece,
     overlap_piece,
@@ -505,7 +524,15 @@ ON_PIECES = [
     bad_index,
     missing_branch,
 ]
-ON_PAIRS = [drop_pair, overlap_source, shared_image, short_image, bad_word]
+ON_PAIRS = [
+    drop_pair,
+    overlap_source,
+    shared_image,
+    short_image,
+    bad_word,
+    bad_source_word,
+    bad_image_word,
+]
 
 
 @settings(max_examples=150, deadline=None)

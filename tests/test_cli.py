@@ -10,7 +10,7 @@ from boolpow import serialize as ser
 from boolpow.cantor import PointContext
 from boolpow.cli import COMMANDS, build_parser, main
 from boolpow.homeo import EPHomeo
-from boolpow.rand import random_point_fixing_homeo, tail_shift
+from boolpow.rand import cell_swap, random_point_fixing_homeo, tail_shift
 
 
 def run(capsys, *argv):
@@ -222,6 +222,30 @@ def test_bergman_growth(capsys):
     )
     assert code == 0
     assert rep["monotone"]
+
+
+def test_bergman_growth_refuses_generator_not_acting(tmp_path, capsys):
+    # the swap of 0010 and 0100 carries a depth-2 element off depth 2
+    ctx = bp.make_context(alg.gf2_idempotent_reduct(), (0, 1))
+    swap = cell_swap(ctx.points, "0010", "0100")
+    f = tmp_path / "gens.json"
+    f.write_text(json.dumps([ser.homeo_to_obj(swap)]))
+    code, rep = run(
+        capsys,
+        "bergman-growth",
+        "--builtin",
+        "gf2-idempotent-reduct",
+        "--filters",
+        "0,1",
+        "--depth",
+        "2",
+        "--gens",
+        str(f),
+    )
+    assert code == 1
+    assert rep["error"] == (
+        "GeneratorNotActing: generator does not act on the depth-2 approximation"
+    )
 
 
 def test_seed_determinism(capsys):

@@ -3,7 +3,12 @@
 import ast
 from pathlib import Path
 
-from boolpow import errors
+import pytest
+
+from boolpow import algebra, errors
+from boolpow.factorization import bergman_growth
+from boolpow.power import make_context
+from boolpow.rand import cell_swap
 
 SRC = Path(errors.__file__).parent
 
@@ -33,3 +38,14 @@ def test_every_error_class_is_raised():
     }
     assert classes
     assert classes - _raised_names() == set()
+
+
+def test_generator_not_acting_is_typed():
+    """bergman_growth refuses a generator that carries some depth-d
+    element outside the depth-d elements with a BoolpowError, which
+    the CLI reports as JSON."""
+    ctx = make_context(algebra.gf2_idempotent_reduct(), (0, 1))
+    swap = cell_swap(ctx.points, "0010", "0100")
+    with pytest.raises(errors.GeneratorNotActing) as e:
+        bergman_growth(ctx, [swap], 2, 3)
+    assert str(e.value) == "generator does not act on the depth-2 approximation"

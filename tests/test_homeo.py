@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boolpow import cantor
 from boolpow import homeo as hm
 from boolpow.cantor import (
     Clopen,
@@ -425,3 +426,17 @@ def test_kmp_period_examples():
     # linear period 3 does not divide 8: no proper cyclic period
     assert _cyclic_period([0, 0, 1, 0, 0, 1, 0, 0]) == 8
     assert _cyclic_period([0, 1, 1, 0, 1, 1]) == 3
+
+
+def test_validation_keeps_no_shape():
+    """EPHomeo.make checks its tabular words with the shape check but
+    keeps no shape: homeomorphism word lists seldom recur, and kept they
+    would crowd the element shapes out of the memo."""
+    cantor._kept_shape.cache_clear()
+    before = cantor._kept_shape.cache_info().currsize
+    rng = random.Random(7)
+    for n in (1, 2, 3):
+        hs = [random_point_fixing_homeo(PointContext(n), rng, 2) for _ in range(4)]
+        for g, h in zip(hs, hs[1:]):
+            g.compose(h).compose(g.inverse())
+    assert cantor._kept_shape.cache_info().currsize == before

@@ -46,9 +46,10 @@ def merged_stage(ctx, depth):
     return replace(stage, bp=replace(stage.bp, twists=tuple(twists)))
 
 
-@pytest.mark.parametrize(
-    "algebra,filters,depth", [(RED, (0, 1), 4), (RED, (0, 1), 2), (GF2, (0,), 3)]
-)
+NON_COVERING = [(RED, (0, 1), 4), (RED, (0, 1), 2), (GF2, (0,), 3)]
+
+
+@pytest.mark.parametrize("algebra,filters,depth", NON_COVERING)
 def test_non_covering_stage_agrees(algebra, filters, depth):
     ctx = bp.make_context(algebra, filters)
     chain = [merged_stage(ctx, depth)]

@@ -257,7 +257,7 @@ def bergman_growth(
     perms = set()
     for g in list(gens) + [g.inverse() for g in gens]:
         images = []
-        for f in elems:
+        for f in index:  # the elements in order, each built once
             img = g.apply(f)
             if img not in index:
                 raise GeneratorNotActing(

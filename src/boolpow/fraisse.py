@@ -517,12 +517,18 @@ def chain_commutes(stages: Sequence[ChainStage]) -> bool:
 
 def chain_covers(ctx: PowerContext, stages: Sequence[ChainStage], depth: int) -> bool:
     """Every element constant on level-`depth` cells lies in the image of
-    the stage at that depth; each image is dropped once it is struck off."""
+    the stage at that depth; each image marks its position among them, one
+    byte per element, and is then dropped."""
     stage = next(s for s in stages if s.depth == depth)
-    missing = set(enumerate_elements(ctx, depth))
+    elems = enumerate_elements(ctx, depth)
+    hit = bytearray(len(elems))
     for a in product(range(ctx.algebra.size), repeat=stage.bp.u):
-        missing.discard(stage.bp.eval(a))
-    return not missing
+        f = stage.bp.eval(a)
+        try:
+            hit[elems.index(f)] = 1
+        except ValueError:  # not constant on the level-`depth` cells
+            pass
+    return all(hit)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,11 @@ the reduction that merges the filtering points of one orbit into one.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import product
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from . import algebra as alg
 from .algebra import FiniteAlgebra, Mapping, _ident, _inv
@@ -606,11 +607,90 @@ def check_element_budget(
         )
 
 
-def enumerate_elements(ctx: PowerContext, depth: int) -> list[PowerElement]:
-    """All elements constant on the level-`depth` cells."""
+class Elements(Sequence):
+    """The elements constant on the level-`depth` cells, ordered by their
+    label vectors (the first cell the most significant), each built when
+    it is read.  Only the trees of the two halves are kept: element k has
+    the tree _node(left[k // R], right[k % R]) for the R right halves; at
+    depth 0 `right` is None and `left` holds the leaves.  Indexing, `index`
+    and `in` answer as the list of all elements would; a slice is a list."""
+
+    def __init__(self, ctx: PowerContext, left, right):
+        self.ctx = ctx
+        self._left = left
+        self._right = right
+
+    def __len__(self) -> int:
+        return len(self._left) * (1 if self._right is None else len(self._right))
+
+    def _trees(self):
+        if self._right is None:
+            return iter(self._left)
+        return (_node(t0, t1) for t0 in self._left for t1 in self._right)
+
+    def __iter__(self):
+        ctx = self.ctx
+        return (PowerElement(ctx, t) for t in self._trees())
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[j] for j in range(*k.indices(len(self)))]
+        n = len(self)
+        k = k + n if k < 0 else k
+        if not 0 <= k < n:
+            raise IndexError("element index out of range")
+        if self._right is None:
+            return PowerElement(self.ctx, self._left[k])
+        q, r = divmod(k, len(self._right))
+        return PowerElement(self.ctx, _node(self._left[q], self._right[r]))
+
+    @cached_property
+    def _positions(self) -> tuple[dict, dict]:
+        """Each left and right half's position, built on the first lookup."""
+        return (
+            {t: k for k, t in enumerate(self._left)},
+            {t: k for k, t in enumerate(self._right or ())},
+        )
+
+    def _find(self, f) -> int:
+        """f's position, or -1 when f is not one of the elements: an
+        object other than a PowerElement, an element of another context
+        or support, or a tree that is not constant on the level-`depth`
+        cells."""
+        if (
+            f.__class__ is not PowerElement
+            or (f.ctx is not self.ctx and f.ctx != self.ctx)
+            or f.support != Clopen.all()
+        ):
+            return -1
+        left, right = self._positions
+        t = f.tree
+        if self._right is None:
+            return left.get(t, -1)
+        t0, t1 = t if t.__class__ is tuple else (t, t)
+        q, r = left.get(t0), right.get(t1)
+        return -1 if q is None or r is None else q * len(self._right) + r
+
+    def __contains__(self, f) -> bool:
+        return self._find(f) >= 0
+
+    def index(self, f, start: int = 0, stop: Optional[int] = None) -> int:
+        k = self._find(f)
+        lo, hi, _ = slice(start, stop).indices(len(self))
+        if not lo <= k < hi:
+            raise ValueError("element not in the enumeration")
+        return k
+
+    def count(self, f) -> int:
+        return int(f in self)
+
+
+def enumerate_elements(ctx: PowerContext, depth: int) -> Elements:
+    """All elements constant on the level-`depth` cells, as a sequence
+    that builds each element when it is read."""
     forced = _forced_cells(ctx, depth)
     if forced is None:
-        return []
+        return Elements(ctx, (), None)
     labels = range(ctx.algebra.size)
 
     def trees(w):
@@ -623,4 +703,6 @@ def enumerate_elements(ctx: PowerContext, depth: int) -> list[PowerElement]:
         return [_node(t0, t1) for t0 in trees(w + "0") for t1 in right]
 
     # the forced cells carry their filters, so from_tree's check would pass
-    return [PowerElement(ctx, t) for t in trees("")]
+    if depth == 0:
+        return Elements(ctx, trees(""), None)
+    return Elements(ctx, trees("0"), trees("1"))

@@ -86,7 +86,7 @@ def test_criterion_01_algebra_hypotheses():
 
 def test_criterion_02_congruence_correspondence():
     b = Budget(30.0)
-    elems = bp.enumerate_elements(CTX_RED, 1) + bp.enumerate_elements(CTX_RED, 2)
+    elems = [*bp.enumerate_elements(CTX_RED, 1), *bp.enumerate_elements(CTX_RED, 2)]
     ok = True
     for f in elems:
         for g in elems:

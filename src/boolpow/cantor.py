@@ -186,17 +186,18 @@ def shape(words, s=True, what="cells", untiled="cells do not tile the support"):
     support tree and messages; a refusal is not kept."""
     key = ",".join(words)
     if key.count(",") != len(words) - 1:  # no words, or one not over 01
-        return _shape(words, s, what, untiled)
+        return tuple(_postorder(_shape(words, s, what, untiled), []))
     return _kept_shape(key, s, what, untiled)
 
 
 @lru_cache(maxsize=SHAPE_MEMO_SIZE)
 def _kept_shape(key, s, what, untiled):
-    return _shape(key.split(","), s, what, untiled)
+    return tuple(_postorder(_shape(key.split(","), s, what, untiled), []))
 
 
 def _shape(words, s, what, untiled):
-    """`shape` without the memo, for word lists that seldom recur."""
+    """`shape`'s checks without the memo, for word lists that seldom
+    recur: the tree of the cells' indices, -1 outside s."""
     order = sorted(range(len(words)), key=words.__getitem__)
     ordered = [words[k] for k in order]
     # in sorted order a word prefixing a later one prefixes the next
@@ -206,8 +207,7 @@ def _shape(words, s, what, untiled):
     for w in words:
         if w.strip("01"):
             raise ValueError(f"bad word {w!r}")
-    tree = _tile(ordered, order, 0, len(order), 0, s, untiled)
-    return tuple(_postorder(tree, []))
+    return _tile(ordered, order, 0, len(order), 0, s, untiled)
 
 
 def _tile(words, order, lo, hi, d, s, untiled):

@@ -278,11 +278,12 @@ def _validate(ctx, pairs, pieces):
     The tabular sources, then the tabular images, must tile the
     exceptional region: the cell 1^n and the branch cells the tail pieces
     leave out.  Each side goes through `build`'s shape check, but not
-    its memo (`cantor._shape`, not `shape`): a homeomorphism's word lists
-    seldom recur, and kept they would crowd out the element shapes the
-    memo is for.  Its ValueErrors come back typed: overlapping sources
-    raise OverlappingDomains, overlapping images and either side not
-    tiling raise NotBijective; a word not over 01 stays a ValueError."""
+    its memo or its program (`cantor._shape`, not `shape`): a
+    homeomorphism's word lists seldom recur, and kept they would crowd
+    out the element shapes the memo is for.  Its ValueErrors come back
+    typed: overlapping sources raise OverlappingDomains, overlapping
+    images and either side not tiling raise NotBijective; a word not
+    over 01 stays a ValueError."""
     plists = [[] for _ in range(ctx.n)]
     images = [[] for _ in range(ctx.n)]
     for p in pieces:

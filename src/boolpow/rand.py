@@ -9,6 +9,7 @@ from typing import Optional
 
 from .autgroup import AutLabeling, PowerAutomorphism
 from .cantor import Clopen, PointContext, TailClopen, is_good
+from .errors import SizeBudgetExceeded
 from .homeo import EPHomeo, TailPiece, orbit_witness
 from .power import PowerContext
 
@@ -32,16 +33,28 @@ def random_tailclopen(
     return TailClopen.make(pctx, d, Clopen.make(exc_words), tails)
 
 
+# random_good_tailclopen's draws.  A draw is good when each of the n tail
+# words holds a 0 and a 1, which with periods of 1 or 2 happens about once
+# in 4^n draws; seeds 1-3,000 needed at most 37, 120 and 501 draws on 1, 2
+# and 3 points.
+GOOD_TAIL_DRAWS = 4096
+
+
 def random_good_tailclopen(
     pctx: PointContext,
     rng: random.Random,
     max_threshold: int = 2,
     max_period: int = 3,
 ) -> TailClopen:
-    while True:
+    """Draw random tail clopens until one is good; raise
+    SizeBudgetExceeded rather than draw more than GOOD_TAIL_DRAWS."""
+    for _ in range(GOOD_TAIL_DRAWS):
         c = random_tailclopen(pctx, rng, max_threshold, max_period)
         if is_good(c):
             return c
+    raise SizeBudgetExceeded(
+        f"no good tail clopen over n = {pctx.n} points in {GOOD_TAIL_DRAWS} draws"
+    )
 
 
 # -- elementary point-fixing homeomorphisms ----------------------------------

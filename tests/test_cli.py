@@ -248,6 +248,16 @@ def test_bergman_growth_refuses_generator_not_acting(tmp_path, capsys):
     )
 
 
+def test_factor_homeo_refuses_after_its_tail_draws(capsys):
+    # a good tail clopen over 8 points takes about 4^8 draws; seed 3 asks
+    # for one and used to run for 40 s
+    code, rep = run(capsys, "factor-homeo", "--points", "8", "--seed", "3")
+    assert code == 1
+    assert rep["error"] == (
+        "SizeBudgetExceeded: no good tail clopen over n = 8 points in 4096 draws"
+    )
+
+
 def test_seed_determinism(capsys):
     c1, rep1 = run(capsys, "factor-homeo", "--points", "1", "--seed", "3")
     c2, rep2 = run(capsys, "factor-homeo", "--points", "1", "--seed", "3")

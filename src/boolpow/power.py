@@ -623,14 +623,11 @@ class Elements(Sequence):
     def __len__(self) -> int:
         return len(self._left) * (1 if self._right is None else len(self._right))
 
-    def _trees(self):
-        if self._right is None:
-            return iter(self._left)
-        return (_node(t0, t1) for t0 in self._left for t1 in self._right)
-
     def __iter__(self):
-        ctx = self.ctx
-        return (PowerElement(ctx, t) for t in self._trees())
+        ctx, left, right = self.ctx, self._left, self._right
+        if right is None:
+            return (PowerElement(ctx, t) for t in left)
+        return (PowerElement(ctx, _node(t0, t1)) for t0 in left for t1 in right)
 
     def __getitem__(self, k):
         if isinstance(k, slice):

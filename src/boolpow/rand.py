@@ -35,8 +35,8 @@ def random_tailclopen(
 
 # random_good_tailclopen's draws.  A draw is good when each of the n tail
 # words holds a 0 and a 1, which with periods of 1 or 2 happens about once
-# in 4^n draws; seeds 1-3,000 needed at most 37, 120 and 501 draws on 1, 2
-# and 3 points.
+# in 4^n draws.  Over seeds 1-3,000, factor-homeo's homeomorphism needed
+# at most 36, 112 and 502 draws on 1, 2 and 3 points.
 GOOD_TAIL_DRAWS = 4096
 
 

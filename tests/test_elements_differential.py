@@ -98,6 +98,7 @@ def test_same_trees_in_same_order(algebra, filters, depth):
     assert len(elems) == len(old) == bp.element_count(ctx, depth)
     got = list(elems)
     assert [f.tree for f in got] == [f.tree for f in old]
+    assert len(set(got)) == len(got)
     assert all(f.ctx == ctx and f.support == Clopen.all() for f in got)
     assert [elems[k].tree for k in range(len(old))] == [f.tree for f in old]
 
@@ -166,11 +167,15 @@ def test_non_members_are_refused_as_by_the_list(algebra, filters, depth):
         candidates.append(bp.PowerElement.make(ctx, halves))
     candidates += deeper_elements(ctx, depth, random.Random(depth))
     for g in candidates:
-        member = g in old
-        assert (g in elems) is member
-        assert elems.count(g) == old.count(g)
-        if member:
-            assert elems.index(g) == old.index(g)
+        try:
+            k = old.index(g)
+        except ValueError:
+            k = None
+        assert (g in elems) is (k is not None)
+        # the elements are distinct (test_same_trees_in_same_order)
+        assert elems.count(g) == (k is not None)
+        if k is not None:
+            assert elems.index(g) == k
         else:
             with pytest.raises(ValueError):
                 elems.index(g)

@@ -384,6 +384,17 @@ class PointContext:
             raise IndexError((i, j))
         return "1" * (i - 1) + "0" * j + "1"
 
+    def branch_cell(self, w: str):
+        """(i, j) for a word inside cell(i, j), None for a word below 1^n;
+        a ValueError for a word that holds a distinguished point."""
+        k = len(w) - len(w.lstrip("1"))
+        if k >= self.n:
+            return None
+        j = w.find("1", k) - k  # w = 1^k 0^j 1 ...
+        if j < 0:
+            raise ValueError(f"word {w!r} holds the distinguished point x_{k + 1}")
+        return k + 1, j
+
     def cell(self, i: int, j: int) -> Clopen:
         return Clopen.make([self.cellword(i, j)])
 
@@ -461,26 +472,6 @@ class ClopenType:
     outs: frozenset[int]
 
 
-def _max_branch_index(ctx: PointContext, words) -> int:
-    """The largest j of a cell(i, j) holding one of the words, 0 for none."""
-    depth = 0
-    for w in words:
-        for i in range(1, ctx.n + 1):
-            pre = "1" * (i - 1)
-            if not w.startswith(pre):
-                continue
-            rest = w[i - 1:]
-            if not rest or rest[0] != "0":
-                continue
-            if "1" not in rest:
-                raise ValueError(f"clopen word {w!r} covers a distinguished point")
-            j = 0
-            while rest[j] == "0":
-                j += 1
-            depth = max(depth, j)
-    return depth
-
-
 @dataclass(frozen=True)
 class TailTree:
     """Locally constant labeling of X° with periodic branch tails.
@@ -556,8 +547,8 @@ class TailTree:
         pts, T = self.ctx, self.threshold
         # D: the deepest tabular image and the deepest image of a piece
         # cell at or below T; Ds: the depth the tree is read at
-        D = _max_branch_index(pts, [q for _, q in h.pairs])
-        Ds = max(T, _max_branch_index(pts, [p for p, _ in h.pairs]))
+        D = max((c[1] for _, q in h.pairs if (c := pts.branch_cell(q))), default=0)
+        Ds = max([T] + [c[1] for p, _ in h.pairs if (c := pts.branch_cell(p))])
         for pc in h.pieces:
             if pc.first <= T:
                 D = max(D, pc.image_of(T - (T - pc.first) % pc.step))

@@ -22,7 +22,7 @@ from .errors import (
     SizeBudgetExceeded,
     SourceMismatch,
 )
-from .power import PowerContext, PowerElement, enumerate_elements
+from .power import PowerContext, PowerElement, _forced_cells, enumerate_elements
 
 
 @dataclass(frozen=True)
@@ -416,17 +416,6 @@ class ChainStage:
     step: Optional[PowerEmbedding]  # into the next stage
 
 
-def _stage_words(ctx: PowerContext, t: int):
-    words = ["".join(b) for b in product("01", repeat=t)]
-    pts = [ctx.points.point(i).prefix(t) for i in range(1, ctx.points.n + 1)]
-    if len(set(pts)) != len(pts):
-        return None
-    free = [w for w in words if w not in pts]
-    if not free:
-        return None
-    return free, pts
-
-
 def first_stage_depth(ctx: PowerContext) -> int:
     """The least t >= 1 where the n points have distinct level-t prefixes
     (from t = n - 1 on) and leave a free cell (2^t > n)."""
@@ -459,29 +448,28 @@ def limit_chain(ctx: PowerContext, depth: int) -> list[ChainStage]:
     ident = _ident(ctx.algebra.size)
     stages = []
     for t in range(t0, max(depth, t0) + 1):
-        free, pts = _stage_words(ctx, t)
+        # from the first stage on the n points force n distinct cells
+        forced = _forced_cells(ctx, t)
+        free = [w for w in map("".join, product("01", repeat=t)) if w not in forced]
         bp = BPEmbedding.make(
             ctx,
             len(free),
             [(Clopen.make([w]), ident, k) for k, w in enumerate(free)],
-            [Clopen.make([p]) for p in pts],
+            [Clopen.make([p]) for p in forced],
         )
         stages.append([t, tuple(free), bp, None])
     for s in range(len(stages) - 1):
         t, free, bp, _ = stages[s]
         free2 = stages[s + 1][1]
         index = {w: k for k, w in enumerate(free)}
-        pts = {
-            ctx.points.point(i).prefix(t): ctx.filters[i - 1]
-            for i in range(1, ctx.points.n + 1)
-        }
+        forced = _forced_cells(ctx, t)
         coords = []
         for w2 in free2:
             parent = w2[:-1]
             if parent in index:
                 coords.append(("aut", ident, index[parent]))
             else:
-                coords.append(("idem", pts[parent]))
+                coords.append(("idem", forced[parent]))
         step = PowerEmbedding.make(ctx.algebra, len(free), coords)
         stages[s][3] = step
     return [ChainStage(t, f, bp, st) for t, f, bp, st in stages]

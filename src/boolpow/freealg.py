@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 from . import algebra as alg
 from .algebra import FiniteAlgebra, Term, _ident
-from .cantor import Clopen, split
+from .cantor import Clopen
 from .errors import (
     NotIdempotentOnSk,
     NotLoopOrRing,
@@ -21,7 +21,7 @@ from .errors import (
     SizeBudgetExceeded,
 )
 from .fraisse import BPEmbedding
-from .power import apply_operation, make_context
+from .power import _codes, apply_operation, make_context
 
 
 @dataclass(frozen=True)
@@ -292,18 +292,12 @@ def kernel_class_power_iso(
     ctx = make_context(A, tuple(filters))
     n = len(filters)
     free = [t for t in orbit_transversal(A, k) if t not in set(sk)]
-    blocks = [Clopen.make(["1" * (i - 1) + "0"]) for i in range(1, n)]
-    rest = Clopen.make(["1" * (n - 1)]) if n else Clopen.all()
-    pieces = []
-    for _ in range(len(free) if n else len(free) - 1):
-        piece, rest = split(rest)
-        pieces.append(piece)
-    pieces.append(rest)
-    if n:  # the first piece cut from 1^(n-1) is 1^(n-1) 0, around x_n
-        blocks.append(pieces.pop(0))
+    # the blocks on the first n words of the standard code, around the
+    # points, and the value cells on the rest
+    parts = [Clopen.make([c]) for c in _codes(n + len(free))]
     ident = _ident(A.size)
-    cells = [(p, ident, j) for j, p in enumerate(pieces)]
-    emb = BPEmbedding.make(ctx, len(free), cells, blocks)
+    cells = [(c, ident, j) for j, c in enumerate(parts[n:])]
+    emb = BPEmbedding.make(ctx, len(free), cells, parts[:n])
     mapping = {f: emb.eval([f.value(t, A.size) for t in free]) for f in cls}
     report = {
         "class_size": len(cls),

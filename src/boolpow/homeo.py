@@ -327,25 +327,6 @@ def _validate(ctx, pairs, pieces):
     return branches
 
 
-def _cyclic_period(D) -> int:
-    """The least d dividing M = len(D) with D[r] == D[(r + d) % M] for
-    every r: one prefix-function pass (Knuth-Morris-Pratt).  The least
-    period p = M - border(D) divides every period d <= M - p, so when p
-    does not divide M no proper divisor of M is a period."""
-    M = len(D)
-    border = [0] * M
-    k = 0
-    for q in range(1, M):
-        x = D[q]
-        while k and x != D[k]:
-            k = border[k - 1]
-        if x == D[k]:
-            k += 1
-        border[q] = k
-    p = M - k
-    return p if M % p == 0 else M
-
-
 def _canonicalize(ctx, pairs, branches):
     """The canonical form of validated data; `branches` is what
     `_validate` returned."""
@@ -364,9 +345,9 @@ def _canonicalize(ctx, pairs, branches):
             piece_ids.append(ids.setdefault(key, len(ids)))
         keys = list(ids)
         D = [piece_ids[o] for o in owner]
-        # the least modulus; its image steps A*d/S are integral, since j
-        # and j + d in one class both have integral images
-        d = _cyclic_period(D)
+        # the least modulus, D's primitive period; its image steps A*d/S are
+        # integral, since j and j + d in one class both have integral images
+        d = len(EPSeq.make((), tuple(D)).word)
         classes = []
         for r in range(d):
             tgt, cm, A, C, S = keys[D[r]]
@@ -382,7 +363,7 @@ def _canonicalize(ctx, pairs, branches):
                         pairs[cw + u] = cw2 + v
             classes.append([i, j0, d, tgt, (A * j0 + C) // S, A * d // S, cm])
         # pull matching tabular cells back into each class
-        inside = _cell_sources(pairs, i)
+        inside = _cell_sources(ctx, pairs, i)
         for c in classes:
             _, first, step, target, ifirst, istep, cm = c
             while first > step and ifirst > istep:
@@ -404,15 +385,14 @@ def _canonicalize(ctx, pairs, branches):
     return list(merge_sibling_pairs(pairs.items())), out
 
 
-def _cell_sources(pairs, i: int) -> dict[int, list[str]]:
+def _cell_sources(ctx, pairs, i: int) -> dict[int, list[str]]:
     """The sources lying in cell(i, j), for each j; a validated source
     lies in one branch cell or off the branches."""
     out = {}
-    pre = "1" * (i - 1) + "0"
     for p in pairs:
-        if p.startswith(pre):
-            j = p.index("1", i) - i + 1
-            out.setdefault(j, []).append(p)
+        cell = ctx.branch_cell(p)
+        if cell is not None and cell[0] == i:
+            out.setdefault(cell[1], []).append(p)
     return out
 
 
@@ -431,17 +411,13 @@ def _pairs_on(h: EPHomeo, w: str):
     while at < len(pairs) and pairs[at][0].startswith(w):
         out.append(pairs[at])
         at += 1
-    k = len(w) - len(w.lstrip("1"))
-    if k >= ctx.n:  # off the branches
+    cell = ctx.branch_cell(w)
+    if cell is None:  # off the branches
         return out
-    # w = 1^k 0^j ... lies in cell(k + 1, j), or holds x_(k+1) when no 1
-    # follows
-    j = w.find("1", k) - k
-    if j < 0:
-        raise ValueError(f"cell {w!r} contains a distinguished point")
+    i, j = cell
     for piece in h.pieces:
-        if piece.branch == k + 1 and piece.covers(j):
-            cw = w[: k + j + 1]
+        if piece.branch == i and piece.covers(j):
+            cw = w[: i + j]  # cellword(i, j)
             cw2 = ctx.cellword(piece.target, piece.image_of(j))
             out += [(cw + a, cw2 + b) for a, b in _pairs_on(piece.cellmap, w[len(cw):])]
     return out
@@ -544,8 +520,7 @@ def restrict_homeo(h: EPHomeo, d: TailClopen):
                         piece.cellmap,
                     )
                 )
-        cover = EPSet.from_aps([(p.first, p.step) for p in h.branch_pieces(i)])
-        for j in cover.complement().finite_part():
+        for j in (j for p in h.branch_pieces(i) for j in _before(p.first, p.step)):
             if ineps.at(j):
                 pairs += _pairs_on(h, ctx.cellword(i, j))
     return pairs, pieces

@@ -301,8 +301,7 @@ def _complement_fill(ctx, outside: Clopen):
 
 
 def _codes(m: int) -> list[str]:
-    if m == 1:
-        return [""]
+    """The standard prefix code 0, 10, ..., 1^(m-2) 0, 1^(m-1) of m words."""
     return ["1" * k + "0" for k in range(m - 1)] + ["1" * (m - 1)]
 
 
@@ -320,19 +319,10 @@ def restrict(ctx: PowerContext, b: Clopen) -> tuple[PowerContext, RestrictionMap
             point_cells[i] = w
     retained = list(point_cells)
     leftover = [w for w in words if w not in point_cells.values()]
-    n2 = len(retained)
-    pairs = []
-    if leftover:
-        for k, i in enumerate(retained, start=1):
-            pairs.append((point_cells[i], "1" * (k - 1) + "0"))
-        for code, w in zip(_codes(len(leftover)), leftover):
-            pairs.append((w, "1" * n2 + code))
-    else:
-        for k, i in enumerate(retained, start=1):
-            tgt = "1" * (k - 1) + ("0" if k < n2 else "")
-            pairs.append((point_cells[i], tgt))
+    # the point cells onto the standard points, then the leftover cells
+    pairs = zip([*point_cells.values(), *leftover], _codes(len(words)))
     filters = tuple(ctx.filters[i - 1] for i in retained)
-    dst = PowerContext(ctx.algebra, PointContext(n2), filters)
+    dst = PowerContext(ctx.algebra, PointContext(len(retained)), filters)
     return dst, RestrictionMap(ctx, dst, b, tuple(sorted(pairs)))
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -540,4 +544,35 @@ def test_amalgamate_stops_at_the_tuple_budget(tmp_path, capsys, u, ok):
     assert rep["error"] == (
         f"SizeBudgetExceeded: |A|^u source tuples, with |A| = 2 and u = {u}, "
         "are more than 200000"
+    )
+
+
+def _cpu_seconds(limit):
+    def set_limit():  # in the child only, before it runs the script
+        resource.setrlimit(resource.RLIMIT_CPU, (limit, limit))
+
+    return set_limit
+
+
+def test_bergman_experiment_refuses_over_the_element_budget():
+    """At depth 4 the gf4 context has 4^14 elements: the script refuses
+    before its first run, within 5 CPU seconds of its own."""
+    root = Path(__file__).resolve().parents[1]
+    src = str(root / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{path}" if path else src}
+    script = root / "scripts" / "bergman_experiment.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--depth", "4", "--steps", "4"],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=_cpu_seconds(5),
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.endswith(
+        "error: --depth 4 gives the gf4-idempotent-reduct power more than "
+        "200000 elements to enumerate\n"
     )

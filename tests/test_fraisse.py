@@ -178,10 +178,16 @@ def test_chain_budget_sums_stage_cells():
 
 
 def test_first_stage_depth_closed_form():
+    """The least t >= 1 where the points' level-t prefixes are distinct
+    and leave a free level-t cell."""
     for n in range(13):
         ctx = bp.make_context(GF2, (0,) * n)
         t = 1
-        while fr._stage_words(ctx, t) is None:
+        while True:
+            pts = {ctx.points.point(i).prefix(t) for i in range(1, n + 1)}
+            words = {"".join(b) for b in product("01", repeat=t)}
+            if len(pts) == n and words - pts:
+                break
             t += 1
         assert fr.first_stage_depth(ctx) == t
 

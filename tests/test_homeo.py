@@ -18,7 +18,6 @@ from boolpow.homeo import (
     EPHomeo,
     TailPiece,
     _ap_coverage,
-    _cyclic_period,
     cross_branch_involution,
     homeos_agree_on_sample,
     image_matches_on_sample,
@@ -391,6 +390,12 @@ def _divisors(m):
     return [d for d in range(1, m + 1) if m % d == 0]
 
 
+def _least_modulus(D):
+    """The rule `_canonicalize` reads the least modulus of a branch by:
+    the primitive period of the residue owners D, from `seqs`."""
+    return len(EPSeq.make((), tuple(D)).word)
+
+
 def _brute_period(D):
     """The first divisor d of M at which D is cyclically d-periodic."""
     M = len(D)
@@ -404,7 +409,7 @@ MODULI = [1, 2, 6, 12, 60, 120, 360, 420, 2520, 8820]
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_kmp_period_matches_divisor_scan(data):
+def test_primitive_period_matches_divisor_scan(data):
     M = data.draw(st.sampled_from(MODULI))
     letters = data.draw(st.integers(1, 4))
     # a word repeated and cut at M: its period divides M or it does not
@@ -417,15 +422,15 @@ def test_kmp_period_matches_divisor_scan(data):
     D = (base * (M // p + 1))[:M]
     if data.draw(st.booleans()):
         D[rng.randrange(M)] = letters  # one odd letter
-    assert _cyclic_period(D) == _brute_period(D)
+    assert _least_modulus(D) == _brute_period(D)
 
 
-def test_kmp_period_examples():
-    assert _cyclic_period([0]) == 1
-    assert _cyclic_period([0, 1, 0, 1, 0, 1]) == 2
+def test_primitive_period_examples():
+    assert _least_modulus([0]) == 1
+    assert _least_modulus([0, 1, 0, 1, 0, 1]) == 2
     # linear period 3 does not divide 8: no proper cyclic period
-    assert _cyclic_period([0, 0, 1, 0, 0, 1, 0, 0]) == 8
-    assert _cyclic_period([0, 1, 1, 0, 1, 1]) == 3
+    assert _least_modulus([0, 0, 1, 0, 0, 1, 0, 0]) == 8
+    assert _least_modulus([0, 1, 1, 0, 1, 1]) == 3
 
 
 def test_validation_keeps_no_shape():

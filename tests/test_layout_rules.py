@@ -1,6 +1,9 @@
 """The fixed layouts of the Cantor space that the filtered power is read
-through, pinned against frozen copies of the code that first wrote them:
+through, each pinned against a brute decode or a frozen copy of the code
+that first wrote it:
 
+- the branch cells 1^(i-1) 0^j 1 (``PointContext.branch_cell``), against
+  ``cellword`` and the points' prefixes;
 - the level-t stage cells of the Fraisse chain (``limit_chain``): the
   free cells in order, one block per point at its level-t prefix, and the
   step's coordinates;
@@ -22,7 +25,7 @@ from boolpow import algebra as alg
 from boolpow import fraisse as fr
 from boolpow import power as bp
 from boolpow.algebra import _ident
-from boolpow.cantor import Clopen, _words, split
+from boolpow.cantor import Clopen, PointContext, _words, split
 
 RED = alg.gf2_idempotent_reduct()
 
@@ -102,6 +105,32 @@ def old_kernel_layout(n, free):
     if n:
         blocks.append(pieces.pop(0))
     return blocks, pieces
+
+
+# ---------------------------------------------------------------------------
+# branch cells
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_branch_cell_matches_a_brute_decode(n):
+    ctx = PointContext(n)
+    for length in range(9):
+        for w in map("".join, product("01", repeat=length)):
+            held = [i for i in range(1, n + 1) if ctx.point(i).startswith(w)]
+            cells = [
+                (i, j)
+                for i in range(1, n + 1)
+                for j in range(1, length + 1)
+                if w.startswith(ctx.cellword(i, j))
+            ]
+            if held:
+                with pytest.raises(ValueError):
+                    ctx.branch_cell(w)
+            elif cells:
+                assert [ctx.branch_cell(w)] == cells
+            else:
+                assert w.startswith("1" * n)
+                assert ctx.branch_cell(w) is None
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from boolpow.cantor import (
     Clopen,
     PointContext,
     TailClopen,
-    _max_branch_index,
     _words,
     build,
     merge_sibling_pairs,
@@ -83,6 +82,26 @@ def old_table_apply_clopen(table, b):
     return old_apply_pairs_clopen(table.pairs, b)
 
 
+def old_max_branch_index(ctx, words):
+    """The largest j of a cell(i, j) holding one of the words, 0 for none."""
+    depth = 0
+    for w in words:
+        for i in range(1, ctx.n + 1):
+            pre = "1" * (i - 1)
+            if not w.startswith(pre):
+                continue
+            rest = w[i - 1:]
+            if not rest or rest[0] != "0":
+                continue
+            if "1" not in rest:
+                raise ValueError(f"clopen word {w!r} covers a distinguished point")
+            j = 0
+            while rest[j] == "0":
+                j += 1
+            depth = max(depth, j)
+    return depth
+
+
 def old_apply(h, b):
     if isinstance(b, Clopen):
         b = TailClopen.from_clopen(h.ctx, b)
@@ -120,7 +139,7 @@ def old_apply(h, b):
         epsets[t] = EPSet.from_aps(
             ap_images.get(t, []), [jj for tt, jj in singles if tt == t]
         )
-    depth = _max_branch_index(ctx, partial.words)
+    depth = old_max_branch_index(ctx, partial.words)
     for t, e in epsets.items():
         depth = max(depth, len(e.head))
     exc = partial

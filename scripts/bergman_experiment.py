@@ -8,10 +8,12 @@ import argparse
 import json
 
 from boolpow import algebra as alg
+from boolpow import cli
 from boolpow import factorization as fz
 from boolpow import power as bp
 from boolpow.autgroup import characteristic
 from boolpow.cantor import Clopen, TailClopen
+from boolpow.errors import SizeBudgetExceeded
 from boolpow.rand import cell_swap, suffix_twist
 
 
@@ -27,9 +29,18 @@ def main() -> int:
 
     red = alg.gf2_idempotent_reduct()
     gf4 = alg.gf4_idempotent_reduct()
-    runs = []
-
     ctx = bp.make_context(red, (0, 1))
+    ctx4 = bp.make_context(gf4, (0, 1))
+    for name, c in (("gf2-idempotent-reduct", ctx), ("gf4-idempotent-reduct", ctx4)):
+        try:
+            bp.check_element_budget(c, args.depth, cli.DEFAULT_BUDGET)
+        except SizeBudgetExceeded:
+            ap.error(
+                f"--depth {args.depth} gives the {name} power more than "
+                f"{cli.DEFAULT_BUDGET} elements to enumerate"
+            )
+
+    runs = []
     gens = {
         "cell swap only": [cell_swap(ctx.points, "110", "111")],
         "swap + suffix twist": [
@@ -48,7 +59,6 @@ def main() -> int:
             }
         )
 
-    ctx4 = bp.make_context(gf4, (0, 1))
     frob = next(m for m in alg.automorphisms(gf4) if m != tuple(range(4)))
     chi = characteristic(
         ctx4, TailClopen.from_clopen(ctx4.points, Clopen.make(["110"])), frob

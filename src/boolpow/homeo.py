@@ -520,9 +520,10 @@ def restrict_homeo(h: EPHomeo, d: TailClopen):
                         piece.cellmap,
                     )
                 )
-        for j in (j for p in h.branch_pieces(i) for j in _before(p.first, p.step)):
-            if ineps.at(j):
-                pairs += _pairs_on(h, ctx.cellword(i, j))
+        for p in h.branch_pieces(i):  # the cells no piece covers
+            for j in _before(p.first, p.step):
+                if ineps.at(j):
+                    pairs += _pairs_on(h, ctx.cellword(i, j))
     return pairs, pieces
 
 

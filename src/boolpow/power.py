@@ -301,7 +301,7 @@ def _complement_fill(ctx, outside: Clopen):
 
 
 def _codes(m: int) -> list[str]:
-    """The standard prefix code 0, 10, ..., 1^(m-2) 0, 1^(m-1) of m words."""
+    """The standard prefix code 0, 10, ..., 1^(m-2) 0, 1^(m-1) of m >= 1 words."""
     return ["1" * k + "0" for k in range(m - 1)] + ["1" * (m - 1)]
 
 

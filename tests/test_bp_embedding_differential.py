@@ -7,7 +7,9 @@ by listing every word into ``PowerElement.make``.  The oracle keeps the
 readers of those lists too: ``chain_commutes``, ``_express_through_stage``,
 ``_embedding_depth``, ``extend_weak_homogeneity`` and ``back_and_forth``
 around them, and the cell list that ``kernel_class_power_iso`` wrote out
-by hand.
+by hand.  The normal form and its inverse adjust come from the frozen
+copies in ``test_layout_rules``, so no live reader of the block layout
+is part of the oracle.
 
 Inputs are clopen partitions of X into cells and blocks on
 gf2-idempotent-reduct (filters 0, 1) and gf4-idempotent-reduct (filters
@@ -42,10 +44,11 @@ from boolpow import power as bp
 from boolpow.algebra import _comp, _ident, _inv
 from boolpow.cantor import Clopen, point_in, split
 from boolpow.errors import ArityOrder, ExtensionFailure, NotEmbedding, SourceMismatch
-from boolpow.fraisse import PowerEmbedding, _invert_adjust, normalize_embedding
+from boolpow.fraisse import PowerEmbedding
 from boolpow.power import PowerElement
 
 from test_fraisse import swapped_chain
+from test_layout_rules import old_invert_adjust, old_normalize_embedding
 
 RED = alg.gf2_idempotent_reduct()
 GF4 = alg.gf4_idempotent_reduct()
@@ -159,7 +162,7 @@ def old_extend_weak_homogeneity(phi: PowerEmbedding, psi: OldBPEmbedding) -> Old
     for e in ctx.filters:
         if e not in idem_order:
             idem_order.append(e)
-    nf = normalize_embedding(phi, idem_order=idem_order)
+    nf = old_normalize_embedding(phi, idem_order=idem_order)
     u, v = phi.u, phi.v
     p = nf.p
     qpt = [0] * ctx.points.n
@@ -199,7 +202,7 @@ def old_extend_weak_homogeneity(phi: PowerEmbedding, psi: OldBPEmbedding) -> Old
             new_cells.append((piece, ident, q_index(i, t)))
         blocks.append(b)
     psi2_normal = OldBPEmbedding.make(ctx, v, new_cells, blocks)
-    psi2 = psi2_normal.compose_power(_invert_adjust(nf.adjust))
+    psi2 = psi2_normal.compose_power(old_invert_adjust(nf.adjust))
     for a in product(range(ctx.algebra.size), repeat=u):
         if psi2.eval(phi.eval(a)) != psi.eval(a):
             raise ExtensionFailure(a)

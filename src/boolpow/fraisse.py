@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import accumulate, product
 from typing import Optional, Sequence
 
 from . import algebra as alg
@@ -112,43 +112,32 @@ def normalize_embedding(
     A = emb.algebra
     if idem_order is None:
         idem_order = sorted(alg.idempotents(A))
-    p = [0] * emb.u
-    q = {e: 0 for e in idem_order}
-    for c in emb.coords:
-        if c[0] == "aut":
-            p[c[2]] += 1
-        else:
-            if c[1] not in q:
-                raise NotEmbedding(f"idempotent {c[1]} outside the block order")
-            q[c[1]] += 1
-    if any(x == 0 for x in p):
+    # the block sizes in layout order, keyed ("aut", j) for source j and
+    # by the coordinate ("idem", e) itself for an idempotent
+    size = dict.fromkeys([("aut", j) for j in range(emb.u)], 0)
+    size.update(dict.fromkeys([("idem", e) for e in idem_order], 0))
+    keys = [("aut", c[2]) if c[0] == "aut" else c for c in emb.coords]
+    for c, key in zip(emb.coords, keys):
+        if c[0] == "idem" and key not in size:
+            raise NotEmbedding(f"idempotent {c[1]} outside the block order")
+        size[key] += 1
+    p = tuple(size[("aut", j)] for j in range(emb.u))
+    if 0 in p:
         raise NotEmbedding("some source coordinate is never hit")
     ident = _ident(A.size)
     normal_coords = []
-    slots: dict = {}
-    for j in range(emb.u):
-        slots[("aut", j)] = []
-        for _ in range(p[j]):
-            slots[("aut", j)].append(len(normal_coords))
-            normal_coords.append(("aut", ident, j))
-    for e in idem_order:
-        slots[("idem", e)] = []
-        for _ in range(q[e]):
-            slots[("idem", e)].append(len(normal_coords))
-            normal_coords.append(("idem", e))
+    free = {}  # the next free slot of each block
+    for key, k in size.items():
+        free[key] = len(normal_coords)
+        normal_coords += [("aut", ident, key[1]) if key[0] == "aut" else key] * k
     normal = PowerEmbedding(A, emb.u, tuple(normal_coords))
-    used = {k: 0 for k in slots}
-    adj_coords = [None] * emb.v
-    for i, c in enumerate(emb.coords):
-        key = ("aut", c[2]) if c[0] == "aut" else ("idem", c[1])
-        pos = slots[key][used[key]]
-        used[key] += 1
-        delta = c[1] if c[0] == "aut" else ident
-        adj_coords[i] = ("aut", delta, pos)
+    adj_coords = []
+    for c, key in zip(emb.coords, keys):
+        adj_coords.append(("aut", c[1] if c[0] == "aut" else ident, free[key]))
+        free[key] += 1
     adjust = PowerEmbedding(A, emb.v, tuple(adj_coords))
-    nf = NormalForm(
-        tuple(p), tuple((e, q[e]) for e in idem_order), normal, adjust
-    )
+    q = tuple((key[1], k) for key, k in size.items() if key[0] == "idem")
+    nf = NormalForm(p, q, normal, adjust)
     if adjust.compose(normal) != emb:
         raise AssertionError("normal form reconstruction failed")
     return nf
@@ -167,21 +156,11 @@ def jep(algebra, u: int, w: int):
     """Joint embedding of A^u and A^w into A^(u+w) by concatenation."""
     if u < 1 or w < 1:
         raise SourceMismatch((u, w))
-    e = _ident(algebra.size)
-    m = u + w
-    e1 = PowerEmbedding.make(
-        algebra,
-        u,
-        [("aut", e, j) for j in range(u)]
-        + [("idem", min(alg.idempotents(algebra))) for _ in range(w)],
-    )
-    e2 = PowerEmbedding.make(
-        algebra,
-        w,
-        [("idem", min(alg.idempotents(algebra))) for _ in range(u)]
-        + [("aut", e, j) for j in range(w)],
-    )
-    return m, e1, e2
+    ident = [("aut", _ident(algebra.size), j) for j in range(max(u, w))]
+    const = ("idem", min(alg.idempotents(algebra)))
+    e1 = PowerEmbedding.make(algebra, u, ident[:u] + [const] * w)
+    e2 = PowerEmbedding.make(algebra, w, [const] * u + ident[:w])
+    return u + w, e1, e2
 
 
 def amalgamate(phi: PowerEmbedding, psi: PowerEmbedding):
@@ -194,31 +173,21 @@ def amalgamate(phi: PowerEmbedding, psi: PowerEmbedding):
     nphi, npsi = normalize_embedding(phi), normalize_embedding(psi)
     u = phi.u
     idems = [e for e, _ in nphi.q]
-    qphi = dict(nphi.q)
-    qpsi = dict(npsi.q)
-    v_i = [max(nphi.p[j], npsi.p[j]) for j in range(u)]
-    w_e = {e: max(qphi[e], qpsi[e]) for e in idems}
-    m = sum(v_i) + sum(w_e.values())
+    v_i = [max(a, b) for a, b in zip(nphi.p, npsi.p)]
+    w_e = [max(a, b) for (_, a), (_, b) in zip(nphi.q, npsi.q)]
+    m = sum(v_i) + sum(w_e)
 
     def build(nf: NormalForm) -> PowerEmbedding:
         ident = _ident(A.size)
-        coords = []
-        pos = 0
-        for j in range(u):
-            block = nf.p[j]
-            for t in range(block):
-                mult = v_i[j] - block + 1 if t == 0 else 1
-                coords += [("aut", ident, pos)] * mult
-                pos += 1
-            assert block >= 1
-        for e, block in nf.q:
-            if block == 0:
-                coords += [("idem", e)] * w_e[e]
-                continue
-            for t in range(block):
-                mult = w_e[e] - block + 1 if t == 0 else 1
-                coords += [("aut", ident, pos)] * mult
-                pos += 1
+        coords, pos = [], 0
+        sizes = nf.p + tuple(k for _, k in nf.q)
+        for block, want, e in zip(sizes, v_i + w_e, [None] * u + idems):
+            if block == 0:  # an idempotent block absent from nf
+                coords += [("idem", e)] * want
+            else:  # the block's first coordinate takes the extra copies
+                coords += [("aut", ident, pos)] * (want - block)
+                coords += [("aut", ident, pos + t) for t in range(block)]
+            pos += block
         return PowerEmbedding.make(A, nf.normal.v, coords)
 
     phi2 = build(nphi).compose(_invert_adjust(nphi.adjust))
@@ -351,49 +320,32 @@ def extend_weak_homogeneity(
     ctx = psi.ctx
     if phi.u > phi.v or phi.u != psi.u:
         raise ArityOrder((phi.u, phi.v, psi.u))
-    idem_order = []
-    for e in ctx.filters:
-        if e not in idem_order:
-            idem_order.append(e)
+    idem_order = list(dict.fromkeys(ctx.filters))
     nf = normalize_embedding(phi, idem_order=idem_order)
     u, v = phi.u, phi.v
     p = nf.p
-    # q keyed per point: the block of the first point with each filter
-    qpt = [0] * ctx.points.n
-    qmap = dict(nf.q)
-    for i in range(ctx.points.n):
-        e = ctx.filters[i]
-        if ctx.filters.index(e) == i:
-            qpt[i] = qmap.get(e, 0)
+    # block k of the normal form is positions start[k] to start[k + 1] - 1
+    start = list(accumulate(p + tuple(k for _, k in nf.q), initial=0))
     cells = list(psi.cells)
     mult = psi.multiplicities()
     for j in range(u):
         while mult[j] < p[j]:
             cells = _split_largest(cells, j)
             mult[j] += 1
-    # target coordinate of the t-th copy of source j (0-based t)
-    def p_index(j, t):
-        if t < p[j]:
-            return sum(p[:j]) + t
-        return sum(p[: j + 1]) - 1
-
-    def q_index(i, t):
-        return sum(p) + sum(qpt[:i]) + t
-
-    counters = [0] * u
+    # cell t of source j goes to slot t of its block, the surplus to the last
+    seen = [0] * u
     new_cells = []
     for c, m, j in cells:
-        t = counters[j]
-        counters[j] += 1
-        new_cells.append((c, m, p_index(j, t)))
+        new_cells.append((c, m, start[j] + min(seen[j], p[j] - 1)))
+        seen[j] += 1
     blocks = []
     ident = _ident(ctx.algebra.size)
-    for i in range(ctx.points.n):
-        b = psi.blocks[i]
-        x = ctx.points.point(i + 1)
-        for t in range(qpt[i]):
-            piece, b = _carve_block(b, x)
-            new_cells.append((piece, ident, q_index(i, t)))
+    for i, (b, e) in enumerate(zip(psi.blocks, ctx.filters)):
+        if ctx.filters.index(e) == i:  # the first point with filter e carves its block
+            k = u + idem_order.index(e)
+            for pos in range(start[k], start[k + 1]):
+                piece, b = _carve_block(b, ctx.points.point(i + 1))
+                new_cells.append((piece, ident, pos))
         blocks.append(b)
     psi2_normal = BPEmbedding.make(ctx, v, new_cells, blocks)
     psi2 = psi2_normal.compose_power(_invert_adjust(nf.adjust))
@@ -573,32 +525,20 @@ def back_and_forth(
     trace entry matches left(z) with right(z)."""
     if depth <= 0:
         return []
-    left, right = chain1[0].bp, chain2[0].bp
-    trace = [TraceStep("start", None, left, right)]
-    d1 = d2 = chain1[0].depth
+    chains = (chain1, chain2)
+    sides = [chain1[0].bp, chain2[0].bp]
+    reached = [chain1[0].depth] * 2
+    trace = [TraceStep("start", None, *sides)]
     for k in range(depth - 1):
-        if k % 2 == 0:
-            need = max(_embedding_depth(left), d1) + 1
-            cand = [st for st in chain1 if st.depth >= need]
-            if not cand:
-                break
-            stage = cand[0]
-            rho = _express_through_stage(left, stage)
-            right = extend_weak_homogeneity(rho, right)
-            left = stage.bp
-            d1 = stage.depth
-            trace.append(TraceStep("forth", rho, left, right))
-        else:
-            need = max(_embedding_depth(right), d2) + 1
-            cand = [st for st in chain2 if st.depth >= need]
-            if not cand:
-                break
-            stage = cand[0]
-            rho = _express_through_stage(right, stage)
-            left = extend_weak_homogeneity(rho, left)
-            right = stage.bp
-            d2 = stage.depth
-            trace.append(TraceStep("back", rho, left, right))
+        s = k % 2  # side s absorbs a stage, the other side is extended
+        need = max(_embedding_depth(sides[s]), reached[s]) + 1
+        stage = next((st for st in chains[s] if st.depth >= need), None)
+        if stage is None:
+            break
+        rho = _express_through_stage(sides[s], stage)
+        sides[1 - s] = extend_weak_homogeneity(rho, sides[1 - s])
+        sides[s], reached[s] = stage.bp, stage.depth
+        trace.append(TraceStep(("forth", "back")[s], rho, *sides))
     return trace
 
 

@@ -83,6 +83,11 @@ def test_normal_form_permutes():
     assert nf.adjust.compose(nf.normal) == e
 
 
+def test_normal_form_counts_a_repeated_idempotent_once():
+    e = emb([("aut", ID2, 0), ("idem", 0), ("idem", 1)])
+    assert fr.normalize_embedding(e, [0, 1, 0]) == fr.normalize_embedding(e, [0, 1])
+
+
 def test_normal_form_exhaustive_roundtrip():
     for e in all_normal_embeddings(RED, 2, 3):
         nf = fr.normalize_embedding(e)

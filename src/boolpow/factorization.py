@@ -253,17 +253,16 @@ def bergman_growth(
             g = PowerAutomorphism.from_homeo(ctx, g)
         gens.append(g)
     elems = enumerate_elements(ctx, depth)
-    index = {f: i for i, f in enumerate(elems)}
     perms = set()
     for g in list(gens) + [g.inverse() for g in gens]:
         images = []
-        for f in index:  # the elements in order, each built once
+        for f in elems:
             img = g.apply(f)
-            if img not in index:
+            if img not in elems:
                 raise GeneratorNotActing(
                     "generator does not act on the depth-%d approximation" % depth
                 )
-            images.append(index[img])
+            images.append(elems.index(img))
         perms.add(tuple(images))
     ident = tuple(range(len(elems)))
     ball = {ident} | perms

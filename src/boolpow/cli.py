@@ -24,7 +24,7 @@ from . import power as bp
 from . import serialize as ser
 from .cantor import PointContext
 from .errors import BoolpowError, ParseError, SizeBudgetExceeded
-from .homeo import cross_branch_involution
+from .homeo import EPHomeo, cross_branch_involution
 from .rand import cell_swap, random_point_fixing_homeo, suffix_twist
 
 # --budget when not given; extend-homogeneity and amalgamate, which have
@@ -164,7 +164,7 @@ def cmd_extend_homogeneity(args):
     for _ in range(rng.randint(1, 2)):
         coords.append(
             ("idem", rng.choice(idems))
-            if rng.random() < 0.5
+            if rng.random() < 0.5 and idems
             else ("aut", ident, rng.randrange(u))
         )
     rng.shuffle(coords)
@@ -336,10 +336,11 @@ def cmd_bergman_growth(args):
             args.gens, lambda objs: [ser.homeo_from_obj(pctx, o) for o in objs]
         )
     else:
-        gens = [suffix_twist(pctx, 1)]
         if pctx.n:
             base = pctx.cellword(1, 1)
-            gens.append(cell_swap(pctx, base + "0", base + "1"))
+            gens = [suffix_twist(pctx, 1), cell_swap(pctx, base + "0", base + "1")]
+        else:  # no branch: the first-bit swap of X
+            gens = [EPHomeo.make(pctx, [("0", "1"), ("1", "0")], ())]
     sizes, stabilized = fz.bergman_growth(ctx, gens, args.depth, args.steps)
     monotone = all(x <= y for x, y in zip(sizes, sizes[1:]))
     report = {

@@ -95,6 +95,25 @@ def test_extend_homogeneity(capsys):
     assert code == 0 and rep["verified"]
 
 
+# (Z2, x - y + z, x + 1) has no idempotent, and so no filter point
+NO_IDEMPOTENT = {
+    "carrier": 2,
+    "ops": [
+        {"name": "mal", "arity": 3, "table": [0, 1, 1, 0, 1, 0, 0, 1]},
+        {"name": "succ", "arity": 1, "table": [1, 0]},
+    ],
+}
+
+
+@pytest.mark.parametrize("seed", ["0", "2", "4"])
+def test_extend_homogeneity_without_idempotents(tmp_path, capsys, seed):
+    # these seeds draw an idempotent coordinate where an algebra has one
+    f = tmp_path / "alg.json"
+    f.write_text(json.dumps(NO_IDEMPOTENT))
+    code, rep = run(capsys, "extend-homogeneity", "--alg", str(f), "--seed", seed)
+    assert code == 0 and rep["verified"]
+
+
 def test_fraisse_chain(capsys):
     code, rep = run(
         capsys,
@@ -226,6 +245,16 @@ def test_bergman_growth(capsys):
     )
     assert code == 0
     assert rep["monotone"]
+
+
+@pytest.mark.parametrize("source", ["builtin", "alg"])
+def test_bergman_growth_on_no_points_swaps_the_first_bit(tmp_path, capsys, source):
+    f = tmp_path / "alg.json"
+    f.write_text(json.dumps(NO_IDEMPOTENT))
+    algebra = ["--builtin", "gf2-ring", "--filters", ""] if source == "builtin" else ["--alg", str(f)]
+    code, rep = run(capsys, "bergman-growth", *algebra, "--depth", "2")
+    assert code == 0
+    assert rep["sizes"] == [2, 2] and rep["stabilized_at"] == 1
 
 
 def test_bergman_growth_refuses_generator_not_acting(tmp_path, capsys):

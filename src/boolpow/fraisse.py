@@ -114,8 +114,8 @@ def normalize_embedding(
         idem_order = sorted(alg.idempotents(A))
     # the block sizes in layout order, keyed ("aut", j) for source j and
     # by the coordinate ("idem", e) itself for an idempotent
-    size = dict.fromkeys([("aut", j) for j in range(emb.u)], 0)
-    size.update(dict.fromkeys([("idem", e) for e in idem_order], 0))
+    blocks = [("aut", j) for j in range(emb.u)] + [("idem", e) for e in idem_order]
+    size = dict.fromkeys(blocks, 0)
     keys = [("aut", c[2]) if c[0] == "aut" else c for c in emb.coords]
     for c, key in zip(emb.coords, keys):
         if c[0] == "idem" and key not in size:

@@ -490,8 +490,8 @@ def power_embeddings(draw, algebra, v, idem=True):
 # make, eval, multiplicities, compose_power
 
 # Argument tuples compared per embedding: all of them up to this many, else
-# this many seeded draws.  A drawn tiling has up to 16 cells, and on gf4 the
-# exhaustive loop over 4^11 tuples was still running after 40 s.
+# this many seeded draws.  A drawn tiling has up to 16 cells, so on gf4 an
+# exhaustive loop could run over 4^15 tuples.
 MAX_TUPLES = 4096
 
 
@@ -500,7 +500,6 @@ def argument_tuples(size, u):
         return product(range(size), repeat=u)
     rng = random.Random(u)
     return [tuple(rng.randrange(size) for _ in range(u)) for _ in range(MAX_TUPLES)]
-
 
 
 @settings(max_examples=400, deadline=None)

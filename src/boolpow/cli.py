@@ -24,8 +24,8 @@ from . import power as bp
 from . import serialize as ser
 from .cantor import PointContext
 from .errors import BoolpowError, ParseError, SizeBudgetExceeded
-from .homeo import EPHomeo, cross_branch_involution
-from .rand import cell_swap, random_point_fixing_homeo, suffix_twist
+from .homeo import cross_branch_involution
+from .rand import cell_swap, first_bit_swap, random_point_fixing_homeo, suffix_twist
 
 # --budget when not given; extend-homogeneity and amalgamate, which have
 # no --budget, bound their chain and source tuples by it
@@ -340,7 +340,7 @@ def cmd_bergman_growth(args):
             base = pctx.cellword(1, 1)
             gens = [suffix_twist(pctx, 1), cell_swap(pctx, base + "0", base + "1")]
         else:  # no branch: the first-bit swap of X
-            gens = [EPHomeo.make(pctx, [("0", "1"), ("1", "0")], ())]
+            gens = [first_bit_swap(pctx)]
     sizes, stabilized = fz.bergman_growth(ctx, gens, args.depth, args.steps)
     monotone = all(x <= y for x, y in zip(sizes, sizes[1:]))
     report = {

@@ -86,10 +86,15 @@ def parity_swap(pctx: PointContext, i: int) -> EPHomeo:
     return EPHomeo.make(pctx, pairs, pieces)
 
 
+def first_bit_swap(pctx: PointContext) -> EPHomeo:
+    """The first-bit swap of X, over a context with no points."""
+    return EPHomeo.make(pctx, [("0", "1"), ("1", "0")], ())
+
+
 def suffix_twist(pctx: PointContext, i: int, cellmap: Optional[EPHomeo] = None) -> EPHomeo:
     """Apply a fixed homeomorphism of X (by default the first-bit swap)
     inside every cell of branch i."""
-    cellmap = cellmap or EPHomeo.make(PointContext(0), [("0", "1"), ("1", "0")], ())
+    cellmap = cellmap or first_bit_swap(PointContext(0))
     ident = EPHomeo.identity(PointContext(0))
     pieces = [
         TailPiece(k, 1, 1, k, 1, 1, ident) for k in range(1, pctx.n + 1) if k != i
@@ -120,8 +125,7 @@ def random_point_fixing_homeo(
     for _ in range(moves):
         kind = rng.randrange(5 if pctx.n else 1)
         if pctx.n == 0:
-            w1, w2 = "0", "1"
-            g = EPHomeo.make(pctx, [(w1, w2), (w2, w1)], [])
+            g = first_bit_swap(pctx)
         elif kind == 0:
             g = tail_shift(pctx, rng.randint(1, pctx.n), rng.randint(1, 2))
         elif kind == 1:

@@ -12,6 +12,7 @@ ROOT = Path(__file__).resolve().parent.parent
 REPORTS = ROOT / "perfbench" / "golden" / "cli-reports"
 DATA = ROOT / "perfbench" / "data"
 TESTS = ROOT / "tests" / "golden"
+INPUTS = ROOT / "tests" / "data"
 
 GOLDENS = [
     (["free-algebra", "--builtin", "gf2-idempotent-reduct", "--rank", "3"], REPORTS / "free-algebra-r3.json"),
@@ -34,6 +35,10 @@ GOLDENS = [
     (["free-algebra", "--builtin", "gf2-ring", "--rank", "2"], REPORTS / "free-algebra-r2.json"),
     # zero-ring 17 has 289-entry tables: the closure reads two-byte lanes
     (["free-algebra", "--builtin", "zero-ring 17", "--rank", "1"], TESTS / "free-algebra-zero-ring-17-r1.json"),
+    # proper subalgebras, and is_abelian through the direct square
+    (["inspect-algebra", "--builtin", "cyclic-group 6"], TESTS / "inspect-algebra-cyclic-group-6.json"),
+    # no hint: the Mal'cev term comes from the search; non-abelian
+    (["inspect-algebra", "--alg", str(INPUTS / "s3-group.json")], TESTS / "inspect-algebra-s3.json"),
 ]
 
 

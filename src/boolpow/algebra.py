@@ -446,23 +446,10 @@ def idempotents(alg: FiniteAlgebra) -> frozenset[int]:
 
 
 def subalgebra_generated(alg: FiniteAlgebra, gens: Iterable[int]) -> frozenset[int]:
-    closed = set(gens)
-    for k, (_, arity) in enumerate(alg.signature):
-        if arity == 0:
-            closed.add(alg.tables[k][0])
-    frontier = True
-    while frontier:
-        frontier = False
-        cur = list(closed)
-        for k, (_, arity) in enumerate(alg.signature):
-            if arity == 0:
-                continue
-            for args in product(cur, repeat=arity):
-                v = alg.apply(k, args)
-                if v not in closed:
-                    closed.add(v)
-                    frontier = True
-    return frozenset(closed)
+    """The subuniverse of A generated by gens and the constants: the
+    closure of their one-coordinate vectors."""
+    closed = pointwise_closure(alg, 1, [(g,) for g in gens], alg.size)
+    return frozenset(v for v, in closed)
 
 
 # Pointwise evaluations (argument tuples times vector length) one closure
@@ -477,13 +464,15 @@ AUTOMORPHISM_NODES = 1 << 20
 POWER_TABLE_ENTRIES = 2_000_000
 
 
-def pointwise_closure(alg: FiniteAlgebra, gens, budget: int) -> dict:
-    """Subuniverse of A^L generated by the vectors `gens` (tuples of length
-    L) under the pointwise basic operations.
+def pointwise_closure(alg: FiniteAlgebra, length: int, gens, budget: int) -> dict:
+    """Subuniverse of A^L, L = `length`, generated by the vectors `gens`
+    (tuples of length L) and the constants under the pointwise basic
+    operations.
 
     Returns a dict from each member, in discovery order, to how it was
     first produced: None for a generator, (k, args) for operation k applied
-    to the members args (() for a constant).  No generators give {}.
+    to the members args (() for a constant).  No generators give the
+    constants' subuniverse, which is {} when A has no constant.
     Semi-naive: when member i leaves the FIFO frontier, each operand
     position pos takes it in turn, with the positions before pos drawing
     from members 0..i-1 and those after from members 0..i, so every
@@ -520,15 +509,12 @@ def pointwise_closure(alg: FiniteAlgebra, gens, budget: int) -> dict:
         vals.append(int.from_bytes(key, order))
         records.append(record)
 
+    nbytes = length * array(fmt).itemsize
     for g in gens:
         if (g := pack(g)) not in index:
             admit(g, None)
-    if not index:
-        return {}
-    nbytes = len(next(iter(index)))
-    width = nbytes // array(fmt).itemsize
     for k, (_, arity) in enumerate(alg.signature):
-        if arity == 0 and (c := pack([alg.tables[k][0]] * width)) not in index:
+        if arity == 0 and (c := pack([alg.tables[k][0]] * length)) not in index:
             admit(c, (k, ()))
 
     if fmt == "B":
@@ -562,7 +548,7 @@ def pointwise_closure(alg: FiniteAlgebra, gens, budget: int) -> dict:
 
     ops = [(k, arity) for k, (_, arity) in enumerate(alg.signature) if arity]
     for i, _ in enumerate(vals):  # vals grows as the frontier
-        if sum((i + 1) ** arity for _, arity in ops) * width > CLOSURE_EVALS:
+        if sum((i + 1) ** arity for _, arity in ops) * length > CLOSURE_EVALS:
             raise SizeBudgetExceeded(
                 f"closure passed {CLOSURE_EVALS} pointwise evaluations"
             )
@@ -689,31 +675,22 @@ def direct_power(alg: FiniteAlgebra, k: int) -> FiniteAlgebra:
     if k < 1:
         raise OutOfRange("power exponent must be >= 1")
     size = alg.size**k
-    tables = []
-    for opk, (_, arity) in enumerate(alg.signature):
+    for _, arity in alg.signature:
         if size**arity > POWER_TABLE_ENTRIES:
             raise SizeBudgetExceeded(f"table of size {size ** arity}")
-        table = []
-        for args in product(range(size), repeat=arity):
-            coords = [_decode(a, alg.size, k) for a in args]
-            val = tuple(
-                alg.apply(opk, [c[i] for c in coords]) for i in range(k)
-            )
-            table.append(_encode(val, alg.size))
-        tables.append(tuple(table))
-    return FiniteAlgebra(size, alg.signature, tuple(tables))
+    return tuple_algebra(alg, list(product(alg.carrier, repeat=k)))
 
 
-def _decode(a: int, base: int, k: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(k):
-        out.append(a % base)
-        a //= base
-    return tuple(reversed(out))
-
-
-def _encode(tup: Sequence[int], base: int) -> int:
-    a = 0
-    for v in tup:
-        a = a * base + v
-    return a
+def tuple_algebra(alg: FiniteAlgebra, tuples: Sequence[tuple]) -> FiniteAlgebra:
+    """The algebra on a nonempty list of equal-length tuples closed under
+    the pointwise basic operations of alg: element i is tuples[i]."""
+    index = {t: i for i, t in enumerate(tuples)}
+    width = range(len(tuples[0]))
+    tables = tuple(
+        tuple(
+            index[tuple(alg.apply(k, [c[i] for c in combo]) for i in width)]
+            for combo in product(tuples, repeat=arity)
+        )
+        for k, (_, arity) in enumerate(alg.signature)
+    )
+    return FiniteAlgebra(len(tuples), alg.signature, tables)

@@ -553,10 +553,10 @@ def trace_extends(trace: Sequence[TraceStep]) -> bool:
     for prev, cur in zip(trace, trace[1:]):
         A = prev.left.ctx.algebra
         u = prev.left.u
-        tuples = list(product(range(A.size), repeat=u))
-        if len(tuples) > TRACE_SAMPLE:
-            tuples = tuples[::max(1, len(tuples) // TRACE_SAMPLE)]
-        for a in tuples:
+        n = A.size**u
+        # every step-th argument tuple in lexicographic order, by its index
+        for index in range(0, n, max(1, n // TRACE_SAMPLE)):
+            a = tuple(index // A.size ** (u - 1 - j) % A.size for j in range(u))
             img = cur.connector.eval(a)
             if cur.left.eval(img) != prev.left.eval(a):
                 return False

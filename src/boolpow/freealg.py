@@ -85,7 +85,7 @@ def clone_generate(
         )
     tuples = list(product(range(algebra.size), repeat=k))
     projections = [tuple(t[j] for t in tuples) for j in range(k)]
-    found = alg.pointwise_closure(algebra, projections, budget)
+    found = alg.pointwise_closure(algebra, len(tuples), projections, budget)
     witness = {p: ("var", j) for j, p in enumerate(projections)}
     for vec, record in found.items():
         if record is not None:
@@ -281,7 +281,7 @@ def kernel_class_power_iso(
     A = rep.algebra
     k = rep.rank
     sk = proper_tuples(A, k)
-    cls = kernel_class(rep, e)
+    cls = kernel_class(rep, e, sk)
     filters = []
     for t in sk:
         v = e.value(t, A.size)
@@ -291,7 +291,8 @@ def kernel_class_power_iso(
         raise PatternMismatch((tuple(expected_filters), tuple(filters)))
     ctx = make_context(A, tuple(filters))
     n = len(filters)
-    free = [t for t in orbit_transversal(A, k) if t not in set(sk)]
+    proper = set(sk)
+    free = [t for t in orbit_transversal(A, k) if t not in proper]
     # the blocks on the first n words of the standard code, around the
     # points, and the value cells on the rest
     parts = [Clopen.make([c]) for c in _codes(n + len(free))]
@@ -385,33 +386,25 @@ def loop_ring_split(algebra: FiniteAlgebra, k: int):
     rep = clone_generate(algebra, k)
     R_k = orbit_transversal(algebra, k)
     full = set(algebra.carrier)
+    # sk_flags[i][j]: the prefix t[:j] of the i-th tuple generates a
+    # proper subalgebra, for j = 0..k
     sk_flags = [
         [
             set(alg.subalgebra_generated(algebra, set(t[:j]))) != full
-            for j in range(1, k + 1)
+            for j in range(k + 1)
         ]
         for t in R_k
     ]
     F = { _restrict_vector(f, algebra.size, R_k) for f in rep.elements }
-    N = {
-        v
-        for v in F
-        if all(
-            v[i] == e
-            for i, t in enumerate(R_k)
-            if set(alg.subalgebra_generated(algebra, set(t))) != full
-        )
-    }
+    N = {v for v in F if all(v[i] == e for i, f in enumerate(sk_flags) if f[-1])}
     ys = []
     for j in range(1, k + 1):
-        y = tuple(
-            t[j - 1] if sk_flags[i][j - 1] else e for i, t in enumerate(R_k)
-        )
+        y = tuple(t[j - 1] if sk_flags[i][j] else e for i, t in enumerate(R_k))
         if y not in F:
             raise AssertionError("y-generator escaped the clone")
         ys.append(y)
     # F is closed and holds every y, so H fits in len(F) members
-    H = set(alg.pointwise_closure(algebra, ys, budget=len(F)))
+    H = set(alg.pointwise_closure(algebra, len(R_k), ys, budget=len(F)))
     ebar = tuple(e for _ in R_k)
     inter = N & H
     products = {

@@ -9,7 +9,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import product
 from typing import Callable, Optional
 
 from . import algebra as alg
@@ -542,22 +541,8 @@ def generated_subalgebra(elems: Sequence[PowerElement], budget: int = 200_000):
     refined = refine(elems)
     cellwords = [w for w, _ in refined]
     gens = [tuple(labs[t] for _, labs in refined) for t in range(len(elems))]
-    A = ctx.algebra
-    closed = alg.pointwise_closure(A, gens, budget)
-    tuples = sorted(closed)
-    index = {t: k for k, t in enumerate(tuples)}
-    tables = []
-    for k, (_, arity) in enumerate(A.signature):
-        table = []
-        for combo in product(tuples, repeat=arity):
-            val = tuple(
-                A.apply(k, [c[pos] for c in combo]) for pos in range(len(cellwords))
-            )
-            table.append(index[val])
-        tables.append(tuple(table))
-    sub = FiniteAlgebra(max(len(tuples), 2), A.signature, tuple(tables)) if len(
-        tuples
-    ) >= 2 else None
+    tuples = sorted(alg.pointwise_closure(ctx.algebra, len(cellwords), gens, budget))
+    sub = alg.tuple_algebra(ctx.algebra, tuples) if len(tuples) >= 2 else None
     return sub, tuples, cellwords
 
 

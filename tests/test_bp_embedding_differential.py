@@ -20,7 +20,10 @@ Both makes must raise the same exception type with the same message, or
 agree on ``eval`` at every argument, on ``multiplicities`` and on
 ``compose_power`` (by an automorphism-only embedding drawn through
 ``PowerEmbedding.make``) at every argument.  The one message allowed to
-differ is the overlap: "cells overlap" became "overlapping cells".
+differ is the overlap: "cells overlap" became "overlapping cells".  Where
+``eval`` is compared, the draw has at most 2^14 argument tuples: a
+gf4-idempotent-reduct embedding takes at most 7 sources, even when its
+tiling has more cells; one fixed embedding on 7 sources is compared too.
 
 On the limit chains to depth 5 and on ``test_fraisse.swapped_chain``
 (conjugated steps, and the canonical steps that do not commute), both
@@ -30,6 +33,8 @@ coordinate of a step is corrupted (then both are False), the same
 drawn embedding and a stage, and the same ``back_and_forth`` trace.
 """
 
+import functools
+import random
 from itertools import product
 from typing import Optional, Sequence
 
@@ -413,10 +418,11 @@ def tiling(draw, ctx):
 
 
 @st.composite
-def embedding_inputs(draw, ctx, defects=DEFECTS):
+def embedding_inputs(draw, ctx, defects=DEFECTS, max_u=16):
     """(u, cells, blocks) for make: words of a tiling grouped into the
     blocks (the word holding each point and maybe more) and into cells
-    carrying a drawn twist and source, shuffled, with one defect."""
+    carrying a drawn twist and source, shuffled, with one defect; at most
+    max_u sources, before a no-cell defect adds one."""
     auts = ctx.aut_mappings
     words = draw(tiling(ctx))
     pts = ctx.points.points()
@@ -430,7 +436,7 @@ def embedding_inputs(draw, ctx, defects=DEFECTS):
             cell_words[draw(st.integers(0, ncells - 1))].append(w)
         else:
             block_words[draw(st.integers(0, ctx.n - 1))].append(w)
-    u = draw(st.integers(min(1, ncells), ncells))
+    u = draw(st.integers(min(1, ncells), min(ncells, max_u)))
     srcs = list(range(u)) + [draw(st.integers(0, u - 1)) for _ in range(ncells - u)]
     twists = [draw(st.sampled_from(auts)) for _ in range(ncells)]
     defect = draw(st.sampled_from(defects))
@@ -488,11 +494,22 @@ def power_embeddings(draw, algebra, v, idem=True):
 # make, eval, multiplicities, compose_power
 
 
+# Argument tuples one drawn embedding may have: eval is compared on all of
+# them, so gf4 draws take at most 7 sources (4^7 tuples), and gf2 draws
+# all the sources their 14 free cells allow
+EVAL_TUPLES = 1 << 14
+
+
+def _max_sources(size):
+    return max(u for u in range(17) if size**u <= EVAL_TUPLES)
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_make_eval_compose_agree(data):
     ctx = CTXS[data.draw(st.sampled_from(sorted(CTXS)))]
-    u, cells, blocks = data.draw(embedding_inputs(ctx))
+    size = ctx.algebra.size
+    u, cells, blocks = data.draw(embedding_inputs(ctx, max_u=_max_sources(size)))
     new = outcome(fr.BPEmbedding.make, ctx, u, cells, blocks)
     old = outcome(OldBPEmbedding.make, ctx, u, cells, blocks)
     if old[0] != "ok" or new[0] != "ok":
@@ -501,7 +518,6 @@ def test_make_eval_compose_agree(data):
     new, old = new[1], old[1]
     assert parts(new) == parts(old)
     assert new.multiplicities() == old.multiplicities()
-    size = ctx.algebra.size
     for a in product(range(size), repeat=u):
         assert new.eval(a) == old.eval(a)
     e = data.draw(power_embeddings(ctx.algebra, u))
@@ -513,6 +529,26 @@ def test_make_eval_compose_agree(data):
     assert parts(new_c[1]) == parts(old_c[1])
     for b in product(range(size), repeat=e.u):
         assert new_c[1].eval(b) == old_c[1].eval(b)
+
+
+def test_eval_agrees_on_every_tuple_of_the_widest_gf4_draw():
+    """Few draws reach the widest gf4 embedding, so one is fixed: the 14
+    free cells of depth 4 on 7 sources, compared on all 4^7 argument
+    tuples, of which the first 4,096 fix the first source to 0."""
+    ctx = CTXS["gf4-01"]
+    rng = random.Random(0)
+    u = _max_sources(GF4.size)
+    words = ["".join(w) for w in product("01", repeat=4)]
+    pts = ctx.points.points()
+    blocks = [Clopen.make([next(w for w in words if x.startswith(w))]) for x in pts]
+    free = [w for w in words if not any(x.startswith(w) for x in pts)]
+    auts = sorted(ctx.aut_mappings)
+    cells = [(Clopen.make([w]), rng.choice(auts), t % u) for t, w in enumerate(free)]
+    new = fr.BPEmbedding.make(ctx, u, cells, blocks)
+    old = OldBPEmbedding.make(ctx, u, cells, blocks)
+    assert (u, len(free)) == (7, 14)
+    for a in product(range(GF4.size), repeat=u):
+        assert new.eval(a) == old.eval(a)
 
 
 @pytest.mark.parametrize("defect", DEFECTS[1:])
@@ -599,7 +635,15 @@ def test_express_through_stage_agrees_on_drawn_embeddings(data):
     "first, second",
     [("red-01", "red-01"), ("red-01", "red-01-swapped"), ("red-01-swapped", "red-01")],
 )
-def test_back_and_forth_agrees(first, second):
+def test_back_and_forth_agrees(first, second, monkeypatch):
+    # each side's extensions are computed once and shared by the depths:
+    # the u = 14 step checks 2^14 source tuples
+    monkeypatch.setattr(
+        fr, "extend_weak_homogeneity", functools.cache(fr.extend_weak_homogeneity)
+    )
+    monkeypatch.setitem(
+        globals(), "old_extend_weak_homogeneity", functools.cache(old_extend_weak_homogeneity)
+    )
     for depth in range(0, 6):
         new = outcome(fr.back_and_forth, CHAINS[first], CHAINS[second], depth)
         old = outcome(old_back_and_forth, OLD_CHAINS[first], OLD_CHAINS[second], depth)

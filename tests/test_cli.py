@@ -136,6 +136,19 @@ def test_free_algebra_report(capsys):
     assert rep["free_algebra_size"] == 8
 
 
+@pytest.mark.parametrize(
+    "name, size",
+    [("gf2-ring", 1), ("cyclic-group 3", 1), ("zero-ring 3", 1), ("gf2-idempotent-reduct", 0)],
+)
+def test_free_algebra_rank_0_is_the_constants(capsys, name, size):
+    # the rank-0 free algebra is the subuniverse of the constants: {0} for
+    # the three algebras with a constant, empty for the one without
+    code, rep = run(capsys, "free-algebra", "--builtin", name, "--rank", "0")
+    assert code == 0
+    assert rep["free_algebra_size"] == size
+    assert rep["kernel_class_sizes"] == ({"0": 1} if size else {})
+
+
 def test_reduce_idempotents(capsys):
     code, rep = run(
         capsys,

@@ -234,7 +234,7 @@ def _check_records(a, found, gens):
 def test_kernel_matches_fixpoint_loop(case, slack):
     a, gens = case
     want = old_pointwise_closure(a, range(len(gens[0])), gens)
-    found = alg.pointwise_closure(a, gens, budget=len(want))
+    found = alg.pointwise_closure(a, len(gens[0]), gens, budget=len(want))
     assert set(found) == want
     assert len(found) == len(want)
     _check_records(a, found, [tuple(g) for g in gens])
@@ -245,21 +245,28 @@ def test_kernel_matches_fixpoint_loop(case, slack):
     budget = max(0, len(want) - slack)
     if len(want) > budget:
         with pytest.raises(SizeBudgetExceeded):
-            alg.pointwise_closure(a, gens, budget)
+            alg.pointwise_closure(a, len(gens[0]), gens, budget)
     else:
-        assert set(alg.pointwise_closure(a, gens, budget)) == want
+        assert set(alg.pointwise_closure(a, len(gens[0]), gens, budget)) == want
 
 
 def test_kernel_records_discovery_order():
     a = alg.gf2_ring()
-    found = alg.pointwise_closure(a, [(0, 1)], budget=10)
+    found = alg.pointwise_closure(a, 2, [(0, 1)], budget=10)
     assert list(found) == [(0, 1), (0, 0)]
     assert found[(0, 1)] is None
     assert found[(0, 0)] == (a.op_index("zero"), ())
 
 
 def test_kernel_no_generators():
-    assert alg.pointwise_closure(alg.gf2_ring(), [], budget=0) == {}
+    # no generators close to the constants' subuniverse, at the length the
+    # caller gives, and to {} when there is no constant
+    ring = alg.gf2_ring()
+    found = alg.pointwise_closure(ring, 2, [], budget=1)
+    assert found == {(0, 0): (ring.op_index("zero"), ())}
+    with pytest.raises(SizeBudgetExceeded):
+        alg.pointwise_closure(ring, 2, [], budget=0)
+    assert alg.pointwise_closure(alg.gf2_idempotent_reduct(), 2, [], budget=0) == {}
 
 
 def _evaluations(a, found):
@@ -273,14 +280,14 @@ def _evaluations(a, found):
 @given(algebra_and_gens())
 def test_evaluation_budget_fires_exactly(case):
     a, gens = case
-    found = alg.pointwise_closure(a, gens, budget=1 << 16)
+    found = alg.pointwise_closure(a, len(gens[0]), gens, budget=1 << 16)
     need = _evaluations(a, found)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(alg, "CLOSURE_EVALS", need)
-        assert alg.pointwise_closure(a, gens, 1 << 16) == found
+        assert alg.pointwise_closure(a, len(gens[0]), gens, 1 << 16) == found
         mp.setattr(alg, "CLOSURE_EVALS", need - 1)
         with pytest.raises(SizeBudgetExceeded, match=f"passed {need - 1} pointwise"):
-            alg.pointwise_closure(a, gens, 1 << 16)
+            alg.pointwise_closure(a, len(gens[0]), gens, 1 << 16)
 
 
 @contextmanager
@@ -321,7 +328,7 @@ def test_evaluation_budget_counts_before_the_round(monkeypatch):
     _CountingTable.lookups = 0
     message = "passed 64000 pointwise evaluations"
     with pytest.raises(SizeBudgetExceeded, match=message), _translates() as translates:
-        alg.pointwise_closure(a, gens, budget=10**6)
+        alg.pointwise_closure(a, 32, gens, budget=10**6)
     # one bytes.translate reads a table at all 32 coordinates of one
     # argument tuple, and the constant zero is one table lookup
     assert translates[0] * 32 + _CountingTable.lookups == 62_496 + 1
@@ -354,7 +361,9 @@ def test_kernel_on_both_sides_of_the_byte_lane(algebra, monkeypatch):
             (projections, 10**4),
         ]:
             with _translates() as translates:
-                found = _outcome(lambda: alg.pointwise_closure(algebra, gens, budget))
+                found = _outcome(
+                    lambda: alg.pointwise_closure(algebra, len(tuples), gens, budget)
+                )
             # one-byte lanes exactly when the tables have at most 256 entries
             assert (translates[0] > 0) == (algebra.size <= 16)
             want = _outcome(lambda: seed_pointwise_closure(algebra, gens, budget))

@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
@@ -421,6 +422,45 @@ def test_back_and_forth_identity():
 def test_back_and_forth_depth_zero():
     chain = fr.limit_chain(CTX, 3)
     assert fr.back_and_forth(chain, chain, 0) == []
+
+
+def _stage_trace(stage, seen):
+    """A two-entry trace over one chain stage whose identity connector
+    records the argument tuples trace_extends reads."""
+    ident = fr.PowerEmbedding.identity(stage.bp.ctx.algebra, stage.bp.u)
+    connector = SimpleNamespace(eval=lambda a: seen.append(tuple(a)) or ident.eval(a))
+    return [
+        fr.TraceStep("start", None, stage.bp, stage.bp),
+        fr.TraceStep("forth", connector, stage.bp, stage.bp),
+    ]
+
+
+def test_trace_sample_is_the_old_slice():
+    # u = 2, 6, 14 on gf2 and 2, 6 on gf4: all tuples up to 256, and every
+    # 16th (4^6) and 64th (2^14) past that
+    gf4 = bp.make_context(alg.gf4_idempotent_reduct(), (0, 1))
+    for stage in fr.limit_chain(CTX, 4) + fr.limit_chain(gf4, 3):
+        seen = []
+        assert fr.trace_extends(_stage_trace(stage, seen))
+        size, u = stage.bp.ctx.algebra.size, stage.bp.u
+        tuples = list(product(range(size), repeat=u))
+        if len(tuples) > fr.TRACE_SAMPLE:
+            tuples = tuples[:: max(1, len(tuples) // fr.TRACE_SAMPLE)]
+        assert seen == tuples
+
+
+def test_trace_on_4_to_the_14_tuples_reads_only_its_sample():
+    # the gf4 stage at depth 4 has u = 14: listing its 4^14 argument tuples
+    # would take gigabytes
+    gf4 = bp.make_context(alg.gf4_idempotent_reduct(), (0, 1))
+    stage = fr.limit_chain(gf4, 4)[-1]
+    assert stage.bp.u == 14
+    seen = []
+    assert fr.trace_extends(_stage_trace(stage, seen))
+    assert len(seen) == fr.TRACE_SAMPLE
+    # every 4^14 / 256 = 4^10-th tuple: the first four entries run through
+    # all of A^4, in lexicographic order
+    assert seen == [t + (0,) * 10 for t in product(range(4), repeat=4)]
 
 
 def test_back_and_forth_cell_swap():

@@ -60,12 +60,14 @@ def test_clone_budget_check_matches_the_closure(algebra, k, monkeypatch):
     tuples = list(product(range(algebra.size), repeat=k))
     projections = [tuple(t[j] for t in tuples) for j in range(k)]
     arities = [a for _, a in algebra.signature if a]
-    members = len(alg.pointwise_closure(algebra, projections, 10**6))
+    members = len(alg.pointwise_closure(algebra, len(tuples), projections, 10**6))
     rounds = [sum((i + 1) ** a for a in arities) * len(tuples) for i in range(members)]
     for evals in sorted({e + d for e in rounds[: k + 2] for d in (-1, 0)}):
         monkeypatch.setattr(alg, "CLOSURE_EVALS", evals)
         for budget in (1, k, k + 1, 8, 10**6):
-            want = _outcome(lambda: alg.pointwise_closure(algebra, projections, budget))
+            want = _outcome(
+                lambda: alg.pointwise_closure(algebra, len(tuples), projections, budget)
+            )
             got = _outcome(lambda: fa.clone_generate(algebra, k, budget).elements)
             assert got == want, (evals, budget)
 
@@ -81,6 +83,13 @@ def test_clone_budget_stops_before_building(monkeypatch):
     monkeypatch.setattr(fa, "product", refuse)
     with pytest.raises(SizeBudgetExceeded, match=f"passed {alg.CLOSURE_EVALS} pointwise"):
         fa.clone_generate(GF2, 20)
+
+
+def test_rank_0_clone_is_the_constants():
+    rep = fa.clone_generate(GF2, 0)
+    assert [f.table for f in rep.elements] == [(0,)]
+    assert fa.witness_terms_check(rep)
+    assert fa.clone_generate(RED, 0).elements == ()
 
 
 def test_clone_restriction_to_tuple_is_generated_subalgebra():
@@ -210,7 +219,7 @@ def test_kernel_class_power_iso_pattern_mismatch():
 # --- loop/ring split ------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_loop_ring_split_gf2(k):
     N, H, report = fa.loop_ring_split(GF2, k)
     assert report.ok(), report

@@ -685,10 +685,10 @@ def tuple_algebra(alg: FiniteAlgebra, tuples: Sequence[tuple]) -> FiniteAlgebra:
     """The algebra on a nonempty list of equal-length tuples closed under
     the pointwise basic operations of alg: element i is tuples[i]."""
     index = {t: i for i, t in enumerate(tuples)}
-    width = range(len(tuples[0]))
+    coords = range(len(tuples[0]))
     tables = tuple(
         tuple(
-            index[tuple(alg.apply(k, [c[i] for c in combo]) for i in width)]
+            index[tuple(alg.apply(k, [c[i] for c in combo]) for i in coords)]
             for combo in product(tuples, repeat=arity)
         )
         for k, (_, arity) in enumerate(alg.signature)

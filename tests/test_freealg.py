@@ -31,6 +31,11 @@ def test_clone_gf2_rank1():
     assert {f.table for f in rep.elements} == {(0, 0), (0, 1)}
 
 
+def test_clone_rank0_is_the_constants():
+    assert [f.table for f in fa.clone_generate(GF2, 0).elements] == [(0,)]
+    assert fa.clone_generate(RED, 0).elements == ()
+
+
 def test_clone_projections_present():
     rep = fa.clone_generate(RED, 2)
     tables = rep.tables()
@@ -39,7 +44,7 @@ def test_clone_projections_present():
 
 
 def test_witness_terms():
-    for a, k in ((RED, 2), (GF2, 2), (GF4, 1)):
+    for a, k in ((RED, 2), (GF2, 2), (GF4, 1), (GF2, 0)):
         assert fa.witness_terms_check(fa.clone_generate(a, k))
 
 
@@ -83,13 +88,6 @@ def test_clone_budget_stops_before_building(monkeypatch):
     monkeypatch.setattr(fa, "product", refuse)
     with pytest.raises(SizeBudgetExceeded, match=f"passed {alg.CLOSURE_EVALS} pointwise"):
         fa.clone_generate(GF2, 20)
-
-
-def test_rank_0_clone_is_the_constants():
-    rep = fa.clone_generate(GF2, 0)
-    assert [f.table for f in rep.elements] == [(0,)]
-    assert fa.witness_terms_check(rep)
-    assert fa.clone_generate(RED, 0).elements == ()
 
 
 def test_clone_restriction_to_tuple_is_generated_subalgebra():

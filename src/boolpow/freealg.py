@@ -396,7 +396,7 @@ def loop_ring_split(algebra: FiniteAlgebra, k: int):
         for t in R_k
     ]
     F = { _restrict_vector(f, algebra.size, R_k) for f in rep.elements }
-    N = {v for v in F if all(v[i] == e for i, f in enumerate(sk_flags) if f[-1])}
+    N = {v for v in F if all(v[i] == e for i, fl in enumerate(sk_flags) if fl[-1])}
     ys = []
     for j in range(1, k + 1):
         y = tuple(t[j - 1] if sk_flags[i][j] else e for i, t in enumerate(R_k))

@@ -653,14 +653,15 @@ def automorphisms(alg: FiniteAlgebra) -> list[Mapping]:
 # abelianness and direct powers
 
 
-def is_abelian(alg: FiniteAlgebra) -> bool:
+def is_abelian(alg: FiniteAlgebra, term: Optional[Term]) -> bool:
     """Diagonal-block criterion on the square of the algebra.
 
     True iff {(a,a)} is a block of the congruence of alg^2 generated by
     all pairs ((a,a),(b,b)); valid in the presence of a ternary operation
-    m with m(x,x,y) = y = m(y,x,x), which is checked first.
+    m with m(x,x,y) = y = m(y,x,x).  `term` is such an m, as
+    find_malcev_term returns it; it is checked first, without a search.
     """
-    if find_malcev_term(alg) is None:
+    if term is None or not _is_malcev_witness(alg, term):
         raise NoMalcevTerm("abelianness test needs m(x,x,y)=y=m(y,x,x)")
     sq = direct_power(alg, 2)
     n = alg.size

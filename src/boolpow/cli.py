@@ -95,7 +95,7 @@ def cmd_inspect_algebra(args):
         "signature": [[n, r] for n, r in a.signature],
         "malcev_term": repr(term) if term else None,
         "simple": alg.is_simple(a),
-        "abelian": alg.is_abelian(a) if term else None,
+        "abelian": alg.is_abelian(a, term) if term else None,
         "idempotents": sorted(alg.idempotents(a)),
         "automorphism_count": len(alg.automorphisms(a)),
         "proper_subalgebras": [

@@ -61,7 +61,7 @@ def test_criterion_01_algebra_hypotheses():
     b = Budget(1.0)
     a = RED
     ok = alg.is_simple(a)
-    ok = ok and not alg.is_abelian(a)
+    ok = ok and not alg.is_abelian(a, alg.find_malcev_term(a))
     ok = ok and alg.idempotents(a) == frozenset({0, 1})
     ok = ok and len(alg.automorphisms(a)) == 1
     proper = [s for s in alg.subalgebras(a) if len(s) < a.size]

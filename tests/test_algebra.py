@@ -192,21 +192,25 @@ def test_affine_z2_is_abelian():
     affine = alg.make_algebra(
         2, [("mal", 3)], [alg._table(2, 3, lambda x, y, z: (x + y + z) % 2)]
     )
-    assert alg.is_abelian(affine)
+    assert alg.is_abelian(affine, alg.find_malcev_term(affine))
 
 
 def test_zero_ring_is_abelian():
-    assert alg.is_abelian(alg.zero_ring(2))
+    z = alg.zero_ring(2)
+    assert alg.is_abelian(z, alg.find_malcev_term(z))
 
 
 def test_reduct_not_abelian():
-    assert not alg.is_abelian(alg.gf2_idempotent_reduct())
+    red = alg.gf2_idempotent_reduct()
+    assert not alg.is_abelian(red, alg.find_malcev_term(red))
 
 
 def test_is_abelian_needs_malcev():
+    # no term at all, and a term that is no Mal'cev witness
     meet = alg.make_algebra(2, [("meet", 2)], [(0, 0, 0, 1)])
-    with pytest.raises(NoMalcevTerm):
-        alg.is_abelian(meet)
+    for term in (None, ("var", 0)):
+        with pytest.raises(NoMalcevTerm):
+            alg.is_abelian(meet, term)
 
 
 # --- direct powers ----------------------------------------------------------

@@ -455,3 +455,76 @@ def test_stabilizer_containment_orbit_guard():
         ag.verify_stabilizer_containment(
             ag.PowerAutomorphism.identity(ctx), BLOCKS4
         )
+
+
+# ---------------------------------------------------------------------------
+# the group laws, pointwise on drawn automorphisms and elements
+
+GF2 = alg.gf2_ring()
+LAW_CTXS = {
+    "gf4-01": CTX4,
+    "gf4-101": bp.make_context(GF4, (1, 0, 1)),
+    "gf2-0": bp.make_context(GF2, (0,)),
+    "gf2-000": bp.make_context(GF2, (0, 0, 0)),
+}
+
+
+@st.composite
+def automorphisms(draw, ctx):
+    seed = draw(st.integers(0, 2**32 - 1))
+    return random_automorphism(ctx, random.Random(seed), draw(st.integers(0, 3)))
+
+
+@st.composite
+def labeled_tiling(draw, prefix, size, depth, split):
+    """(word, label) cells tiling cell(prefix), at most `depth` below it
+    unless `split` asks for a deeper cut."""
+    if not split(prefix) and (depth <= 0 or draw(st.integers(0, 2)) == 0):
+        return [(prefix, draw(st.integers(0, size - 1)))]
+    return draw(labeled_tiling(prefix + "0", size, depth - 1, split)) + draw(
+        labeled_tiling(prefix + "1", size, depth - 1, split)
+    )
+
+
+@st.composite
+def labelings(draw, ctx):
+    """A labeling of threshold 0 to 2 whose region cells are cut up to two
+    levels deeper, so that piece cells below the threshold are split."""
+    auts = ctx.aut_mappings
+    d = draw(st.integers(0, 2))
+    cells = []
+    for w in ctx.points.region(d).words:
+        cells += draw(labeled_tiling(w, len(auts), 2, lambda w: False))
+    tails = []
+    for e in ctx.filters:
+        stab = [m for m in auts if m[e] == e]
+        tails.append(draw(st.lists(st.sampled_from(stab), min_size=1, max_size=3)))
+    return ag.AutLabeling.make(ctx, d, [(w, auts[k]) for w, k in cells], tails)
+
+
+@st.composite
+def elements(draw, ctx):
+    """An element of depth 0 to 3 on X; a cell holding two points with
+    different filter values is always cut."""
+    marked = list(zip(ctx.points.points(), ctx.filters))
+
+    def split(w):
+        return len({e for x, e in marked if x.startswith(w)}) > 1
+
+    cells = draw(labeled_tiling("", ctx.algebra.size, draw(st.integers(0, 3)), split))
+    for x, e in marked:
+        cells = [(w, e if x.startswith(w) else a) for w, a in cells]
+    return bp.PowerElement.make(ctx, cells)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_compose_and_inverse_act_pointwise(data):
+    ctx = LAW_CTXS[data.draw(st.sampled_from(sorted(LAW_CTXS)))]
+    x = data.draw(automorphisms(ctx))
+    y = data.draw(automorphisms(ctx))
+    if data.draw(st.booleans()):
+        x = ag.PowerAutomorphism.make(ctx, data.draw(labelings(ctx)), x.homeo)
+    f = data.draw(elements(ctx))
+    assert x.compose(y).apply(f) == x.apply(y.apply(f))
+    assert x.inverse().apply(x.apply(f)) == f

@@ -1,22 +1,20 @@
-"""Differential test of ``cantor.build`` and of the point checks of
-``PowerElement.make`` and ``BPEmbedding.eval`` against the code they
-replaced, kept here as the oracle: a ``build`` that sorts, scans and tiles
-every cell list anew, and ``from_tree``'s walk along each
-distinguished point.
+"""Differential test of ``cantor.build`` and its shape memo, and of the
+point checks of ``BPEmbedding.eval``, against the code they replaced,
+kept here as the oracle: a ``build`` that sorts, scans and tiles every
+cell list anew, and ``from_tree``'s walk along each distinguished point.
 
 Inputs are cell lists on two supports, all of X and the clopen
 {"0", "11"}, on gf2-ring (filter 0) and gf4-idempotent-reduct (filters 0,
 1), clean or with one defect: an overlap, a duplicate word, a bad word, a
-gap, a cell outside the support, a label outside the carrier or a wrong
-label at a retained point.  Each list is built cold, then warm, on its own
-support and then on the other one; every call must give the oracle's tree
-or raise the oracle's exception type with its message.
+gap or a cell outside the support.  Each list is built cold, then warm, on
+its own support and then on the other one; every call must give the
+oracle's tree or raise the oracle's exception type with its message.
+``PowerElement.make``, the shape memo's main caller, is checked against
+its own frozen make, cold and warm, in ``test_element_differential``.
 """
 
-import re
 from itertools import product
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,7 +34,7 @@ MESSAGES = [
     ("cells", "cells do not tile the support"),
     ("label cells", "label cells do not tile the exceptional region"),
 ]
-DEFECTS = ("none", "overlap", "duplicate", "char", "gap", "outside", "label", "point")
+DEFECTS = ("none", "overlap", "duplicate", "char", "gap", "outside")
 
 
 def clear_memo():
@@ -102,27 +100,11 @@ def old_point_check(ctx, tree):
             raise FilterViolation(f"value at point {i} must be {e}")
 
 
-def old_make(ctx, cells, support):
-    cells = [(str(w), int(a)) for w, a in cells]
-    for _, a in cells:
-        if a not in range(ctx.algebra.size):
-            raise FilterViolation(f"label {a} outside carrier")
-    tree = old_build(cells, support._t)
-    old_point_check(ctx, tree)
-    return tree
-
-
 def outcome(f, *args):
     try:
         return ("ok", f(*args))
     except Exception as exc:  # the exception itself is what is compared
         return (type(exc), str(exc))
-
-
-def new_make(ctx, cells, support):
-    f = bp.PowerElement.make(ctx, cells, support)
-    assert f.support == support
-    return f.tree
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +126,7 @@ def labeled_tiling(draw, prefix, size, depth):
     return cells
 
 
-def perturb(draw, ctx, cells, support, defect):
-    size = ctx.algebra.size
+def perturb(draw, size, cells, support, defect):
     pick = (lambda: draw(st.integers(0, len(cells) - 1))) if cells else None
     if defect == "overlap" and cells:
         w, a = cells[pick()]
@@ -172,20 +153,12 @@ def perturb(draw, ctx, cells, support, defect):
             cells[k] = (u + "0" * max(0, len(w) - len(u)), a)
         else:
             cells.append((u, 0))
-    elif defect == "label" and cells:
-        k = pick()
-        cells[k] = (cells[k][0], draw(st.sampled_from([-1, size, size + 3])))
-    elif defect == "point":
-        for x, e in ctx.marked:
-            for k, (w, a) in enumerate(cells):
-                if x.startswith(w):
-                    cells[k] = (w, (e + draw(st.integers(1, size - 1))) % size)
     return cells
 
 
 @st.composite
 def cell_lists(draw):
-    """(context, cells, support name, defect): cells of depth up to 4 tiling
+    """(cells, support name): cells of depth up to 4 tiling
     the support, labeled by the filters at the retained points, in a drawn
     order, with at most one defect."""
     ctx = CTXS[draw(st.sampled_from(sorted(CTXS)))]
@@ -197,9 +170,9 @@ def cell_lists(draw):
     for x, e in ctx.marked:
         cells = [(w, e if x.startswith(w) else a) for w, a in cells]
     defect = draw(st.sampled_from(DEFECTS))
-    cells = perturb(draw, ctx, cells, support, defect)
+    cells = perturb(draw, ctx.algebra.size, cells, support, defect)
     order = draw(st.permutations(range(len(cells))))
-    return ctx, [cells[k] for k in order], name, defect
+    return [cells[k] for k in order], name
 
 
 def support_order(name):
@@ -214,63 +187,13 @@ def support_order(name):
 @settings(max_examples=500, deadline=None)
 @given(cell_lists(), st.sampled_from(MESSAGES))
 def test_build_agrees_cold_then_warm(args, messages):
-    ctx, cells, name, _ = args
+    cells, name = args
     clear_memo()
     for support in support_order(name):
         s = SUPPORTS[support]._t
         want = outcome(old_build, cells, s, *messages)
         for _ in ("cold", "warm"):
             assert outcome(cantor.build, cells, s, *messages) == want
-
-
-@settings(max_examples=500, deadline=None)
-@given(cell_lists())
-def test_make_agrees_cold_then_warm(args):
-    ctx, cells, name, _ = args
-    clear_memo()
-    for support in support_order(name):
-        want = outcome(old_make, ctx, cells, SUPPORTS[support])
-        for _ in ("cold", "warm"):
-            assert outcome(new_make, ctx, cells, SUPPORTS[support]) == want
-
-
-@settings(max_examples=200, deadline=None)
-@given(cell_lists())
-def test_defect_is_refused_on_every_call(args):
-    ctx, cells, name, defect = args
-    clear_memo()
-    want = outcome(old_make, ctx, cells, SUPPORTS[name])
-    if want[0] == "ok":
-        return
-    for _ in range(3):
-        with pytest.raises(want[0], match=f"^{re.escape(want[1])}$"):
-            new_make(ctx, cells, SUPPORTS[name])
-
-
-GF4 = CTXS["gf4"]
-
-
-@pytest.mark.parametrize(
-    "first,second,error",
-    [
-        # the same words on a support they do not tile
-        ((["0", "1"], [0, 1], "X"), (["0", "1"], [0, 1], "0|11"), ValueError),
-        # the same words with a wrong value at point 2, x_2 = 10^w
-        ((["0", "1"], [0, 1], "X"), (["0", "1"], [0, 0], "X"), FilterViolation),
-        # the same words, a label outside the carrier
-        ((["0", "1"], [0, 1], "X"), (["0", "1"], [0, 4], "X"), FilterViolation),
-    ],
-)
-def test_cached_shape_does_not_pass_a_defect(first, second, error):
-    clear_memo()
-    (w1, a1, s1), (w2, a2, s2) = first, second
-    tree = bp.PowerElement.make(GF4, list(zip(w1, a1)), SUPPORTS[s1]).tree
-    assert tree == old_make(GF4, list(zip(w1, a1)), SUPPORTS[s1])
-    want = outcome(old_make, GF4, list(zip(w2, a2)), SUPPORTS[s2])
-    assert want[0] is error
-    for _ in range(2):
-        with pytest.raises(error, match=f"^{re.escape(want[1])}$"):
-            bp.PowerElement.make(GF4, list(zip(w2, a2)), SUPPORTS[s2])
 
 
 def chain_stage(depth):

@@ -110,7 +110,9 @@ def test_extend_homogeneity_without_idempotents(tmp_path, capsys, seed):
     # these seeds draw an idempotent coordinate where an algebra has one
     f = tmp_path / "alg.json"
     f.write_text(json.dumps(NO_IDEMPOTENT))
+    start = time.process_time()
     code, rep = run(capsys, "extend-homogeneity", "--alg", str(f), "--seed", seed)
+    assert time.process_time() - start < 5.0
     assert code == 0 and rep["verified"]
 
 
@@ -167,6 +169,7 @@ def test_reduce_idempotents(capsys):
 def test_reduce_idempotents_many_equal_filters(capsys, n):
     # the chained merges of the earlier reduction built words of 2^(n-1) + 1
     # letters and ran out of recursion from n = 11 on
+    start = time.process_time()
     code, rep = run(
         capsys,
         "reduce-idempotents",
@@ -175,6 +178,7 @@ def test_reduce_idempotents_many_equal_filters(capsys, n):
         "--filters",
         ",".join(["0"] * n),
     )
+    assert time.process_time() - start < 5.0
     assert code == 0
     assert rep["reduced_filters"] == [0]
     assert rep["round_trip_on_depth"] == 2
@@ -265,7 +269,9 @@ def test_bergman_growth_on_no_points_swaps_the_first_bit(tmp_path, capsys, sourc
     f = tmp_path / "alg.json"
     f.write_text(json.dumps(NO_IDEMPOTENT))
     algebra = ["--builtin", "gf2-ring", "--filters", ""] if source == "builtin" else ["--alg", str(f)]
+    start = time.process_time()
     code, rep = run(capsys, "bergman-growth", *algebra, "--depth", "2")
+    assert time.process_time() - start < 5.0
     assert code == 0
     assert rep["sizes"] == [2, 2] and rep["stabilized_at"] == 1
 
@@ -276,6 +282,7 @@ def test_bergman_growth_refuses_generator_not_acting(tmp_path, capsys):
     swap = cell_swap(ctx.points, "0010", "0100")
     f = tmp_path / "gens.json"
     f.write_text(json.dumps([ser.homeo_to_obj(swap)]))
+    start = time.process_time()
     code, rep = run(
         capsys,
         "bergman-growth",
@@ -288,6 +295,7 @@ def test_bergman_growth_refuses_generator_not_acting(tmp_path, capsys):
         "--gens",
         str(f),
     )
+    assert time.process_time() - start < 5.0
     assert code == 1
     assert rep["error"] == (
         "GeneratorNotActing: generator does not act on the depth-2 approximation"
@@ -297,7 +305,9 @@ def test_bergman_growth_refuses_generator_not_acting(tmp_path, capsys):
 def test_factor_homeo_refuses_after_its_tail_draws(capsys):
     # a good tail clopen over 8 points takes about 4^8 draws; seed 3 asks
     # for one and used to run for 40 s
+    start = time.process_time()
     code, rep = run(capsys, "factor-homeo", "--points", "8", "--seed", "3")
+    assert time.process_time() - start < 5.0
     assert code == 1
     assert rep["error"] == (
         "SizeBudgetExceeded: no good tail clopen over n = 8 points in 4096 draws"

@@ -10,7 +10,7 @@ from itertools import product
 from typing import Iterable
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from boolpow.cantor import Clopen, PointContext, _words, build, merge_sibling_pairs
@@ -273,22 +273,33 @@ def cellmap(pairs) -> EPHomeo:
     return EPHomeo.make(PointContext(0), pairs, ())
 
 
+def oracle_is_identity(pairs):
+    return pairs == (("", ""),)
+
+
 @given(table_pairs())
+@example([("0", "0"), ("10", "10"), ("11", "11")])
 def test_merge_table_pairs_matches_oracle(pairs):
     assert merge_sibling_pairs(pairs) == oracle_reduce_pairs(pairs)
     t = cellmap(set(pairs))
     assert t.pairs == oracle_reduce_pairs(pairs)
+    assert t.pieces == ()
+    assert t.is_identity() == oracle_is_identity(t.pairs)
     assert t.inverse().pairs == oracle_reduce_pairs([(q, p) for p, q in pairs])
 
 
 @given(table_pairs(), table_pairs())
 def test_table_compose_matches_oracle(p1, p2):
     a, b = cellmap(set(p1)), cellmap(set(p2))
-    out = []  # the composed pairs, duplicates included, before merging
-    for p, q in b.pairs:
-        for p2, q2 in a.pairs:
-            if p2.startswith(q):
-                out.append((p + p2[len(q):], q2))
-            elif q.startswith(p2):
-                out.append((p, q2 + q[len(p2):]))
-    assert a.compose(b).pairs == oracle_reduce_pairs(out)
+    ident = cellmap([("", "")])
+    for left, right in ((a, b), (b, a), (a, a.inverse()), (a, ident), (ident, b)):
+        out = []  # the composed pairs, duplicates included, before merging
+        for p, q in right.pairs:
+            for p2, q2 in left.pairs:
+                if p2.startswith(q):
+                    out.append((p + p2[len(q):], q2))
+                elif q.startswith(p2):
+                    out.append((p, q2 + q[len(p2):]))
+        got = left.compose(right)
+        assert got.pairs == oracle_reduce_pairs(out)
+        assert got.is_identity() == oracle_is_identity(got.pairs)

@@ -6,21 +6,25 @@ at each point.
 
 Inputs are labeled prefix antichains tiling all of X or a random support,
 on gf2-ring (filter 0) and gf4-idempotent-reduct (filters 0, 1), as given
-or with one defect: an overlap, a gap, a cell outside the support, a
-character other than 0/1, a label outside the carrier or a wrong label at
-a retained point.  Both makes must return the same cells or raise the same
-exception type with the same message.
+or with one defect: an overlap, a duplicate word, a gap, a cell outside
+the support, a character other than 0/1, a label outside the carrier or a
+wrong label at a retained point.  Each input is made cold, with the shape
+memo behind ``cantor.build`` emptied, then warm; both makes must return
+the same cells or raise the same exception type with the same message.
 
 The same oracle, after a quadratic common refinement of the cell lists,
 checks ``refine`` and every basic operation through ``apply_operation``
 on valid elements of one common support.
 """
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boolpow import algebra as alg
+from boolpow import cantor
 from boolpow import power as bp
 from boolpow.cantor import Clopen, point_in
 from boolpow.errors import FilterViolation
@@ -30,7 +34,7 @@ CTXS = {
     "gf4": bp.make_context(alg.gf4_idempotent_reduct(), (0, 1)),
 }
 
-DEFECTS = ("none", "overlap", "gap", "outside", "char", "label", "point")
+DEFECTS = ("none", "overlap", "duplicate", "gap", "outside", "char", "label", "point")
 
 # ---------------------------------------------------------------------------
 # oracle: the make of the tree-backed Clopen
@@ -159,6 +163,9 @@ def perturb(draw, ctx, cells, support, defect):
         if w and draw(st.booleans()):
             other = w[: draw(st.integers(0, len(w) - 1))]
         cells.append((other, a))
+    elif defect == "duplicate" and cells:
+        w, a = cells[pick()]
+        cells.append((w, draw(st.integers(0, size - 1))))
     elif defect == "gap" and cells:
         del cells[pick()]
     elif defect == "outside":
@@ -216,12 +223,14 @@ def valid_cells(draw, ctx, support):
 def test_make_matches_oracle(args):
     ctx, cells, support = args
     want = outcome(old_make, ctx, cells, support)
-    got = outcome(bp.PowerElement.make, ctx, cells, support)
-    if got[0] == "ok":
-        el = got[1]
-        assert el.support == support
-        got = ("ok", el.cells)
-    assert got == want
+    cantor._kept_shape.cache_clear()
+    for _ in ("cold", "warm"):  # a kept shape must not pass a defect
+        got = outcome(bp.PowerElement.make, ctx, cells, support)
+        if got[0] == "ok":
+            el = got[1]
+            assert el.support == support
+            got = ("ok", el.cells)
+        assert got == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -253,6 +262,8 @@ def test_fiber_matches_union_of_cells(args):
         ([("0", 0), ("0", 1)], None, "overlapping cells"),
         ([("0", 0), ("12", 1)], None, "bad word '12'"),
         ([("0", 1), ("1", 1)], None, "value at point 1 must be 0"),
+        # the last cell completes 11, then 1, then the whole space
+        ([("0", 0), ("10", 0), ("110", 0), ("111", 0)], None, None),
     ],
 )
 def test_make_edge_cases(cells, support, error):
@@ -267,12 +278,31 @@ def test_make_edge_cases(cells, support, error):
         assert got[1] == error
 
 
-def test_merge_cascades_over_every_level():
-    # the last cell completes 11, then 1, then the whole space
-    ctx = CTXS["gf2"]
-    cells = [(w, 0) for w in ("0", "10", "110", "111")]
-    assert bp.PowerElement.make(ctx, cells).cells == (("", 0),)
-    assert old_make(ctx, cells) == (("", 0),)
+SUPPORTS = {"X": Clopen.all(), "0|11": Clopen.make(["0", "11"])}
+
+
+@pytest.mark.parametrize(
+    "first,second,error",
+    [
+        # the same words on a support they do not tile
+        ((["0", "1"], [0, 1], "X"), (["0", "1"], [0, 1], "0|11"), ValueError),
+        # the same words with a wrong value at point 2, x_2 = 10^w
+        ((["0", "1"], [0, 1], "X"), (["0", "1"], [0, 0], "X"), FilterViolation),
+        # the same words, a label outside the carrier
+        ((["0", "1"], [0, 1], "X"), (["0", "1"], [0, 4], "X"), FilterViolation),
+    ],
+)
+def test_cached_shape_does_not_pass_a_defect(first, second, error):
+    ctx = CTXS["gf4"]
+    cantor._kept_shape.cache_clear()
+    (w1, a1, s1), (w2, a2, s2) = first, second
+    cells = bp.PowerElement.make(ctx, list(zip(w1, a1)), SUPPORTS[s1]).cells
+    assert cells == old_make(ctx, list(zip(w1, a1)), SUPPORTS[s1])
+    want = outcome(old_make, ctx, list(zip(w2, a2)), SUPPORTS[s2])
+    assert want[0] is error
+    for _ in range(2):
+        with pytest.raises(error, match=f"^{re.escape(want[1])}$"):
+            bp.PowerElement.make(ctx, list(zip(w2, a2)), SUPPORTS[s2])
 
 
 @settings(max_examples=150, deadline=None)

@@ -13,7 +13,7 @@ from boolpow.cantor import (
     is_good,
     type_of,
 )
-from boolpow.errors import NotBijective, SizeBudgetExceeded, TypeMismatch
+from boolpow.errors import BoolpowError, NotBijective, SizeBudgetExceeded, TypeMismatch
 from boolpow.homeo import (
     EPHomeo,
     TailPiece,
@@ -445,3 +445,21 @@ def test_validation_keeps_no_shape():
         for g, h in zip(hs, hs[1:]):
             g.compose(h).compose(g.inverse())
     assert cantor._kept_shape.cache_info().currsize == before
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [],
+        [("0", "0")],
+        [("0", "0"), ("0", "1"), ("1", "1")],
+        [("0", "1"), ("1", "1")],
+        [("0", "0"), ("1", "2")],
+        [("0", "0"), ("1x", "1")],
+    ],
+    ids=["empty", "gap", "overlapping-source", "overlapping-image", "bad-image-word", "bad-source-word"],
+)
+def test_listed_invalid_pairs_rejected(pairs):
+    # a cell map, PointContext(0), whose pairs are no bijection of X
+    with pytest.raises((ValueError, BoolpowError)):
+        EPHomeo.make(PointContext(0), pairs, ())

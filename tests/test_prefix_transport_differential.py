@@ -1,23 +1,29 @@
 """Differential tests of the prefix kernel in ``cantor`` (the labeled tree
-that ``build`` makes and ``_words`` reads back, its ``subtree`` and
-``graft``, and ``merge_sibling_pairs``) against the hand-written prefix
-loops it replaced, kept here as oracles:
+that ``build`` makes and ``_words`` reads back, and its ``subtree`` and
+``graft``) against the hand-written prefix loops it replaced, kept here as
+oracles:
 
 - ``EPHomeo.apply`` with its partial content carried by a pairwise loop
   over the tabular pairs and, inside the cells of a tail piece, by
   stripping the cell word, applying the piece's table and prepending the
   image cell word;
 - the ``RestrictionMap`` substitution loops;
-- the bottom-up dict merge of sibling cells and of table pairs.
+- ``subtree`` against a pairwise substitution of the cells followed by
+  the bottom-up dict merge of sibling cells.
+
+The sibling merges themselves (of labeled cells and of table pairs) are
+checked against their own frozen loops in ``test_clopen_differential``.
 
 Homeomorphisms come from ``rand``; elements are enumerated at depth 0 to 3
-or drawn at depth up to 5.  Images are compared element by element.  The
+or drawn at depth up to 5.  Images are compared element by element, and
+the image of every cell word of depth up to 4 under seeded automorphisms'
+homeomorphisms (``apply_clopen_in_X``, the cell images elements are pushed
+through) cell by cell.  The
 round trip of ``reduce_idempotents`` is checked here too; its oracle, the
 chained twist, swap and merge, is in ``test_reduction_differential``.
 """
 
 import random
-from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -31,11 +37,16 @@ from boolpow.cantor import (
     TailClopen,
     _words,
     build,
-    merge_sibling_pairs,
     subtree,
 )
-from boolpow.homeo import EPHomeo, TailPiece, cross_branch_involution
-from boolpow.rand import random_point_fixing_homeo, random_tailclopen
+from boolpow.homeo import EPHomeo, TailPiece, cross_branch_involution, orbit_witness
+from boolpow.rand import (
+    random_automorphism,
+    random_block_preserving_homeo,
+    random_good_tailclopen,
+    random_point_fixing_homeo,
+    random_tailclopen,
+)
 from boolpow.seqs import EPSet
 
 GF2 = alg.gf2_ring()
@@ -181,10 +192,10 @@ def old_backward(rmap, g):
 
 
 # ---------------------------------------------------------------------------
-# oracles: the bottom-up merges and the pairwise substitution
+# oracles: the bottom-up merge and the pairwise substitution
 
 
-def old_merge_sibling_cells(cells, join=lambda a, b: a if a == b else None):
+def old_merge_sibling_cells(cells):
     cur = dict(cells)
     by_len = {}
     for w in cur:
@@ -192,19 +203,12 @@ def old_merge_sibling_cells(cells, join=lambda a, b: a if a == b else None):
     for n in range(max(by_len, default=0), 0, -1):
         for w in by_len.get(n, ()):
             sib = w[:-1] + "1"
-            if w[-1] == "0" and sib in cur:
-                label = join(cur[w], cur[sib])
-                if label is not None:
-                    del cur[w], cur[sib]
-                    cur[w[:-1]] = label
-                    by_len.setdefault(n - 1, []).append(w[:-1])
+            if w[-1] == "0" and sib in cur and cur[w] == cur[sib]:
+                label = cur[w]
+                del cur[w], cur[sib]
+                cur[w[:-1]] = label
+                by_len.setdefault(n - 1, []).append(w[:-1])
     return tuple(sorted(cur.items()))
-
-
-def old_image_join(q0, q1):
-    if q0[-1:] == "0" and q1 == q0[:-1] + "1":
-        return q0[:-1]
-    return None
 
 
 def old_transport(cells, pairs):
@@ -261,13 +265,27 @@ def ctx_elements(draw):
 
 @st.composite
 def homeos(draw):
-    """A rand homeomorphism on 1-3 points, sometimes inverted, and on two
-    points sometimes composed with the cross-branch involution (no
-    extension to X)."""
+    """A rand homeomorphism on 1-3 points (point-fixing, block-preserving
+    or an orbit witness), sometimes composed with a second one, sometimes
+    inverted, and on two points sometimes composed with the cross-branch
+    involution (no extension to X)."""
     n = draw(st.integers(1, 3))
     ctx = PointContext(n)
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    h = random_point_fixing_homeo(ctx, rng, draw(st.integers(0, 2)))
+
+    def one():
+        kind = draw(st.sampled_from(["point-fixing", "block", "witness"]))
+        if kind == "point-fixing":
+            return random_point_fixing_homeo(ctx, rng, draw(st.integers(0, 2)))
+        if kind == "block":
+            return random_block_preserving_homeo(ctx, rng, draw(st.integers(1, 3)))
+        c1 = random_good_tailclopen(ctx, rng, max_threshold=2, max_period=3)
+        c2 = random_good_tailclopen(ctx, rng, max_threshold=2, max_period=3)
+        return orbit_witness(c1, c2)  # good clopens share one type
+
+    h = one()
+    if draw(st.booleans()):
+        h = h.compose(one())
     if draw(st.booleans()):
         h = h.inverse()
     if n == 2 and draw(st.booleans()):
@@ -279,14 +297,27 @@ def homeos(draw):
 # EPHomeo.apply
 
 
+def outcome(fn, *args):
+    """The value of fn(*args), or the type and message it raised."""
+    try:
+        return ("ok", fn(*args))
+    except Exception as exc:  # the exception itself is what is compared
+        return (type(exc), str(exc))
+
+
 @settings(max_examples=150, deadline=None)
 @given(homeos(), st.integers(0, 3))
 def test_apply_matches_pairwise_oracle(hr, threshold):
     h, rng = hr
-    b = random_tailclopen(h.ctx, rng, max_threshold=threshold)
+    ctx = h.ctx
+    b = random_tailclopen(ctx, rng, max_threshold=threshold)
     assert h.apply(b) == old_apply(h, b)
     c = Clopen.make([w + s for w in b.exceptional.words for s in ("0", "11")])
     assert h.apply(c) == old_apply(h, c)
+    d = Clopen.make([w for w in ctx.region(3).words if rng.random() < 0.5])
+    assert h.apply(d) == old_apply(h, d)
+    wrong = TailClopen.empty(PointContext(ctx.n + 1))
+    assert outcome(h.apply, wrong) == outcome(old_apply, h, wrong)
 
 
 def test_apply_through_a_twisting_cellmap():
@@ -303,6 +334,20 @@ def test_apply_through_a_twisting_cellmap():
     for words in (["0101"], ["0100", "0011"], ["01", "0010"], ["1", "001"]):
         b = Clopen.make(words)
         assert h.apply(b) == old_apply(h, b)
+
+
+def test_cell_images_match_pairwise_oracle_on_a_seeded_pool():
+    """Every cell word of depth <= 4 through the homeomorphisms of seeded
+    automorphisms, their inverses and products: the cell images that
+    elements are pushed through."""
+    ctx = bp.make_context(GF4, (0, 1))
+    pool = [random_automorphism(ctx, random.Random(seed), 1).homeo for seed in range(8)]
+    hs = pool + [h.inverse() for h in pool[:4]] + [pool[0].compose(pool[5])]
+    cells = [format(k, "b").zfill(L) if L else "" for L in range(5) for k in range(1 << L)]
+    for h in hs:
+        for w in cells:
+            b = Clopen.make([w])
+            assert h.apply_clopen_in_X(b) == old_apply(h, b).to_clopen(), w
 
 
 # ---------------------------------------------------------------------------
@@ -374,44 +419,6 @@ def labeled_antichains(draw, labels=st.integers(0, 2)):
     for u in support.words:
         cells += draw(tiling(u, draw(st.integers(0, 4)), labels))
     return support, cells
-
-
-@settings(max_examples=300, deadline=None)
-@given(labeled_antichains())
-def test_merge_sibling_cells_matches_bottom_up_merge(case):
-    support, cells = case
-    tree = build(cells, support._t)
-    assert tuple(_words(tree, "", [])) == old_merge_sibling_cells(cells)
-
-
-def test_merge_sibling_cells_full_levels_bottom_up():
-    for depth in range(5):
-        words = ["".join(bits) for bits in product("01", repeat=depth)]
-        for seed in range(64):
-            cells = [(w, (seed >> (k % 6)) % 2) for k, w in enumerate(words)]
-            tree = build(cells)
-            assert tuple(_words(tree, "", [])) == old_merge_sibling_cells(cells)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_merge_sibling_pairs_matches_bottom_up_join(data):
-    depth = data.draw(st.integers(0, 4))
-    srcs = [w for w, _ in data.draw(tiling("", depth, st.just(0)))]
-    dsts = [w for w, _ in data.draw(tiling("", depth, st.just(0)))]
-    while len(srcs) < len(dsts):
-        w = srcs.pop()
-        srcs += [w + "0", w + "1"]
-    while len(dsts) < len(srcs):
-        w = dsts.pop()
-        dsts += [w + "0", w + "1"]
-    pairs = []
-    for p, q in zip(srcs, data.draw(st.permutations(dsts))):
-        us = [""]
-        for _ in range(data.draw(st.integers(0, 2))):
-            us = [u + c for u in us for c in "01"]
-        pairs += [(p + u, q + u) for u in us]
-    assert merge_sibling_pairs(pairs) == old_merge_sibling_cells(pairs, old_image_join)
 
 
 @settings(max_examples=300, deadline=None)

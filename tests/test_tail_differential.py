@@ -2,20 +2,36 @@
 (``seqs.EPSeq`` and the shared minimal-threshold rule) against the four
 encodings it replaced, kept here as oracles: the packed-int ``EPSet``,
 the string tails of ``TailClopen``, the tuple tails of ``AutLabeling``
-and the pre/per strings of the points of X."""
+and the pre/per strings of the points of X.
+
+The clopen and labeling oracles work cell by cell, on ``Clopen`` values
+and dicts of cell words, and share no code with the tail-labeled tree
+behind ``TailClopen`` and ``AutLabeling``.  They are the one frozen check
+of ``TailClopen``'s make, raising, Boolean operations, emptiness and point
+membership, and of ``AutLabeling``'s make, multiply, invert and
+from_fibers, refusals included: both sides must return the same normal
+form or raise the same exception type with the same message.  Clopens of
+X° are drawn on one to three points; labelings on gf4-idempotent-reduct
+with filters (0,), (0, 1), (0, 1, 0) and (1, 0, 1) and on gf2-ring with
+filters (0, 0, 0), cut from region(threshold) or taken from ``rand``."""
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from math import lcm
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boolpow import algebra as alg
 from boolpow import power as bp
 from boolpow.autgroup import AutLabeling
-from boolpow.cantor import Clopen, PointContext, TailClopen
+from boolpow.cantor import Clopen, PointContext, TailClopen, point_in
+from boolpow.errors import ContextMismatch, TailLabelViolation
+from boolpow.homeo import witness_points
+from boolpow.rand import random_automorphism, random_labeling
 from boolpow.seqs import EPSeq, EPSet
 
 # ---------------------------------------------------------------------------
@@ -169,6 +185,14 @@ def _primitive(w):
 
 def oracle_tc_make(ctx, threshold, exc, tails):
     """(threshold, exceptional, tails) in canonical form."""
+    tails = tuple(tails)
+    if len(tails) != ctx.n:
+        raise ValueError("one tail word per branch")
+    for w in tails:
+        if not w or any(c not in "01" for c in w):
+            raise ValueError(f"bad tail word {w!r}")
+    if not exc.is_subset(ctx.region(threshold)):
+        raise ValueError("exceptional part leaks into a branch tail")
     tails = tuple(_primitive(w) for w in tails)
     d = threshold
     while d > 0:
@@ -215,6 +239,30 @@ def oracle_tc_binop(ctx, c1, c2, excfn, bitfn):
     return oracle_tc_make(ctx, d, excfn(e1, e2), tails)
 
 
+def oracle_tc_complement(ctx, c):
+    threshold, exc, tails = c
+    flipped = tuple(w.translate(str.maketrans("01", "10")) for w in tails)
+    return oracle_tc_make(ctx, threshold, ctx.region(threshold).difference(exc), flipped)
+
+
+def oracle_tc_is_empty(c):
+    _, exc, tails = c
+    return exc.is_empty() and all(set(w) == {"0"} for w in tails)
+
+
+def oracle_tc_contains(ctx, c, x):
+    threshold, exc, tails = c
+    loc = ctx.locate(x)
+    if loc[0] == "point":
+        return False
+    if loc[0] == "cell":
+        _, i, j, _ = loc
+        if j > threshold:
+            w = tails[i - 1]
+            return w[(j - threshold - 1) % len(w)] == "1"
+    return point_in(x, exc)
+
+
 def as_triple(c: TailClopen):
     return c.threshold, c.exceptional, c.tails
 
@@ -249,9 +297,36 @@ def _whole_cell_label(cells, cw):
     return None
 
 
+def _overlap(words):
+    ws = sorted(words)
+    return any(b.startswith(a) for a, b in zip(ws, ws[1:]))
+
+
 def oracle_lab_make(ctx, threshold, exc_cells, tails):
     """(threshold, exc_cells, tails) in canonical form."""
     pts = ctx.points
+    auts = ctx.aut_mappings
+    exc_cells = [(str(w), tuple(m)) for w, m in exc_cells]
+    tails = tuple(tuple(tuple(m) for m in t) for t in tails)
+    if len(tails) != pts.n:
+        raise ValueError("one tail label word per branch")
+    for _, m in exc_cells:
+        if m not in auts:
+            raise TailLabelViolation(f"{m} is not an automorphism")
+    for i, word in enumerate(tails, start=1):
+        if not word:
+            raise ValueError("empty tail label word")
+        e = ctx.filters[i - 1]
+        for m in word:
+            if m not in auts:
+                raise TailLabelViolation(f"{m} is not an automorphism")
+            if m[e] != e:
+                raise TailLabelViolation(f"tail label on branch {i} moves the idempotent {e}")
+    words = [w for w, _ in exc_cells]
+    if _overlap(words):
+        raise ValueError("overlapping label cells")
+    if Clopen.make(words) != pts.region(threshold):
+        raise ValueError("label cells do not tile the exceptional region")
     tails = tuple(_primitive(tuple(t)) for t in tails)
     d = threshold
     cells = dict(exc_cells)
@@ -302,6 +377,20 @@ def oracle_lab_multiply(ctx, k1, k2):
     return oracle_lab_make(ctx, d, cells, tails)
 
 
+def _inv(m):
+    out = [0] * len(m)
+    for a, b in enumerate(m):
+        out[b] = a
+    return tuple(out)
+
+
+def oracle_lab_invert(ctx, k):
+    threshold, cells, tails = k
+    return oracle_lab_make(
+        ctx, threshold, [(w, _inv(m)) for w, m in cells], [tuple(map(_inv, t)) for t in tails]
+    )
+
+
 def oracle_lab_from_fibers(ctx, fibers):
     pts = ctx.points
     d = max([c[0] for c, _ in fibers] + [0])
@@ -315,7 +404,8 @@ def oracle_lab_from_fibers(ctx, fibers):
         word = []
         for o in range(L):
             hits = [m for c, m in raised if c[2][i][o % len(c[2][i])] == "1"]
-            assert len(hits) == 1
+            if len(hits) != 1:
+                raise ValueError("fibers do not partition a branch tail")
             word.append(hits[0])
         tails.append(tuple(word))
     return oracle_lab_make(ctx, d, exc_cells, tails)
@@ -329,12 +419,15 @@ def lab_triple(k: AutLabeling):
 # strategies: thresholds 0-4, words of length 1-6 that are often powers of
 # a shorter word, exceptional parts and labelings cut from region(d)
 
-CTX = bp.make_context(alg.gf4_idempotent_reduct(), (0, 1))
-PTS = CTX.points
-AUTS = sorted(CTX.aut_mappings)
-STAB = [
-    [m for m in AUTS if m[e] == e] for e in CTX.filters
-]  # tail labels per branch
+PCTXS = [PointContext(1), PointContext(2), PointContext(3)]
+GF4 = alg.gf4_idempotent_reduct()
+LAB_CTXS = [
+    bp.make_context(GF4, (0,)),
+    bp.make_context(GF4, (0, 1)),
+    bp.make_context(GF4, (0, 1, 0)),
+    bp.make_context(GF4, (1, 0, 1)),
+    bp.make_context(alg.gf2_ring(), (0, 0, 0)),
+]
 
 
 def words(alphabet, max_len=6):
@@ -355,11 +448,11 @@ char_words = words(["0", "1"]).map("".join)
 
 
 @st.composite
-def region_cells(draw, threshold):
+def region_cells(draw, pts, threshold):
     """A tiling of region(threshold) by cells 0-2 levels below its words,
     with each branch cell (i, j <= threshold) whole half of the time."""
     cells = []
-    for w in PTS.region(threshold).words:
+    for w in pts.region(threshold).words:
         k = draw(st.sampled_from([0, 0, 1, 2]))
         stack = [(w, k)]
         while stack:
@@ -368,34 +461,129 @@ def region_cells(draw, threshold):
                 cells.append(u)
             else:
                 stack += [(u + "0", k - 1), (u + "1", k - 1)]
-    for i in range(1, PTS.n + 1):
+    for i in range(1, pts.n + 1):
         for j in range(1, threshold + 1):
-            cw = PTS.cellword(i, j)
+            cw = pts.cellword(i, j)
             if draw(st.booleans()):  # whole cell, as canonicalization folds
                 cells = [u for u in cells if not u.startswith(cw)] + [cw]
     return sorted(set(cells))
 
 
 @st.composite
-def tail_clopens(draw):
+def tail_clopens(draw, pts):
     threshold = draw(st.integers(0, 4))
-    cells = draw(region_cells(threshold))
+    cells = draw(region_cells(pts, threshold))
     chosen = [w for w in cells if draw(st.booleans())]
-    tails = tuple(draw(char_words) for _ in range(PTS.n))
+    tails = tuple(draw(char_words) for _ in range(pts.n))
     return threshold, Clopen.make(chosen), tails
 
 
 @st.composite
-def labelings(draw):
+def tail_clopen_inputs(draw):
+    """(ctx, threshold, exceptional, tails) with at most one defect: a
+    tail word too many or too few, a bad or empty tail word, or an
+    exceptional part leaking into a branch tail."""
+    pts = draw(st.sampled_from(PCTXS))
+    d, exc, tails = draw(tail_clopens(pts))
+    defect = draw(st.sampled_from(["none", "branches", "char", "empty", "leak"]))
+    if defect == "branches":
+        tails = tails + ("1",) if draw(st.booleans()) else tails[:-1]
+    elif defect == "char":
+        tails = ("0a",) + tails[1:]
+    elif defect == "empty":
+        tails = tails[:-1] + ("",)
+    elif defect == "leak":
+        i = draw(st.integers(1, pts.n))
+        exc = exc.union(Clopen.make([pts.nbhd_word(i, d + 1) + "1"]))
+    return pts, d, exc, tails
+
+
+@st.composite
+def labelings(draw, ctx):
+    auts = sorted(ctx.aut_mappings)
     threshold = draw(st.integers(0, 4))
-    cells = draw(region_cells(threshold))
-    pool = draw(st.sampled_from([AUTS[:1], AUTS]))
+    cells = draw(region_cells(ctx.points, threshold))
+    pool = draw(st.sampled_from([auts[:1], auts]))
     exc_cells = [(w, draw(st.sampled_from(pool))) for w in cells]
     tails = []
-    for stab in STAB:
+    for e in ctx.filters:
+        stab = [m for m in auts if m[e] == e]  # the tail labels of the branch
         t = draw(words(stab if len(pool) > 1 else stab[:1]))
         tails.append(tuple(t))
     return threshold, exc_cells, tuple(tails)
+
+
+@st.composite
+def rand_labelings(draw, ctx):
+    """A rand labeling, or its product with an automorphism's (thresholds
+    up to 3)."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    k = random_labeling(ctx, rng)
+    if draw(st.booleans()):
+        k = k.multiply(random_automorphism(ctx, rng, draw(st.integers(0, 2))).labeling)
+    return k
+
+
+@st.composite
+def made_labelings(draw, ctx):
+    if draw(st.booleans()):
+        return draw(rand_labelings(ctx))
+    return AutLabeling.make(ctx, *draw(labelings(ctx)))
+
+
+@st.composite
+def labeling_inputs(draw):
+    """(ctx, threshold, cells, tails) with at most one defect: a drawn
+    labeling, or a rand labeling raised by 0-2 levels with its cells cut
+    0-1 levels further, all in a drawn order."""
+    ctx = draw(st.sampled_from(LAB_CTXS))
+    if draw(st.booleans()):
+        d, cells, tails = draw(labelings(ctx))
+    else:
+        k = draw(rand_labelings(ctx))
+        d, cells, tails = oracle_lab_raised(ctx, lab_triple(k), k.threshold + draw(st.integers(0, 2)))
+        cells = [
+            c
+            for w, m in cells
+            for c in ([(w, m)] if draw(st.booleans()) else [(w + "0", m), (w + "1", m)])
+        ]
+    size = ctx.algebra.size
+    defect = draw(
+        st.sampled_from(
+            ["none", "overlap", "gap", "char", "label", "tail-label", "tail", "branches", "empty", "threshold"]
+        )
+    )
+    pick = draw(st.integers(0, len(cells) - 1))
+    w, m = cells[pick]
+    if defect == "overlap":
+        cells.append((w + draw(st.sampled_from(["0", "1", "10"])), m))
+    elif defect == "gap":
+        del cells[pick]
+    elif defect == "char":
+        cells[pick] = (w[:-1] + draw(st.sampled_from(["2", "a", "x0"])), m)
+    elif defect == "label":
+        cells[pick] = (w, (0,) * size)
+    elif defect == "tail-label":
+        tails = (((0,) * size,) + tuple(tails[0]),) + tuple(tails[1:])
+    elif defect == "tail":
+        # swapping 0 and 1 is no automorphism of gf4-idempotent-reduct or gf2-ring
+        tails = ((tuple(range(size)), (1, 0) + tuple(range(2, size))),) + tuple(tails[1:])
+    elif defect == "branches":
+        tails = tuple(tails) + ((tuple(range(size)),),)
+    elif defect == "empty":
+        tails = ((),) + tuple(tails[1:])
+    elif defect == "threshold":
+        d = max(0, d - 1) if draw(st.booleans()) else d + 1
+    order = draw(st.permutations(range(len(cells))))
+    return ctx, d, [cells[i] for i in order], tails
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the type and message it raised."""
+    try:
+        return ("ok", fn(*args))
+    except Exception as exc:  # the exception itself is what is compared
+        return (type(exc), str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -475,53 +663,102 @@ def test_point_make_matches_oracle(pre, per):
     assert (x.head, x.word) == oracle_point(pre, per)
 
 
-@settings(deadline=None)
-@given(tail_clopens())
-def test_tailclopen_make_matches_oracle(c):
-    threshold, exc, tails = c
-    assert as_triple(TailClopen.make(PTS, *c)) == oracle_tc_make(PTS, *c)
+@settings(max_examples=200, deadline=None)
+@given(tail_clopen_inputs())
+def test_tailclopen_make_matches_oracle(args):
+    pts, *raw = args
+    got = outcome(lambda *a: as_triple(TailClopen.make(*a)), pts, *raw)
+    assert got == outcome(oracle_tc_make, pts, *raw)
+
+
+@st.composite
+def tail_clopen_pairs(draw):
+    pts = draw(st.sampled_from(PCTXS))
+    return pts, draw(tail_clopens(pts)), draw(tail_clopens(pts))
 
 
 @settings(deadline=None)
-@given(tail_clopens(), tail_clopens(), st.integers(0, 3))
-def test_tailclopen_raised_and_binops_match_oracle(c1, c2, extra):
-    a, b = TailClopen.make(PTS, *c1), TailClopen.make(PTS, *c2)
-    oa, ob = oracle_tc_make(PTS, *c1), oracle_tc_make(PTS, *c2)
+@given(tail_clopen_pairs(), st.integers(0, 3))
+# tail words of periods 2 and 3 meet on a period of 6
+@example((PCTXS[0], (0, Clopen.empty(), ("01",)), (0, Clopen.empty(), ("001",))), 0)
+def test_tailclopen_raised_and_binops_match_oracle(case, extra):
+    pts, c1, c2 = case
+    a, b = TailClopen.make(pts, *c1), TailClopen.make(pts, *c2)
+    oa, ob = oracle_tc_make(pts, *c1), oracle_tc_make(pts, *c2)
     d = max(a.threshold, b.threshold) + extra
-    assert as_triple(a.raised(d)) == oracle_tc_raised(PTS, oa, d)
+    assert as_triple(a.raised(d)) == oracle_tc_raised(pts, oa, d)
+    with pytest.raises(ValueError):
+        a.raised(a.threshold - 1)
     union = oracle_tc_binop(
-        PTS, oa, ob, Clopen.union, lambda x, y: "1" if "1" in (x, y) else "0"
+        pts, oa, ob, Clopen.union, lambda x, y: "1" if "1" in (x, y) else "0"
     )
     inter = oracle_tc_binop(
-        PTS, oa, ob, Clopen.intersect, lambda x, y: "1" if x == y == "1" else "0"
+        pts, oa, ob, Clopen.intersect, lambda x, y: "1" if x == y == "1" else "0"
     )
+    diff = oracle_tc_binop(
+        pts, oa, ob, Clopen.difference, lambda x, y: "1" if (x, y) == ("1", "0") else "0"
+    )
+    comp = oracle_tc_complement(pts, oa)
     assert as_triple(a.union(b)) == union
     assert as_triple(a.intersect(b)) == inter
-    t, exc, tails = oa
-    flipped = tuple(w.translate(str.maketrans("01", "10")) for w in tails)
-    comp = oracle_tc_make(PTS, t, PTS.region(t).difference(exc), flipped)
+    assert as_triple(a.difference(b)) == diff
     assert as_triple(a.complement()) == comp
+    whole = oracle_tc_binop(
+        pts, oa, comp, Clopen.union, lambda x, y: "1" if "1" in (x, y) else "0"
+    )
+    for c, oc in ((a, oa), (a.intersect(b), inter), (a.union(a.complement()), whole)):
+        assert c.is_empty() == oracle_tc_is_empty(oc)
+        assert c.is_full() == oracle_tc_is_empty(oracle_tc_complement(pts, oc))
+    for x in witness_points(pts, max(a.threshold, 2) + 3) + pts.points():
+        assert a.contains_point(x) == oracle_tc_contains(pts, oa, x)
+    with pytest.raises(ContextMismatch):
+        a.union(TailClopen.empty(PointContext(pts.n + 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(labeling_inputs())
+def test_autlabeling_make_matches_oracle(args):
+    got = outcome(lambda *a: lab_triple(AutLabeling.make(*a)), *args)
+    assert got == outcome(oracle_lab_make, *args)
 
 
 @settings(deadline=None)
-@given(labelings())
-def test_autlabeling_make_matches_oracle(k):
-    assert lab_triple(AutLabeling.make(CTX, *k)) == oracle_lab_make(CTX, *k)
-
-
-@settings(deadline=None, max_examples=50)
-@given(labelings(), labelings())
-def test_autlabeling_multiply_and_from_fibers_match_oracle(k1, k2):
-    a, b = AutLabeling.make(CTX, *k1), AutLabeling.make(CTX, *k2)
+@given(st.data())
+def test_autlabeling_ops_match_oracle(data):
+    """multiply, invert, and from_fibers on the fibers of a labeling with
+    at most one defect: a fiber twice, the exceptional cells of a fiber
+    twice, a fiber left out, a label that is no automorphism, or no
+    fibers at all."""
+    ctx = data.draw(st.sampled_from(LAB_CTXS))
+    a, b = data.draw(made_labelings(ctx)), data.draw(made_labelings(ctx))
     oa, ob = lab_triple(a), lab_triple(b)
-    assert lab_triple(a.multiply(b)) == oracle_lab_multiply(CTX, oa, ob)
+    assert lab_triple(a.multiply(b)) == oracle_lab_multiply(ctx, oa, ob)
+    assert lab_triple(a.invert()) == oracle_lab_invert(ctx, oa)
+    other = LAB_CTXS[(LAB_CTXS.index(ctx) + 1) % len(LAB_CTXS)]
+    with pytest.raises(ContextMismatch):
+        a.multiply(AutLabeling.identity(other))
     fibers = [(a.fiber(m), m) for m in sorted(a.labels_used())]
     fibers = [(f, m) for f, m in fibers if not f.is_empty()]
-    want = oracle_lab_from_fibers(
-        CTX, [(as_triple(f), m) for f, m in fibers]
+    pick = data.draw(st.integers(0, len(fibers) - 1))
+    defect = data.draw(
+        st.sampled_from(["none", "twice", "cells-twice", "left-out", "label", "empty"])
     )
-    assert lab_triple(AutLabeling.from_fibers(CTX, fibers)) == want
-    assert AutLabeling.from_fibers(CTX, fibers) == a
+    if defect == "twice":
+        fibers.append(fibers[pick])
+    elif defect == "cells-twice":
+        f, m = fibers[pick]
+        fibers.append((TailClopen.make(ctx.points, f.threshold, f.exceptional, ("0",) * ctx.n), m))
+    elif defect == "left-out":
+        del fibers[pick]
+    elif defect == "label":
+        fibers[pick] = (fibers[pick][0], (0,) * ctx.algebra.size)
+    elif defect == "empty":
+        fibers = []
+    want = outcome(oracle_lab_from_fibers, ctx, [(as_triple(f), m) for f, m in fibers])
+    got = outcome(lambda: lab_triple(AutLabeling.from_fibers(ctx, fibers)))
+    assert got == want
+    if defect == "none":
+        assert AutLabeling.from_fibers(ctx, fibers) == a
 
 
 def test_folding_needs_every_branch():

@@ -1,10 +1,12 @@
 """Differential tests of cell-by-cell transport and of the common
 refinement of labeled antichains (once the linear ``meet``, now the
 lockstep walk ``cantor._common_cells`` of their trees) against the code
-they replaced, kept here as oracles: ``element_through_homeo`` pushing each value fiber through the
-general ``EPHomeo.apply``, ``AutLabeling.act`` restricting f to one label
-cell at a time, ``AutLabeling.multiply`` meeting the cells by a pairwise
-prefix loop, and the quadratic ``refine``.
+they replaced, kept here as oracles: ``element_through_homeo`` pushing
+each value fiber through the general ``EPHomeo.apply``, and the pairwise
+prefix loop over two antichains.  ``AutLabeling.multiply`` and ``act``
+are checked in ``test_tail_differential`` and
+``test_labeled_tree_differential``, ``refine`` in
+``test_element_differential``.
 
 Automorphisms come from ``rand.random_automorphism`` on gf4-idempotent-
 reduct with filters (0, 1) and on gf2-ring with filter 0; elements are
@@ -19,10 +21,9 @@ from hypothesis import strategies as st
 
 from boolpow import algebra as alg
 from boolpow import power as bp
-from boolpow.autgroup import AutLabeling, element_through_homeo
+from boolpow.autgroup import element_through_homeo
 from boolpow.cantor import Clopen, TailClopen, _common_cells, build, point_in
 from boolpow.rand import random_automorphism
-from boolpow.seqs import EPSeq
 
 CTXS = {
     "gf2": bp.make_context(alg.gf2_ring(), (0,)),
@@ -47,60 +48,6 @@ def old_element_through_homeo(f, h):
                 raise AssertionError("point membership lost in transport")
         cells += [(w, a) for w in img.words]
     return bp.PowerElement.make(ctx, cells)
-
-
-def old_act(k, f):
-    ctx = k.ctx
-    pts = ctx.points
-    out = []
-    for w, m in k.exc_cells:
-        part = f.restrict(Clopen.make([w]))
-        out += [(u, m[a]) for u, a in part.cells]
-    for i in range(1, pts.n + 1):
-        e = ctx.filters[i - 1]
-        pw = next(w for w, _ in f.cells if pts.point(i).startswith(w))
-        T = max(k.threshold + 1, len(pw) - (i - 1))
-        out.append((pts.nbhd_word(i, T), e))
-        for j in range(k.threshold + 1, T):
-            m = k.tail_label(i, j)
-            part = f.restrict(pts.cell(i, j))
-            out += [(u, m[a]) for u, a in part.cells]
-    return bp.PowerElement.make(ctx, out)
-
-
-def _comp(m1, m2):
-    return tuple(m1[m2[a]] for a in range(len(m1)))
-
-
-def old_multiply(k1, k2):
-    d = max(k1.threshold, k2.threshold)
-    a, b = (AutLabeling(k.ctx, k.labels.raised(d)) for k in (k1, k2))
-    cells = []
-    for w1, m1 in a.exc_cells:
-        for w2, m2 in b.exc_cells:
-            if w2.startswith(w1):
-                cells.append((w2, _comp(m1, m2)))
-            elif w1.startswith(w2) and w1 != w2:
-                cells.append((w1, _comp(m1, m2)))
-    tails = [
-        EPSeq((), t1).zip_with(_comp, EPSeq((), t2)).word
-        for t1, t2 in zip(a.tails, b.tails)
-    ]
-    return AutLabeling.make(k1.ctx, d, cells, tails)
-
-
-def old_refine(elems):
-    out = [(w, (a,)) for w, a in elems[0].cells]
-    for e in elems[1:]:
-        new = []
-        for w, labs in out:
-            for w2, a in e.cells:
-                if w2.startswith(w):
-                    new.append((w2, labs + (a,)))
-                elif w.startswith(w2) and w != w2:
-                    new.append((w, labs + (a,)))
-        out = new
-    return out
 
 
 def old_meet(xs, ys):
@@ -131,22 +78,19 @@ def labeled_tiling(draw, prefix, size, depth, split=lambda w: False):
 
 
 @st.composite
-def elements(draw, ctx, support=None):
-    """An element of depth 0 to 3 on the given support (default X); a cell
-    holding two points with different filter values is always cut."""
-    support = Clopen.all() if support is None else support
+def elements(draw, ctx):
+    """An element of depth 0 to 3 on X; a cell holding two points with
+    different filter values is always cut."""
     marked = list(zip(ctx.points.points(), ctx.filters))
 
     def split(w):
         return len({e for x, e in marked if x.startswith(w)}) > 1
 
     depth = draw(st.integers(0, 3))
-    cells = []
-    for u in support.words:
-        cells += draw(labeled_tiling(u, ctx.algebra.size, depth - len(u), split))
+    cells = draw(labeled_tiling("", ctx.algebra.size, depth, split))
     for x, e in marked:
         cells = [(w, e if x.startswith(w) else a) for w, a in cells]
-    return bp.PowerElement.make(ctx, cells, support)
+    return bp.PowerElement.make(ctx, cells)
 
 
 @st.composite
@@ -162,7 +106,7 @@ def cases(draw):
 
 
 # ---------------------------------------------------------------------------
-# transport, act and multiply
+# transport
 
 
 @settings(max_examples=120, deadline=None)
@@ -173,34 +117,6 @@ def test_transport_matches_per_fiber_oracle(case):
     assert element_through_homeo(f, phi.homeo) == want
     # a second call reads the images remembered by the first
     assert element_through_homeo(f, phi.homeo) == want
-
-
-@settings(max_examples=120, deadline=None)
-@given(cases())
-def test_act_matches_restrict_per_cell_oracle(case):
-    ctx, phi, f = case
-    assert phi.labeling.act(f) == old_act(phi.labeling, f)
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_multiply_matches_pairwise_oracle(data):
-    ctx = CTXS[data.draw(st.sampled_from(sorted(CTXS)))]
-    k1 = data.draw(automorphisms(ctx)).labeling
-    k2 = data.draw(automorphisms(ctx)).labeling
-    assert k1.multiply(k2) == old_multiply(k1, k2)
-
-
-@settings(max_examples=120, deadline=None)
-@given(st.data())
-def test_refine_matches_quadratic_oracle(data):
-    ctx = CTXS[data.draw(st.sampled_from(sorted(CTXS)))]
-    support = None
-    if data.draw(st.booleans()):
-        words = data.draw(st.lists(st.text(alphabet="01", max_size=2), max_size=3))
-        support = Clopen.make(words)
-    elems = [data.draw(elements(ctx, support)) for _ in range(data.draw(st.integers(1, 3)))]
-    assert bp.refine(elems) == old_refine(elems)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+from itertools import product
+from pathlib import Path
+
 import pytest
 
 from boolpow import algebra as alg
@@ -248,3 +251,26 @@ def test_idempotent_fixed_by_all_ops():
         for e in alg.idempotents(a):
             for k, (_, r) in enumerate(a.signature):
                 assert a.apply(k, (e,) * r) == e
+
+
+S3 = Path(__file__).parent / "data" / "s3-group.json"
+WITH_AUTS = {
+    "gf4-idempotent-reduct": alg.gf4_idempotent_reduct,
+    "cyclic-group-5": lambda: alg.cyclic_group(5),
+    "s3-group": lambda: alg.from_json(S3.read_text()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITH_AUTS))
+def test_tuple_algebra_numbers_elements_by_list_position(name):
+    a = WITH_AUTS[name]()
+    for m in alg.automorphisms(a):
+        # the graph of an automorphism is a subuniverse of A^2, and x -> (x, m[x])
+        # an isomorphism onto it
+        graph = [(x, m[x]) for x in a.carrier]
+        assert alg.tuple_algebra(a, graph).tables == a.tables
+        back = alg.tuple_algebra(a, graph[::-1])
+        flip = [a.size - 1 - x for x in a.carrier]
+        for k, (_, arity) in enumerate(a.signature):
+            for args in product(a.carrier, repeat=arity):
+                assert flip[back.apply(k, [flip[x] for x in args])] == a.apply(k, args)

@@ -416,6 +416,19 @@ def block_respecting_automorphism(rng):
     )
 
 
+def test_block_family_is_constant_on_each_block():
+    family = ag.block_family(CTX4, BLOCKS4)
+    # the pointed blocks carry their filters, the other two any element
+    assert [a for a, _ in family] == [
+        (0, 1, c, d) for c in GF4.carrier for d in GF4.carrier
+    ]
+    for a, f in family:
+        for b, v in zip(BLOCKS4, a):
+            for w in b.words:
+                for tail in ("0", "1", "01"):
+                    assert f.value_at(EPSeq.make(w, tail)) == v
+
+
 def test_stabilizer_containment_identity():
     res = ag.verify_stabilizer_containment(
         ag.PowerAutomorphism.identity(CTX4), BLOCKS4
@@ -528,3 +541,14 @@ def test_compose_and_inverse_act_pointwise(data):
     f = data.draw(elements(ctx))
     assert x.compose(y).apply(f) == x.apply(y.apply(f))
     assert x.inverse().apply(x.apply(f)) == f
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_labelings_form_a_group(data):
+    ctx = LAW_CTXS[data.draw(st.sampled_from(sorted(LAW_CTXS)))]
+    a, b, c = (data.draw(labelings(ctx)) for _ in range(3))
+    one = ag.AutLabeling.identity(ctx)
+    assert a.multiply(b).multiply(c) == a.multiply(b.multiply(c))
+    assert a.multiply(one) == a == one.multiply(a)
+    assert a.multiply(a.invert()).is_identity() and a.invert().multiply(a).is_identity()

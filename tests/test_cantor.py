@@ -8,8 +8,10 @@ from boolpow.cantor import (
     PointContext,
     TailClopen,
     cell_witness,
+    deal_cyclic,
     is_good,
     point_in,
+    point_leaves,
     split,
     split_cyclic,
     split_good,
@@ -413,3 +415,62 @@ def test_epset_canonical_bits_stable(head, word):
     s = EPSet.make(head, word)
     for j in range(1, len(head) + 1):
         assert s.at(j) == head[j - 1]
+
+
+@given(
+    st.text(alphabet="01", min_size=1, max_size=6).filter(lambda w: "1" in w),
+    st.integers(min_value=1, max_value=4),
+)
+def test_deal_cyclic_deals_every_one_to_exactly_one_share(word, parts):
+    shares = [deal_cyclic(word, parts, r) for r in range(parts)]
+    whole = word * parts
+    assert all(len(s) == len(whole) for s in shares)
+    for k, c in enumerate(whole):
+        assert sum(s[k] == "1" for s in shares) == (c == "1")
+    # ranks run cyclically, so each share holds the ones of one period
+    assert all(s.count("1") == word.count("1") for s in shares)
+
+
+trees = st.recursive(
+    st.integers(0, 3), lambda kids: st.tuples(kids, kids), max_leaves=12
+)
+
+
+@given(trees, st.integers(min_value=0, max_value=4))
+def test_point_leaves_reads_the_leaf_at_each_point(t, n):
+    def leaf_at(x):
+        s, k = t, 0
+        while isinstance(s, tuple):
+            k += 1
+            s = s[x.at(k) == "1"]
+        return s
+
+    assert point_leaves(t, n) == [leaf_at(x) for x in PointContext(n).points()]
+
+
+def test_epset_singleton_is_finite():
+    s = EPSet.singleton(3)
+    assert [j for j in range(1, 12) if s.at(j)] == [3]
+    assert s.is_finite() and s.finite_part() == [3]
+    assert not s.complement().is_finite()
+    assert EPSet.make([], [False]).is_finite()
+    with pytest.raises(ValueError):
+        s.kth_one(0)
+
+
+@given(
+    st.lists(st.booleans(), max_size=5),
+    st.lists(st.booleans(), min_size=1, max_size=4),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=6),
+)
+def test_epset_on_ap_splits_the_members_of_the_progression(head, word, first, step):
+    s = EPSet.make(head, word)
+    singles, aps = s.on_ap(first, step)
+    horizon = first + step * (len(head) + 3 * len(word) * step + 8)
+    members = [j for j in range(first, horizon, step) if s.at(j)]
+    covered = list(singles)
+    for f, m in aps:
+        assert m % step == 0 and (f - first) % step == 0 and f >= first
+        covered += range(f, horizon, m)
+    assert sorted(covered) == members  # disjoint, and nothing missed

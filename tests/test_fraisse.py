@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 from itertools import product
@@ -8,6 +9,7 @@ import pytest
 from boolpow import algebra as alg
 from boolpow import fraisse as fr
 from boolpow import power as bp
+from boolpow import serialize as ser
 from boolpow.cantor import Clopen
 from boolpow.errors import ArityOrder, NotEmbedding, SizeBudgetExceeded, SourceMismatch
 
@@ -56,6 +58,26 @@ def _compositions(total, parts):
 
 
 # --- embeddings and normal form ------------------------------------------------
+
+
+FROB = (0, 1, 3, 2)
+
+
+@pytest.mark.parametrize(
+    "algebra,u,coords",
+    [
+        (RED, 0, [("idem", 1), ("idem", 0)]),
+        (GF2, 2, [("aut", ID2, 1), ("idem", 0), ("aut", ID2, 0), ("aut", ID2, 1)]),
+        (alg.gf4_idempotent_reduct(), 2, [("aut", FROB, 1), ("idem", 1), ("aut", (0, 1, 2, 3), 0)]),
+    ],
+    ids=["idempotents-only", "gf2-repeated-source", "gf4-frobenius"],
+)
+def test_embedding_json_roundtrip(algebra, u, coords):
+    e = fr.PowerEmbedding.make(algebra, u, coords)
+    obj = json.loads(json.dumps(ser.embedding_to_obj(e)))
+    assert (obj["u"], obj["v"]) == (u, len(coords))
+    back = ser.embedding_from_obj(algebra, obj)
+    assert back == e and back.coords == e.coords
 
 
 def test_embedding_eval():

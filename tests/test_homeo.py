@@ -23,9 +23,15 @@ from boolpow.homeo import (
     image_matches_on_sample,
     orbit_witness,
     piecewise_glue,
+    restrict_homeo,
     witness_points,
 )
-from boolpow.rand import random_block_preserving_homeo, random_point_fixing_homeo
+from boolpow.rand import (
+    first_bit_swap,
+    random_block_preserving_homeo,
+    random_point_fixing_homeo,
+    random_tailclopen,
+)
 from boolpow.seqs import EPSeq
 
 CTX1 = PointContext(1)
@@ -350,6 +356,57 @@ def test_compose_exact_vs_sample(g, h):
     gh = g.compose(h)
     for x in witness_points(CTX2, 10):
         assert gh.apply_point(x) == g.apply_point(h.apply_point(x))
+
+
+def branch_swap(ctx):
+    """Branch 1 onto branch 2 and back, cell for cell."""
+    ident = EPHomeo.identity(PointContext(0))
+    return EPHomeo.make(
+        ctx,
+        [("11", "11")],
+        [TailPiece(1, 1, 1, 2, 1, 1, ident), TailPiece(2, 1, 1, 1, 1, 1, ident)],
+    )
+
+
+@pytest.mark.parametrize(
+    "make,targets,point_map",
+    [
+        (EPHomeo.identity, [1, 2], {1: 1, 2: 2}),
+        (lambda ctx: shift_homeo(ctx, 1, by=2), [1, 2], {1: 1, 2: 2}),
+        (branch_swap, [2, 1], {1: 2, 2: 1}),
+        (cross_branch_involution, [None, None], None),
+    ],
+    ids=["identity", "shift", "branch-swap", "cross-branch"],
+)
+def test_branch_target_and_point_map(make, targets, point_map):
+    h = make(CTX2)
+    assert [h.branch_target(i) for i in (1, 2)] == targets
+    assert h.point_map() == point_map
+    assert h.extends_to_X() == (point_map == {1: 1, 2: 2})
+    if point_map is not None:
+        for i, x in enumerate(CTX2.points(), start=1):
+            assert h.apply_point(x) == CTX2.points()[point_map[i] - 1]
+
+
+def test_restrict_homeo_on_a_clopen_and_its_complement_rebuilds_h():
+    rng = random.Random(5)
+    for _ in range(20):
+        h = random_point_fixing_homeo(CTX2, rng)
+        d = random_tailclopen(CTX2, rng)
+        pairs, pieces = restrict_homeo(h, d)
+        for p, q in pairs:  # cell p of d goes to cell q under h
+            x = EPSeq.make(p, "01")
+            assert d.contains_point(x) and h.apply_point(x).startswith(q)
+        rest_pairs, rest_pieces = restrict_homeo(h, d.complement())
+        assert EPHomeo.make(CTX2, pairs + rest_pairs, pieces + rest_pieces) == h
+
+
+def test_first_bit_swap_is_an_involution():
+    s = first_bit_swap(PointContext(0))
+    assert s.pairs == (("0", "1"), ("1", "0")) and not s.pieces
+    assert s.inverse() == s and s.compose(s).is_identity()
+    x = EPSeq.make("01", "1")
+    assert s.apply_point(x) == EPSeq.make("11", "1")
 
 
 def test_extends_fixes_points_exactly():

@@ -1,5 +1,6 @@
 import json
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -488,3 +489,21 @@ def test_element_has_no_instance_dict():
     assert not hasattr(f, "__dict__")
     with pytest.raises(AttributeError):
         object.__setattr__(f, "extra", 1)
+
+
+@pytest.mark.parametrize(
+    "algebra,filters",
+    [
+        (GF4, (0, 1)),
+        (alg.cyclic_group(5), (0,)),
+        (alg.from_json((Path(__file__).parent / "data" / "s3-group.json").read_text()), (0, 0)),
+    ],
+    ids=["gf4", "cyclic-group-5", "s3-group"],
+)
+def test_aut_products_is_the_composition_table(algebra, filters):
+    ctx = bp.make_context(algebra, filters)
+    auts, table = ctx.aut_mappings, ctx.aut_products
+    assert len(table) == len(auts) and all(len(row) == len(auts) for row in table)
+    for k, m in enumerate(auts):
+        for l, n in enumerate(auts):
+            assert auts[table[k][l]] == tuple(m[n[a]] for a in algebra.carrier)

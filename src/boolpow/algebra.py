@@ -247,7 +247,8 @@ def find_malcev_term(alg: FiniteAlgebra, budget: int = 200_000) -> Optional[Term
     Runs breadth-first closure of the three projections under pointwise
     application of the basic operations, restricted to the argument tuples
     (x,x,y) and (y,x,x).  Returns None when the closure completes without
-    a witness; raises SearchBudgetExceeded past `budget` visited vectors.
+    a witness; raises SearchBudgetExceeded before it would visit more
+    than `budget` vectors.
     """
     if alg.malcev_hint is not None and _is_malcev_witness(alg, alg.malcev_hint):
         return alg.malcev_hint
@@ -269,9 +270,15 @@ def find_malcev_term(alg: FiniteAlgebra, budget: int = 200_000) -> Optional[Term
     queue = deque(visited.keys())
     if goal in visited:
         return visited[goal]
-    while queue:
-        if len(visited) > budget:
+
+    def admit(vec, term):
+        # checked per vector: one dequeued vector meets the whole pool
+        if len(visited) >= budget:
             raise SearchBudgetExceeded(f"Mal'cev search passed {budget} vectors")
+        visited[vec] = term
+        queue.append(vec)
+
+    while queue:
         base = queue.popleft()
         base_term = visited[base]
         # combine the dequeued vector with all visited ones, per operation
@@ -279,8 +286,7 @@ def find_malcev_term(alg: FiniteAlgebra, budget: int = 200_000) -> Optional[Term
             if arity == 0:
                 vec = tuple(alg.tables[k][0] for _ in dom)
                 if vec not in visited:
-                    visited[vec] = (name, ())
-                    queue.append(vec)
+                    admit(vec, (name, ()))
                 continue
             pool = list(visited.items())
             for pos in range(arity):
@@ -291,8 +297,7 @@ def find_malcev_term(alg: FiniteAlgebra, budget: int = 200_000) -> Optional[Term
                         for i in range(len(dom))
                     )
                     if vec not in visited:
-                        visited[vec] = (name, tuple(c[1] for c in combo))
-                        queue.append(vec)
+                        admit(vec, (name, tuple(c[1] for c in combo)))
                         if vec == goal:
                             return visited[vec]
     return visited.get(goal)

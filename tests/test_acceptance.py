@@ -6,8 +6,6 @@ import random
 import time
 from itertools import product
 
-import pytest
-
 from boolpow import algebra as alg
 from boolpow import autgroup as ag
 from boolpow import factorization as fz
@@ -18,12 +16,10 @@ from boolpow.cantor import (
     Clopen,
     PointContext,
     TailClopen,
-    point_in,
     type_of,
 )
 from boolpow.errors import TypeMismatch
 from boolpow.homeo import (
-    EPHomeo,
     cross_branch_involution,
     image_matches_on_sample,
 )

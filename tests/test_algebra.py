@@ -9,6 +9,7 @@ from boolpow.errors import (
     DegenerateCarrier,
     NoMalcevTerm,
     OutOfRange,
+    SearchBudgetExceeded,
 )
 
 
@@ -176,6 +177,22 @@ def test_gf4_reduct_automorphisms():
     frob = [a for a in auts if a != (0, 1, 2, 3)][0]
     # squaring map: fixes 0,1 and swaps the two generators
     assert frob == (0, 1, 3, 2)
+
+
+@pytest.mark.parametrize(
+    "search,budget,message",
+    [
+        (alg.subalgebras, "SUBALGEBRA_CLOSURES", "subalgebra enumeration budget"),
+        (alg.automorphisms, "AUTOMORPHISM_NODES", "automorphism search budget"),
+    ],
+    ids=["subalgebras", "automorphisms"],
+)
+def test_searches_stop_at_their_budget(monkeypatch, search, budget, message):
+    a = alg.gf4_idempotent_reduct()
+    assert search(a)
+    monkeypatch.setattr(alg, budget, 3)
+    with pytest.raises(SearchBudgetExceeded, match=message):
+        search(a)
 
 
 def test_automorphisms_form_group():

@@ -31,6 +31,9 @@ sides must give the same ``chain_commutes`` verdict, also after one
 coordinate of a step is corrupted (then both are False), the same
 ``_express_through_stage`` result or error for every pair of a stage or
 drawn embedding and a stage, and the same ``back_and_forth`` trace.
+``extend_weak_homogeneity`` is compared on its own on seeded inputs in
+seven contexts, some giving a source more cells than its block of
+coordinates, and on three refusals.
 """
 
 import functools
@@ -57,6 +60,7 @@ from test_layout_rules import old_invert_adjust, old_normalize_embedding
 
 RED = alg.gf2_idempotent_reduct()
 GF4 = alg.gf4_idempotent_reduct()
+GF2 = alg.gf2_ring()
 CTXS = {
     "red-01": bp.make_context(RED, (0, 1)),
     "gf4-0": bp.make_context(GF4, (0,)),
@@ -388,9 +392,12 @@ def made(out):
     return ("ok", parts(out[1])) if out[0] == "ok" else out
 
 
+def old_of(e: fr.BPEmbedding) -> OldBPEmbedding:
+    return OldBPEmbedding.make(e.ctx, e.u, e.cells, e.blocks)
+
+
 def as_old(stage: fr.ChainStage) -> fr.ChainStage:
-    old = OldBPEmbedding.make(stage.bp.ctx, stage.bp.u, stage.bp.cells, stage.bp.blocks)
-    return fr.ChainStage(stage.depth, stage.free_words, old, stage.step)
+    return fr.ChainStage(stage.depth, stage.free_words, old_of(stage.bp), stage.step)
 
 
 def trace_key(trace):
@@ -631,9 +638,87 @@ def test_express_through_stage_agrees_on_drawn_embeddings(data):
         assert new == outcome(old_express_through_stage, g_old, stage_old)
 
 
+EXTENSION_CONTEXTS = [
+    bp.make_context(algebra, filters)
+    for algebra, filters in [
+        (RED, ()),
+        (RED, (0,)),
+        (RED, (0, 1)),
+        (RED, (0, 0)),
+        (RED, (1, 0, 1)),
+        (GF2, (0, 0)),
+        (GF4, (0, 1)),
+    ]
+]
+
+
+def _drawn_phi(algebra, mult, rng):
+    """An embedding with mult[j] twisted copies of source j and up to three
+    idempotent coordinates, shuffled."""
+    auts = alg.automorphisms(algebra)
+    idems = sorted(alg.idempotents(algebra))
+    coords = [("aut", rng.choice(auts), j) for j, k in enumerate(mult) for _ in range(k)]
+    coords += [("idem", rng.choice(idems)) for _ in range(rng.randint(0, 3))]
+    rng.shuffle(coords)
+    return PowerEmbedding.make(algebra, len(mult), coords)
+
+
+def _extension_inputs(ctx, rng):
+    """(phi, psi) pairs: psi a chain stage, with phi adding at most two
+    copies of its sources; and psi a stage whose cells are shared among
+    fewer sources, with phi taking one to three copies of each."""
+    A = ctx.algebra
+    t0 = fr.first_stage_depth(ctx)
+    stages = [s.bp for s in fr.limit_chain(ctx, t0 + 1) if A.size**s.bp.u <= 64]
+    for _ in range(12):
+        psi = rng.choice(stages)
+        mult = [1] * psi.u
+        for _ in range(rng.randint(0, 2)):
+            mult[rng.randrange(psi.u)] += 1
+        yield _drawn_phi(A, mult, rng), psi
+    stage = fr.limit_chain(ctx, t0 + 1)[-1].bp
+    for _ in range(24):
+        u = rng.randint(1, min(3, stage.u - 1))
+        sources = list(range(u)) + [rng.randrange(u) for _ in range(stage.u - u)]
+        rng.shuffle(sources)
+        cells = [(c, rng.choice(ctx.aut_mappings), j) for (c, _, _), j in zip(stage.cells, sources)]
+        psi = fr.BPEmbedding.make(ctx, u, cells, stage.blocks)
+        yield _drawn_phi(A, [rng.randint(1, 3) for _ in range(u)], rng), psi
+
+
+def test_extensions_agree():
+    """Seeded extensions, some where a source has more cells than its block
+    of two or more coordinates, and three refusals: a target narrower than
+    the source, a psi of another arity, and a phi missing a source."""
+    rng = random.Random(2024)
+    cases = [(phi, psi) for ctx in EXTENSION_CONTEXTS for phi, psi in _extension_inputs(ctx, rng)]
+    psi = CHAINS["red-01"][0].bp
+    ident = _ident(RED.size)
+    cases += [
+        (PowerEmbedding.identity(RED, psi.u + 1), psi),
+        (PowerEmbedding(RED, psi.u, (("aut", ident, 0),)), psi),
+        (PowerEmbedding(RED, psi.u, (("aut", ident, 0),) * psi.u), psi),
+    ]
+    surplus = 0
+    for phi, psi in cases:
+        new = outcome(fr.extend_weak_homogeneity, phi, psi)
+        old = outcome(old_extend_weak_homogeneity, phi, old_of(psi))
+        assert made(new) == made(old), (phi, psi)
+        p = [sum(c[0] == "aut" and c[2] == j for c in phi.coords) for j in range(phi.u)]
+        surplus += new[0] == "ok" and any(
+            m > k >= 2 for m, k in zip(psi.multiplicities(), p)
+        )
+    assert surplus
+
+
 @pytest.mark.parametrize(
     "first, second",
-    [("red-01", "red-01"), ("red-01", "red-01-swapped"), ("red-01-swapped", "red-01")],
+    [
+        ("red-01", "red-01"),
+        ("red-01", "red-01-swapped"),
+        ("red-01-swapped", "red-01"),
+        ("red-01-swapped", "red-01-swapped"),
+    ],
 )
 def test_back_and_forth_agrees(first, second, monkeypatch):
     # each side's extensions are computed once and shared by the depths:

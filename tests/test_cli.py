@@ -13,7 +13,6 @@ from boolpow import power as bp
 from boolpow import serialize as ser
 from boolpow.cantor import PointContext
 from boolpow.cli import COMMANDS, build_parser, main
-from boolpow.homeo import EPHomeo
 from boolpow.rand import cell_swap, random_point_fixing_homeo, tail_shift
 
 
@@ -599,32 +598,66 @@ def test_amalgamate_stops_at_the_tuple_budget(tmp_path, capsys, u, ok):
     )
 
 
-def _cpu_seconds(limit):
-    def set_limit():  # in the child only, before it runs the script
-        resource.setrlimit(resource.RLIMIT_CPU, (limit, limit))
+def _child(*argv):
+    """Run python on argv with the package on its path, within 5 CPU
+    seconds of its own."""
+    root = Path(__file__).resolve().parents[1]
+    src = str(root / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{path}" if path else src}
 
-    return set_limit
+    def set_limit():  # in the child only, before it runs the script
+        resource.setrlimit(resource.RLIMIT_CPU, (5, 5))
+
+    return subprocess.run(
+        [sys.executable, *map(str, argv)],
+        capture_output=True,
+        text=True,
+        cwd=root,
+        env=env,
+        preexec_fn=set_limit,
+        timeout=120,
+    )
 
 
 def test_bergman_experiment_refuses_over_the_element_budget():
     """At depth 4 the gf4 context has 4^14 elements: the script refuses
     before its first run, within 5 CPU seconds of its own."""
-    root = Path(__file__).resolve().parents[1]
-    src = str(root / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{path}" if path else src}
-    script = root / "scripts" / "bergman_experiment.py"
-    proc = subprocess.run(
-        [sys.executable, str(script), "--depth", "4", "--steps", "4"],
-        capture_output=True,
-        text=True,
-        env=env,
-        preexec_fn=_cpu_seconds(5),
-        timeout=120,
-    )
+    proc = _child("scripts/bergman_experiment.py", "--depth", "4", "--steps", "4")
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.endswith(
         "error: --depth 4 gives the gf4-idempotent-reduct power more than "
         "200000 elements to enumerate\n"
+    )
+
+
+# one ternary operation: one dequeued vector of the Mal'cev search meets a
+# pool of thousands of vectors, so a budget checked only between dequeues
+# is passed by far
+TERNARY = {
+    "carrier": 3,
+    "ops": [
+        {
+            "name": "f",
+            "arity": 3,
+            "table": [0, 2, 0, 1, 0, 1, 1, 1, 2, 1, 0, 0, 1, 0, 1, 1, 2, 0, 2, 1, 1, 2, 0, 2, 0, 1, 0],
+        }
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "path,budget", [(None, 5000), ("tests/data/s3-group.json", 3)], ids=["ternary", "s3"]
+)
+def test_malcev_search_stops_at_its_budget(tmp_path, path, budget):
+    if path is None:
+        path = tmp_path / "ternary.json"
+        path.write_text(json.dumps(TERNARY))
+    proc = _child(
+        "-m", "boolpow.cli", "inspect-algebra", "--alg", path, "--budget", budget
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout)["error"] == (
+        f"SearchBudgetExceeded: Mal'cev search passed {budget} vectors"
     )

@@ -1,10 +1,22 @@
 """Differential tests of the semi-naive ``algebra.pointwise_closure`` and of
-the three functions built on it (``freealg.clone_generate``,
-``freealg.loop_ring_split`` and ``power.generated_subalgebra``) against
-the naive fixpoint loops they replaced, kept here as oracles.  The kernel
-on packed vectors is also compared with the tuple walk it replaced, which
-must give the same members in the same order with the same records."""
+the functions built on it (``freealg.clone_generate``,
+``freealg.loop_ring_split``, ``power.generated_subalgebra``,
+``algebra.subalgebra_generated`` and ``algebra.subalgebras``) against the
+naive fixpoint loop it replaced, kept here as the one closure oracle.
+The kernel's discovery order and records, which that loop does not
+define, are compared with the tuple walk the packed kernel replaced.
+``subalgebras`` is compared with the direct subset scan over that loop,
+``generated_subalgebra`` with its own LIFO frontier and table loop, and
+``algebra.direct_power`` with its decode/encode table loop.
 
+Besides drawn algebras, the cases are the builtins, ``cyclic-group`` and
+``zero-ring`` of sizes 2 to 8, and 300 seeded random algebras of size 2
+to 6 with one to three operations of arity 0 to 3.  Each entry of an
+operation of positive arity is one of its arguments with a probability
+drawn per operation, so the algebras range from every subset closed to
+no proper subset closed."""
+
+import random
 import sys
 from contextlib import contextmanager
 from itertools import islice, product
@@ -22,41 +34,6 @@ from boolpow.errors import SizeBudgetExceeded
 
 # ---------------------------------------------------------------------------
 # oracles: the naive closure loops
-
-
-def old_clone_tables(algebra, k, budget=100_000):
-    """Element tables of the breadth-first clone closure that combined each
-    frontier member with the whole visited pool at every position."""
-    tuples = list(product(range(algebra.size), repeat=k))
-    projections = []
-    for j in range(k):
-        projections.append((tuple(t[j] for t in tuples), ("var", j)))
-    visited = dict(projections)
-    frontier = list(visited)
-    while frontier:
-        base = frontier.pop(0)
-        base_term = visited[base]
-        for opk, (name, arity) in enumerate(algebra.signature):
-            if arity == 0:
-                vec = tuple(algebra.tables[opk][0] for _ in tuples)
-                if vec not in visited:
-                    visited[vec] = (name, ())
-                    frontier.append(vec)
-                continue
-            pool = list(visited.items())
-            for pos in range(arity):
-                for others in product(pool, repeat=arity - 1):
-                    combo = others[:pos] + ((base, base_term),) + others[pos:]
-                    vec = tuple(
-                        algebra.apply(opk, [c[0][i] for c in combo])
-                        for i in range(len(tuples))
-                    )
-                    if vec not in visited:
-                        if len(visited) >= budget:
-                            raise SizeBudgetExceeded(budget)
-                        visited[vec] = (name, tuple(c[1] for c in combo))
-                        frontier.append(vec)
-    return sorted(visited)
 
 
 def old_pointwise_closure(algebra, domain, gens):
@@ -188,6 +165,70 @@ def old_generated_subalgebra(elems, budget=200_000):
         else None
     )
     return sub, tuples, cellwords
+
+
+def old_subuniverse(a, gens):
+    """The fixpoint loop on one coordinate: the subuniverse of A generated
+    by gens and the constants."""
+    return frozenset(v for v, in old_pointwise_closure(a, (0,), [(g,) for g in gens]))
+
+
+def old_subalgebras(a):
+    out = []
+    for mask in range(1, 1 << a.size):
+        sub = frozenset(x for x in a.carrier if mask >> x & 1)
+        if old_subuniverse(a, sub) == sub:
+            out.append(sub)
+    return sorted(out, key=lambda s: (len(s), sorted(s)))
+
+
+def old_direct_power(a, k):
+    """algebra.direct_power with its own decode/encode table loop."""
+
+    def decode(x):
+        out = []
+        for _ in range(k):
+            out.append(x % a.size)
+            x //= a.size
+        return tuple(reversed(out))
+
+    def encode(tup):
+        x = 0
+        for v in tup:
+            x = x * a.size + v
+        return x
+
+    size = a.size**k
+    tables = []
+    for opk, (_, arity) in enumerate(a.signature):
+        table = []
+        for args in product(range(size), repeat=arity):
+            coords = [decode(x) for x in args]
+            val = tuple(a.apply(opk, [c[i] for c in coords]) for i in range(k))
+            table.append(encode(val))
+        tables.append(tuple(table))
+    return FiniteAlgebra(size, a.signature, tuple(tables))
+
+
+def random_algebra(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 6)
+    arities = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+    signature = [(f"op{k}", r) for k, r in enumerate(arities)]
+    tables = []
+    for r in arities:
+        keep = rng.random()
+        tables.append([
+            rng.choice(args) if args and rng.random() < keep else rng.randrange(n)
+            for args in product(range(n), repeat=r)
+        ])
+    return alg.make_algebra(n, signature, tables)
+
+
+def _square_is_small(a):
+    """Whether the largest table of the square of a has at most 1296
+    entries."""
+    return a.size ** (2 * max(r for _, r in a.signature)) <= 1296
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +407,6 @@ def test_kernel_on_both_sides_of_the_byte_lane(algebra, monkeypatch):
                 )
             # one-byte lanes exactly when the tables have at most 256 entries
             assert (translates[0] > 0) == (algebra.size <= 16)
-            want = _outcome(lambda: seed_pointwise_closure(algebra, gens, budget))
-            assert found == want
             if k == 1 or len(gens) == 1:
                 want = old_pointwise_closure(algebra, tuples, gens)
                 assert {v for v, _ in found} == want
@@ -381,7 +420,9 @@ def test_kernel_on_both_sides_of_the_byte_lane(algebra, monkeypatch):
 
 
 def _assert_clone_matches(a, k):
-    want = old_clone_tables(a, k)
+    tuples = list(product(range(a.size), repeat=k))
+    projections = [tuple(t[j] for t in tuples) for j in range(k)]
+    want = sorted(old_pointwise_closure(a, tuples, projections))
     rep = fa.clone_generate(a, k, budget=len(want))
     assert [f.table for f in rep.elements] == want
     assert fa.witness_terms_check(rep)
@@ -403,10 +444,8 @@ def test_clone_matches_naive_random(a, k):
 def test_clone_matches_naive_builtin(name, k):
     a = alg.builtin(name)
     if (name, k) == ("gf4-idempotent-reduct", 2):
-        # more than 5,000 binary term operations: both closures stop at
+        # more than 5,000 binary term operations: the closure stops at
         # the budget instead
-        with pytest.raises(SizeBudgetExceeded):
-            old_clone_tables(a, k, budget=1000)
         with pytest.raises(SizeBudgetExceeded):
             fa.clone_generate(a, k, budget=1000)
         return
@@ -448,10 +487,17 @@ def power_elements(draw):
                 ("gf2-idempotent-reduct", (1,), 2),
                 ("gf4-idempotent-reduct", (0,), 1),
                 ("gf4-idempotent-reduct", (0, 1), 2),
+                ("random", (), None),
             ]
         )
     )
-    ctx = bp.make_context(alg.builtin(name), filters)
+    if name == "random":
+        # no filters, on two cells where the square stays small
+        a = random_algebra(draw(st.integers(0, 299)))
+        depth = 1 if _square_is_small(a) else 0
+    else:
+        a = alg.builtin(name)
+    ctx = bp.make_context(a, filters)
     elems = bp.enumerate_elements(ctx, depth)
     return draw(st.lists(st.sampled_from(elems), min_size=1, max_size=3))
 
@@ -465,3 +511,42 @@ def test_generated_subalgebra_matches_naive(elems):
     n = len(want[1])
     with pytest.raises(SizeBudgetExceeded):
         bp.generated_subalgebra(elems, budget=n - 1)
+
+
+# ---------------------------------------------------------------------------
+# subalgebras of A and its direct powers
+
+
+NAMED = sorted(alg.BUILTINS) + [
+    f"{family} {k}" for family in ("cyclic-group", "zero-ring") for k in range(2, 9)
+]
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_subalgebras_match_the_scan_on_builtins(name):
+    a = alg.builtin(name)
+    assert alg.subalgebras(a) == old_subalgebras(a)
+
+
+def test_subalgebras_match_the_scan_on_random_algebras():
+    for seed in range(300):
+        a = random_algebra(seed)
+        assert alg.subalgebras(a) == old_subalgebras(a), seed
+
+
+def test_subalgebra_generated_matches_the_fixpoint_loop():
+    for seed in range(300):
+        a = random_algebra(seed)
+        rng = random.Random(seed)
+        for gens in [set()] + [
+            set(rng.sample(range(a.size), rng.randint(1, a.size))) for _ in range(4)
+        ]:
+            want = old_subuniverse(a, gens)
+            assert alg.subalgebra_generated(a, gens) == want, (seed, gens)
+
+
+def test_direct_power_matches_the_decode_loop():
+    for seed in range(300):
+        a = random_algebra(seed)
+        for k in (1, 2) if _square_is_small(a) else (1,):
+            assert alg.direct_power(a, k) == old_direct_power(a, k), (seed, k)

@@ -3,10 +3,16 @@ used to build, kept here as the oracle: every labeling of the level-depth
 cells, built up front as a list of elements.  The enumeration must be a
 sequence with the same elements in the same order, and answer ``len``,
 indexing, slicing, ``index`` and ``in`` exactly as that list does, for
-members and for elements of another context, support or depth."""
+members and for elements of another context, support or depth.
+
+``fraisse.chain_covers`` is checked against the check it replaced: the set
+of every stage image, tested for each element of that list.  Both must
+give the same verdict on covering stages and on stages that do not
+cover."""
 
 import random
 from collections.abc import Sequence
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -15,7 +21,6 @@ from boolpow import algebra as alg
 from boolpow import fraisse as fr
 from boolpow import power as bp
 from boolpow.cantor import Clopen, _node
-from test_chain_covers_differential import CASES, NON_COVERING, merged_stage
 
 GF2 = alg.gf2_ring()
 RED = alg.gf2_idempotent_reduct()
@@ -201,11 +206,27 @@ def old_chain_covers(ctx, stages, depth):
     return all(f in hit for f in old_enumerate_elements(ctx, depth))
 
 
+CASES = [(RED, (0, 1), d) for d in (2, 3, 4)] + [(GF2, (0,), d) for d in (2, 3)]
+
+
 @pytest.mark.parametrize("algebra,filters,depth", CASES)
 def test_covering_stage_agrees_with_set_oracle(algebra, filters, depth):
     ctx = bp.make_context(algebra, filters)
     chain = fr.limit_chain(ctx, depth)
     assert fr.chain_covers(ctx, chain, depth) is old_chain_covers(ctx, chain, depth) is True
+
+
+def merged_stage(ctx, depth):
+    """The depth-`depth` stage with its second value cell reading the first
+    cell's source: no image separates the two cells, so the stage does not
+    cover."""
+    stage = next(s for s in fr.limit_chain(ctx, depth) if s.depth == depth)
+    twists = list(stage.bp.twists)
+    twists[1] = (twists[1][0], twists[0][1])
+    return replace(stage, bp=replace(stage.bp, twists=tuple(twists)))
+
+
+NON_COVERING = [(RED, (0, 1), 4), (RED, (0, 1), 2), (GF2, (0,), 3)]
 
 
 @pytest.mark.parametrize("algebra,filters,depth", NON_COVERING)

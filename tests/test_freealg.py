@@ -4,7 +4,6 @@ import pytest
 
 from boolpow import algebra as alg
 from boolpow import freealg as fa
-from boolpow import power as bp
 from boolpow.errors import (
     NotIdempotentOnSk,
     NotLoopOrRing,

@@ -10,7 +10,6 @@ from boolpow.cantor import (
     Clopen,
     PointContext,
     TailClopen,
-    is_good,
     type_of,
 )
 from boolpow.errors import BoolpowError, NotBijective, SizeBudgetExceeded, TypeMismatch
@@ -19,7 +18,6 @@ from boolpow.homeo import (
     TailPiece,
     _ap_coverage,
     cross_branch_involution,
-    homeos_agree_on_sample,
     image_matches_on_sample,
     orbit_witness,
     piecewise_glue,

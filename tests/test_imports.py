@@ -1,5 +1,5 @@
-"""Every name a module of the package imports at module level is used in
-that module."""
+"""Every name a module of the package, a test file or a script imports at
+module level is used in that module."""
 
 import ast
 from pathlib import Path
@@ -7,6 +7,7 @@ from pathlib import Path
 from boolpow import errors
 
 SRC = Path(errors.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _unused_imports(tree: ast.Module) -> set[str]:
@@ -25,8 +26,9 @@ def _unused_imports(tree: ast.Module) -> set[str]:
 
 def test_every_module_level_import_is_used():
     unused = {}
-    for path in sorted(SRC.glob("*.py")):
+    paths = [*SRC.glob("*.py"), *ROOT.glob("tests/*.py"), *ROOT.glob("scripts/*.py")]
+    for path in sorted(paths):
         names = _unused_imports(ast.parse(path.read_text()))
         if names:
-            unused[path.name] = sorted(names)
+            unused[f"{path.parent.name}/{path.name}"] = sorted(names)
     assert unused == {}

@@ -8,20 +8,19 @@ that first wrote it:
   free cells in order, one block per point at its level-t prefix, and the
   step's coordinates;
 - the standard prefix code 0, 10, ..., 1^(m-2) 0, 1^(m-1) that
-  ``power.restrict`` rebases a clopen onto (``RestrictionMap.pairs``) and
-  that ``freealg.kernel_class_power_iso`` lays its blocks and cells out
-  on;
+  ``power.restrict`` rebases a clopen onto (``RestrictionMap.pairs``);
 - the block layout of a finite-power embedding's normal form (source
   blocks, then idempotent blocks in the given order), as
-  ``normalize_embedding``, ``amalgamate``, ``jep`` and
-  ``extend_weak_homogeneity`` write and read it, and the step of
-  ``back_and_forth``, against frozen copies of those functions.
+  ``normalize_embedding``, ``amalgamate`` and ``jep`` write it, against
+  frozen copies of those functions.
 
 A different valid layout would still pass the round-trip tests, so these
-compare the layouts themselves.
+compare the layouts themselves.  ``extend_weak_homogeneity``,
+``back_and_forth`` and ``kernel_class_power_iso``, which read these
+layouts, are compared with the list-of-clopens oracle of
+``test_bp_embedding_differential``, built on the normal-form copies here.
 """
 
-import functools
 import random
 from itertools import product
 
@@ -31,11 +30,11 @@ from boolpow import algebra as alg
 from boolpow import fraisse as fr
 from boolpow import power as bp
 from boolpow.algebra import _ident, _inv
-from boolpow.cantor import Clopen, PointContext, _words, split
-from boolpow.errors import ArityOrder, BoolpowError, ExtensionFailure, NotEmbedding, SourceMismatch
+from boolpow.cantor import Clopen, PointContext, _words
+from boolpow.errors import BoolpowError, NotEmbedding, SourceMismatch
 from boolpow.fraisse import NormalForm, PowerEmbedding
 
-from test_fraisse import CTX, all_normal_embeddings, swapped_chain
+from test_fraisse import all_normal_embeddings
 
 RED = alg.gf2_idempotent_reduct()
 GF2 = alg.gf2_ring()
@@ -102,21 +101,6 @@ def old_restrict_pairs(ctx, b):
             tgt = "1" * (k - 1) + ("0" if k < n2 else "")
             pairs.append((point_cells[i], tgt))
     return tuple(sorted(pairs))
-
-
-def old_kernel_layout(n, free):
-    """kernel_class_power_iso's blocks and value cells for n points and
-    `free` free tuples."""
-    blocks = [Clopen.make(["1" * (i - 1) + "0"]) for i in range(1, n)]
-    rest = Clopen.make(["1" * (n - 1)]) if n else Clopen.all()
-    pieces = []
-    for _ in range(free if n else free - 1):
-        piece, rest = split(rest)
-        pieces.append(piece)
-    pieces.append(rest)
-    if n:
-        blocks.append(pieces.pop(0))
-    return blocks, pieces
 
 
 def old_normalize_embedding(emb, idem_order=None):
@@ -235,95 +219,6 @@ def old_amalgamate(phi, psi):
     return m, phi2, psi2
 
 
-def old_extend_weak_homogeneity(phi, psi):
-    ctx = psi.ctx
-    if phi.u > phi.v or phi.u != psi.u:
-        raise ArityOrder((phi.u, phi.v, psi.u))
-    idem_order = []
-    for e in ctx.filters:
-        if e not in idem_order:
-            idem_order.append(e)
-    nf = old_normalize_embedding(phi, idem_order=idem_order)
-    u, v = phi.u, phi.v
-    p = nf.p
-    qpt = [0] * ctx.points.n
-    qmap = dict(nf.q)
-    for i in range(ctx.points.n):
-        e = ctx.filters[i]
-        if ctx.filters.index(e) == i:
-            qpt[i] = qmap.get(e, 0)
-    cells = list(psi.cells)
-    mult = psi.multiplicities()
-    for j in range(u):
-        while mult[j] < p[j]:
-            cells = fr._split_largest(cells, j)
-            mult[j] += 1
-
-    def p_index(j, t):
-        if t < p[j]:
-            return sum(p[:j]) + t
-        return sum(p[: j + 1]) - 1
-
-    def q_index(i, t):
-        return sum(p) + sum(qpt[:i]) + t
-
-    counters = [0] * u
-    new_cells = []
-    for c, m, j in cells:
-        t = counters[j]
-        counters[j] += 1
-        new_cells.append((c, m, p_index(j, t)))
-    blocks = []
-    ident = _ident(ctx.algebra.size)
-    for i in range(ctx.points.n):
-        b = psi.blocks[i]
-        x = ctx.points.point(i + 1)
-        for t in range(qpt[i]):
-            piece, b = fr._carve_block(b, x)
-            new_cells.append((piece, ident, q_index(i, t)))
-        blocks.append(b)
-    psi2_normal = fr.BPEmbedding.make(ctx, v, new_cells, blocks)
-    psi2 = psi2_normal.compose_power(old_invert_adjust(nf.adjust))
-    for a in product(range(ctx.algebra.size), repeat=u):
-        if psi2.eval(phi.eval(a)) != psi.eval(a):
-            raise ExtensionFailure(a)
-    return psi2
-
-
-def old_back_and_forth(chain1, chain2, depth):
-    """The step as it was written once per side; the extension is the
-    module's, looked up at each call (pinned on its own above)."""
-    if depth <= 0:
-        return []
-    left, right = chain1[0].bp, chain2[0].bp
-    trace = [fr.TraceStep("start", None, left, right)]
-    d1 = d2 = chain1[0].depth
-    for k in range(depth - 1):
-        if k % 2 == 0:
-            need = max(fr._embedding_depth(left), d1) + 1
-            cand = [st for st in chain1 if st.depth >= need]
-            if not cand:
-                break
-            stage = cand[0]
-            rho = fr._express_through_stage(left, stage)
-            right = fr.extend_weak_homogeneity(rho, right)
-            left = stage.bp
-            d1 = stage.depth
-            trace.append(fr.TraceStep("forth", rho, left, right))
-        else:
-            need = max(fr._embedding_depth(right), d2) + 1
-            cand = [st for st in chain2 if st.depth >= need]
-            if not cand:
-                break
-            stage = cand[0]
-            rho = fr._express_through_stage(right, stage)
-            left = fr.extend_weak_homogeneity(rho, left)
-            right = stage.bp
-            d2 = stage.depth
-            trace.append(fr.TraceStep("back", rho, left, right))
-    return trace
-
-
 # ---------------------------------------------------------------------------
 # branch cells
 
@@ -417,15 +312,6 @@ def test_restriction_pairs_match_the_frozen_loops(n):
         assert rm.pairs == old_restrict_pairs(ctx, b), b
 
 
-@pytest.mark.parametrize("n", range(7))
-def test_kernel_layout_is_the_standard_code(n):
-    for free in range(12):
-        blocks, pieces = old_kernel_layout(n, free)
-        codes = bp._codes(n + free)
-        assert [b.words for b in blocks] == [(c,) for c in codes[:n]]
-        assert [p.words for p in pieces] == [(c,) for c in codes[n:]]
-
-
 # ---------------------------------------------------------------------------
 # the block layout of finite-power embeddings
 
@@ -499,91 +385,3 @@ def test_jep_matches_the_frozen_layout():
     for algebra in (RED, GF2, GF4):
         for u, w in product(range(4), repeat=2):
             assert outcome(fr.jep, algebra, u, w) == outcome(old_jep, algebra, u, w)
-
-
-EXTENSION_CONTEXTS = [
-    bp.make_context(algebra, filters)
-    for algebra, filters in [
-        (RED, ()),
-        (RED, (0,)),
-        (RED, (0, 1)),
-        (RED, (0, 0)),
-        (RED, (1, 0, 1)),
-        (GF2, (0, 0)),
-        (GF4, (0, 1)),
-    ]
-]
-
-
-def _drawn_phi(algebra, mult, rng):
-    """An embedding with mult[j] twisted copies of source j and up to three
-    idempotent coordinates, shuffled."""
-    auts = alg.automorphisms(algebra)
-    idems = sorted(alg.idempotents(algebra))
-    coords = [("aut", rng.choice(auts), j) for j, k in enumerate(mult) for _ in range(k)]
-    coords += [("idem", rng.choice(idems)) for _ in range(rng.randint(0, 3))]
-    rng.shuffle(coords)
-    return PowerEmbedding.make(algebra, len(mult), coords)
-
-
-def _extension_inputs(ctx, rng):
-    """(phi, psi) pairs: psi a chain stage, with phi adding at most two
-    copies of its sources; and psi a stage whose cells are shared among
-    fewer sources, with phi taking one to three copies of each."""
-    A = ctx.algebra
-    t0 = fr.first_stage_depth(ctx)
-    stages = [s.bp for s in fr.limit_chain(ctx, t0 + 1) if A.size**s.bp.u <= 64]
-    for _ in range(12):
-        psi = rng.choice(stages)
-        mult = [1] * psi.u
-        for _ in range(rng.randint(0, 2)):
-            mult[rng.randrange(psi.u)] += 1
-        yield _drawn_phi(A, mult, rng), psi
-    stage = fr.limit_chain(ctx, t0 + 1)[-1].bp
-    for _ in range(24):
-        u = rng.randint(1, min(3, stage.u - 1))
-        sources = list(range(u)) + [rng.randrange(u) for _ in range(stage.u - u)]
-        rng.shuffle(sources)
-        cells = [(c, rng.choice(ctx.aut_mappings), j) for (c, _, _), j in zip(stage.cells, sources)]
-        psi = fr.BPEmbedding.make(ctx, u, cells, stage.blocks)
-        yield _drawn_phi(A, [rng.randint(1, 3) for _ in range(u)], rng), psi
-
-
-def test_extensions_match_the_frozen_layout():
-    rng = random.Random(2024)
-    surplus = 0  # inputs where a source has more cells than its block of two or more
-    for ctx in EXTENSION_CONTEXTS:
-        for phi, psi in _extension_inputs(ctx, rng):
-            new = outcome(fr.extend_weak_homogeneity, phi, psi)
-            assert new == outcome(old_extend_weak_homogeneity, phi, psi), (phi, psi)
-            p = [sum(c[0] == "aut" and c[2] == j for c in phi.coords) for j in range(phi.u)]
-            surplus += new[0] == "ok" and any(
-                m > k >= 2 for m, k in zip(psi.multiplicities(), p)
-            )
-    assert surplus
-
-
-def test_extension_refusals_match_the_frozen_copy():
-    psi = fr.limit_chain(CTX, 2)[0].bp
-    ident = _ident(RED.size)
-    for phi in (
-        PowerEmbedding.identity(RED, psi.u + 1),
-        PowerEmbedding(RED, psi.u, (("aut", ident, 0),)),
-        PowerEmbedding(RED, psi.u, (("aut", ident, 0),) * psi.u),
-    ):
-        assert outcome(fr.extend_weak_homogeneity, phi, psi) == outcome(
-            old_extend_weak_homogeneity, phi, psi
-        )
-
-
-def test_back_and_forth_traces_match_the_frozen_step(monkeypatch):
-    # each extension is computed once and shared by both sides and by the
-    # depths: the u = 14 step checks 2^14 source tuples
-    monkeypatch.setattr(
-        fr, "extend_weak_homogeneity", functools.cache(fr.extend_weak_homogeneity)
-    )
-    chains = [fr.limit_chain(CTX, 5), swapped_chain(5)]
-    for chain1, chain2 in product(chains, repeat=2):
-        for depth in range(6):
-            new = outcome(fr.back_and_forth, chain1, chain2, depth)
-            assert new == outcome(old_back_and_forth, chain1, chain2, depth)

@@ -12,7 +12,6 @@ from boolpow import power as bp
 from boolpow import serialize
 from boolpow.cantor import Clopen, PointContext, _node, point_in
 from boolpow.errors import (
-    ContextMismatch,
     EmptyRestriction,
     FilterViolation,
     IdempotentMismatch,

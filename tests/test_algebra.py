@@ -76,6 +76,25 @@ def test_malcev_reduct_by_search():
     assert t is not None
 
 
+# the least budget at which the search succeeds: the budget is checked as
+# each vector is admitted, the three projections counting as visited
+@pytest.mark.parametrize(
+    "name,least",
+    [
+        ("gf2-ring", 12),
+        ("gf2-idempotent-reduct", 4),
+        ("gf4-idempotent-reduct", 4),
+        ("cyclic-group 5", 61),
+        ("zero-ring 3", 19),
+    ],
+)
+def test_malcev_search_refuses_just_below_its_least_budget(name, least):
+    a = bfs_only(alg.builtin(name))
+    assert alg._is_malcev_witness(a, alg.find_malcev_term(a, budget=least))
+    with pytest.raises(SearchBudgetExceeded, match=f"Mal'cev search passed {least - 1} vectors"):
+        alg.find_malcev_term(a, budget=least - 1)
+
+
 # --- congruences ------------------------------------------------------------
 
 

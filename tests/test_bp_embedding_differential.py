@@ -638,18 +638,18 @@ def test_express_through_stage_agrees_on_drawn_embeddings(data):
         assert new == outcome(old_express_through_stage, g_old, stage_old)
 
 
-EXTENSION_CONTEXTS = [
-    bp.make_context(algebra, filters)
-    for algebra, filters in [
-        (RED, ()),
-        (RED, (0,)),
-        (RED, (0, 1)),
-        (RED, (0, 0)),
-        (RED, (1, 0, 1)),
-        (GF2, (0, 0)),
-        (GF4, (0, 1)),
+EXTENSION_CONTEXTS = {
+    key: bp.make_context(algebra, filters)
+    for key, algebra, filters in [
+        ("red", RED, ()),
+        ("red-0", RED, (0,)),
+        ("red-01", RED, (0, 1)),
+        ("red-00", RED, (0, 0)),
+        ("red-101", RED, (1, 0, 1)),
+        ("gf2-00", GF2, (0, 0)),
+        ("gf4-01", GF4, (0, 1)),
     ]
-]
+}
 
 
 def _drawn_phi(algebra, mult, rng):
@@ -686,29 +686,55 @@ def _extension_inputs(ctx, rng):
         yield _drawn_phi(A, [rng.randint(1, 3) for _ in range(u)], rng), psi
 
 
-def test_extensions_agree():
-    """Seeded extensions, some where a source has more cells than its block
-    of two or more coordinates, and three refusals: a target narrower than
-    the source, a psi of another arity, and a phi missing a source."""
+@functools.cache
+def _extension_cases() -> dict:
+    """Each context's seeded (phi, psi) pairs, drawn from one generator in
+    the order of EXTENSION_CONTEXTS."""
     rng = random.Random(2024)
-    cases = [(phi, psi) for ctx in EXTENSION_CONTEXTS for phi, psi in _extension_inputs(ctx, rng)]
+    return {key: list(_extension_inputs(ctx, rng)) for key, ctx in EXTENSION_CONTEXTS.items()}
+
+
+def _surplus(phi, psi) -> bool:
+    """A source of psi has more cells than its block of two or more
+    coordinates in phi."""
+    p = [sum(c[0] == "aut" and c[2] == j for c in phi.coords) for j in range(phi.u)]
+    return any(m > k >= 2 for m, k in zip(psi.multiplicities(), p))
+
+
+def extension_agrees(phi, psi):
+    new = outcome(fr.extend_weak_homogeneity, phi, psi)
+    old = outcome(old_extend_weak_homogeneity, phi, old_of(psi))
+    assert made(new) == made(old), (phi, psi)
+    return new
+
+
+@pytest.mark.parametrize("key", EXTENSION_CONTEXTS)
+def test_extensions_agree(key):
+    for phi, psi in _extension_cases()[key]:
+        extension_agrees(phi, psi)
+
+
+def test_extension_inputs_give_a_source_surplus_cells():
+    """Some seeded extension succeeds where a source has more cells than
+    its block: the inputs on which the surplus cells' layout is compared."""
+    cases = [case for pairs in _extension_cases().values() for case in pairs]
+    assert any(
+        _surplus(phi, psi) and outcome(fr.extend_weak_homogeneity, phi, psi)[0] == "ok"
+        for phi, psi in cases
+    )
+
+
+def test_extension_refusals_agree():
+    """A target narrower than the source, a psi of another arity, and a phi
+    missing a source."""
     psi = CHAINS["red-01"][0].bp
     ident = _ident(RED.size)
-    cases += [
-        (PowerEmbedding.identity(RED, psi.u + 1), psi),
-        (PowerEmbedding(RED, psi.u, (("aut", ident, 0),)), psi),
-        (PowerEmbedding(RED, psi.u, (("aut", ident, 0),) * psi.u), psi),
-    ]
-    surplus = 0
-    for phi, psi in cases:
-        new = outcome(fr.extend_weak_homogeneity, phi, psi)
-        old = outcome(old_extend_weak_homogeneity, phi, old_of(psi))
-        assert made(new) == made(old), (phi, psi)
-        p = [sum(c[0] == "aut" and c[2] == j for c in phi.coords) for j in range(phi.u)]
-        surplus += new[0] == "ok" and any(
-            m > k >= 2 for m, k in zip(psi.multiplicities(), p)
-        )
-    assert surplus
+    for phi in (
+        PowerEmbedding.identity(RED, psi.u + 1),
+        PowerEmbedding(RED, psi.u, (("aut", ident, 0),)),
+        PowerEmbedding(RED, psi.u, (("aut", ident, 0),) * psi.u),
+    ):
+        assert extension_agrees(phi, psi)[0] != "ok"
 
 
 @pytest.mark.parametrize(

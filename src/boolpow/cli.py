@@ -90,12 +90,15 @@ def check_source_tuples(a: alg.FiniteAlgebra, u: int) -> None:
 def cmd_inspect_algebra(args):
     a = _load_algebra(args)
     term = alg.find_malcev_term(a, budget=args.budget)
+    # before is_simple, whose scan takes about n^4 steps: is_abelian
+    # refuses a large carrier at once
+    abelian = alg.is_abelian(a, term) if term else None
     report = {
         "carrier": a.size,
         "signature": [[n, r] for n, r in a.signature],
         "malcev_term": repr(term) if term else None,
         "simple": alg.is_simple(a),
-        "abelian": alg.is_abelian(a, term) if term else None,
+        "abelian": abelian,
         "idempotents": sorted(alg.idempotents(a)),
         "automorphism_count": len(alg.automorphisms(a)),
         "proper_subalgebras": [

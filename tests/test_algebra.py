@@ -12,6 +12,8 @@ from boolpow.errors import (
     SearchBudgetExceeded,
 )
 
+from oracles import random_algebra
+
 
 def test_make_algebra_gf2_ring():
     a = alg.gf2_ring()
@@ -163,6 +165,43 @@ def test_principal_matches_bruteforce_small():
                             for q in a.carrier:
                                 if got.related(p, q):
                                     assert d.related(p, q)
+
+
+SMALL_BUILTINS = [*alg.BUILTINS] + [
+    f"{name} {k}" for name in sorted(alg.PARAMETERIZED) for k in range(2, 8)
+]
+
+
+def _diagonal_is_a_block(a):
+    """The diagonal-block criterion by exhaustive enumeration: whether
+    {(x, x)} is a block of the least congruence of the square that
+    relates every two diagonal elements, the one of them with the most
+    blocks."""
+    sq = alg.direct_power(a, 2)
+    diag = {x * a.size + x for x in a.carrier}
+    over = [c for c in alg.all_congruences(sq) if all(c.related(0, d) for d in diag)]
+    least = max(over, key=lambda c: len(c.blocks()))
+    return {x for x in sq.carrier if least.related(x, 0)} == diag
+
+
+def test_simple_and_abelian_match_the_exhaustive_congruences():
+    """is_simple against all_congruences on the builtins of at most 7
+    elements and the 300 seeded random algebras; on those of 2 elements
+    with a Mal'cev term, is_abelian against the diagonal-block
+    criterion."""
+    cases = [(name, alg.builtin(name)) for name in SMALL_BUILTINS]
+    cases += [(f"seed {seed}", random_algebra(seed)) for seed in range(300)]
+    verdicts = set()
+    for name, a in cases:
+        simple = all(c.is_full() or c.is_identity() for c in alg.all_congruences(a))
+        assert alg.is_simple(a) == simple, name
+        term = alg.find_malcev_term(a) if a.size == 2 else None
+        if term is not None:
+            abelian = alg.is_abelian(a, term)
+            assert abelian == _diagonal_is_a_block(a), name
+            verdicts.add((simple, abelian))
+    # both verdicts of is_abelian are compared, on simple algebras too
+    assert {(True, False), (True, True)} <= verdicts
 
 
 # --- idempotents, subalgebras, automorphisms --------------------------------

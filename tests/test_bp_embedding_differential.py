@@ -24,6 +24,10 @@ differ is the overlap: "cells overlap" became "overlapping cells".  Where
 ``eval`` is compared, the draw has at most 2^14 argument tuples: a
 gf4-idempotent-reduct embedding takes at most 7 sources, even when its
 tiling has more cells; one fixed embedding on 7 sources is compared too.
+The point checks of ``eval`` are compared with ``from_tree``'s walk along
+each distinguished point, on every tuple of the depth-4 stage of
+gf2-idempotent-reduct and on a stage with a value cell grafted onto a
+block.
 
 On the limit chains to depth 5 and on ``test_fraisse.swapped_chain``
 (conjugated steps, and the canonical steps that do not commute), both
@@ -50,11 +54,12 @@ from boolpow import fraisse as fr
 from boolpow import freealg as fa
 from boolpow import power as bp
 from boolpow.algebra import _comp, _ident, _inv
-from boolpow.cantor import Clopen, point_in, split
-from boolpow.errors import ArityOrder, ExtensionFailure, NotEmbedding, SourceMismatch
+from boolpow.cantor import Clopen, _map, graft, point_in, split
+from boolpow.errors import ArityOrder, ExtensionFailure, FilterViolation, NotEmbedding, SourceMismatch
 from boolpow.fraisse import PowerEmbedding
 from boolpow.power import PowerElement
 
+from oracles import prefix_overlap
 from test_fraisse import swapped_chain
 from test_layout_rules import old_invert_adjust, old_normalize_embedding
 
@@ -72,11 +77,6 @@ OVERLAP = {"overlapping cells": "cells overlap"}
 
 # ---------------------------------------------------------------------------
 # oracle: BPEmbedding as lists of clopens and its readers
-
-
-def prefix_overlap(words) -> bool:
-    ordered = sorted(words)
-    return any(b.startswith(a) for a, b in zip(ordered, ordered[1:]))
 
 
 class OldBPEmbedding:
@@ -371,6 +371,29 @@ def old_kernel_class_power_iso(rep, e, expected_filters: Optional[Sequence[int]]
     return ctx, mapping, report
 
 
+def old_at(t, x):
+    """The leaf of the tree t at the point x, bit by bit."""
+    i = 0
+    while t.__class__ is tuple:
+        i += 1
+        t = t[x.at(i) == "1"]
+    return t
+
+
+def old_eval(bp_emb: fr.BPEmbedding, a):
+    """The tree of the element of the source tuple a, its labels mapped
+    onto the live tree and checked by from_tree's walk along each
+    distinguished point."""
+    ctx = bp_emb.ctx
+    labels = [m[a[j]] for m, j in bp_emb.twists] + list(ctx.filters[::-1])
+    tree = _map(labels.__getitem__, bp_emb.tree)
+    for i, (x, e) in enumerate(ctx.marked, start=1):
+        value = old_at(tree, x)
+        if value is not None and value != e:
+            raise FilterViolation(f"value at point {i} must be {e}")
+    return tree
+
+
 # ---------------------------------------------------------------------------
 # comparison
 
@@ -556,6 +579,31 @@ def test_eval_agrees_on_every_tuple_of_the_widest_gf4_draw():
     assert (u, len(free)) == (7, 14)
     for a in product(range(GF4.size), repeat=u):
         assert new.eval(a) == old.eval(a)
+
+
+def red_stage(depth):
+    return next(s for s in CHAINS["red-01"] if s.depth == depth)
+
+
+def test_eval_agrees_on_every_tuple_of_the_depth_4_stage():
+    # the stage fraisse-chain --builtin gf2-idempotent-reduct --depth 4 covers with
+    emb = red_stage(4).bp
+    for a in product(range(RED.size), repeat=emb.u):
+        assert emb.eval(a).tree == old_eval(emb, a)
+
+
+def test_eval_checks_the_filters_of_a_misbuilt_embedding():
+    # leaf 0, a value cell, put on the block of point 1: eval must check it
+    emb = red_stage(2).bp
+    ctx = emb.ctx
+    tree = graft(emb.tree, [(ctx.points.point(1).prefix(2), 0)])
+    bad = fr.BPEmbedding(ctx, emb.u, emb.twists, tree)
+    seen = set()
+    for a in product(range(RED.size), repeat=bad.u):
+        want = outcome(old_eval, bad, a)
+        assert outcome(lambda: bad.eval(a).tree) == want
+        seen.add(want[0])
+    assert seen == {"ok", FilterViolation}
 
 
 @pytest.mark.parametrize("defect", DEFECTS[1:])

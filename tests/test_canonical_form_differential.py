@@ -51,6 +51,8 @@ from boolpow.rand import (
     tail_shift,
 )
 
+from oracles import prefix_overlap
+
 CTXS = {n: PointContext(n) for n in (1, 2, 3)}
 PARTITIONS = {n: good_partition(ctx) for n, ctx in CTXS.items()}
 TWISTS = [
@@ -60,11 +62,6 @@ TWISTS = [
 
 # ---------------------------------------------------------------------------
 # oracle: the Fraction-based validation and canonical form
-
-
-def prefix_overlap(words) -> bool:
-    ordered = sorted(words)
-    return any(b.startswith(a) for a, b in zip(ordered, ordered[1:]))
 
 
 def divisors(m: int) -> list[int]:

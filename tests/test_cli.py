@@ -661,3 +661,13 @@ def test_malcev_search_stops_at_its_budget(tmp_path, path, budget):
     assert json.loads(proc.stdout)["error"] == (
         f"SearchBudgetExceeded: Mal'cev search passed {budget} vectors"
     )
+
+
+@pytest.mark.parametrize("builtin", ["cyclic-group 101", "zero-ring 101", "cyclic-group 251"])
+def test_inspect_algebra_refuses_a_large_prime_builtin_in_time(builtin):
+    """A simple algebra of prime size over 40 is refused by is_abelian's
+    table budget before is_simple scans its n^4 substitutions."""
+    proc = _child("-m", "boolpow.cli", "inspect-algebra", "--builtin", builtin)
+    assert proc.returncode == 1, proc.stderr
+    error = json.loads(proc.stdout)["error"]
+    assert error.startswith("SizeBudgetExceeded: table of size "), error

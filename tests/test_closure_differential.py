@@ -32,6 +32,8 @@ from boolpow import power as bp
 from boolpow.algebra import FiniteAlgebra
 from boolpow.errors import SizeBudgetExceeded
 
+from oracles import random_algebra
+
 # ---------------------------------------------------------------------------
 # oracles: the naive closure loops
 
@@ -208,21 +210,6 @@ def old_direct_power(a, k):
             table.append(encode(val))
         tables.append(tuple(table))
     return FiniteAlgebra(size, a.signature, tuple(tables))
-
-
-def random_algebra(seed):
-    rng = random.Random(seed)
-    n = rng.randint(2, 6)
-    arities = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
-    signature = [(f"op{k}", r) for k, r in enumerate(arities)]
-    tables = []
-    for r in arities:
-        keep = rng.random()
-        tables.append([
-            rng.choice(args) if args and rng.random() < keep else rng.randrange(n)
-            for args in product(range(n), repeat=r)
-        ])
-    return alg.make_algebra(n, signature, tables)
 
 
 def _square_is_small(a):

@@ -9,12 +9,16 @@ on gf2-ring (filter 0) and gf4-idempotent-reduct (filters 0, 1), as given
 or with one defect: an overlap, a duplicate word, a gap, a cell outside
 the support, a character other than 0/1, a label outside the carrier or a
 wrong label at a retained point.  Each input is made cold, with the shape
-memo behind ``cantor.build`` emptied, then warm; both makes must return
-the same cells or raise the same exception type with the same message.
+memo behind ``cantor.shape`` emptied, then warm, on its own support and
+then on the other one (X, or {"0", "11"} for an input on X), so that a
+shape kept for one support meets a list on the other; both makes must
+return the same cells or raise the same exception type with the same
+message.  The messages ``AutLabeling.make`` passes to ``cantor.build``
+are compared in ``test_tail_differential``.
 
-The same oracle, after a quadratic common refinement of the cell lists,
-checks ``refine`` and every basic operation through ``apply_operation``
-on valid elements of one common support.
+The same oracle, after the quadratic common refinement of the cell lists
+(``oracles.old_refine``), checks ``refine`` and every basic operation
+through ``apply_operation`` on valid elements of one common support.
 """
 
 import re
@@ -29,20 +33,18 @@ from boolpow import power as bp
 from boolpow.cantor import Clopen, point_in
 from boolpow.errors import FilterViolation
 
+from oracles import labeled_tiling, old_refine, outcome, prefix_overlap
+
 CTXS = {
     "gf2": bp.make_context(alg.gf2_ring(), (0,)),
     "gf4": bp.make_context(alg.gf4_idempotent_reduct(), (0, 1)),
 }
+SUPPORTS = {"X": Clopen.all(), "0|11": Clopen.make(["0", "11"])}
 
 DEFECTS = ("none", "overlap", "duplicate", "gap", "outside", "char", "label", "point")
 
 # ---------------------------------------------------------------------------
 # oracle: the make of the tree-backed Clopen
-
-
-def prefix_overlap(words) -> bool:
-    ordered = sorted(words)
-    return any(b.startswith(a) for a, b in zip(ordered, ordered[1:]))
 
 
 def old_merge(cells):
@@ -87,45 +89,8 @@ def old_make(ctx, cells, support=None):
     return cells
 
 
-def old_refine(cell_lists):
-    """Pairwise prefix loop over the cell lists, sorted."""
-    out = [(w, (a,)) for w, a in cell_lists[0]]
-    for cells in cell_lists[1:]:
-        new = []
-        for w, labs in out:
-            for w2, a in cells:
-                if w2.startswith(w):
-                    new.append((w2, labs + (a,)))
-                elif w.startswith(w2):
-                    new.append((w, labs + (a,)))
-        out = new
-    return sorted(out)
-
-
-def outcome(make, ctx, cells, support):
-    try:
-        return ("ok", make(ctx, cells, support))
-    except Exception as exc:  # the exception itself is what is compared
-        return (type(exc), str(exc))
-
-
 # ---------------------------------------------------------------------------
 # strategies
-
-
-@st.composite
-def labeled_tiling(draw, prefix, size, depth):
-    """(word, label) cells tiling cell(prefix); a subtree may take one label
-    throughout, so that merges run over several levels."""
-    if depth == 0 or draw(st.integers(0, 2)) == 0:
-        return [(prefix, draw(st.integers(0, size - 1)))]
-    cells = draw(labeled_tiling(prefix + "0", size, depth - 1)) + draw(
-        labeled_tiling(prefix + "1", size, depth - 1)
-    )
-    if draw(st.booleans()):
-        a = draw(st.integers(0, size - 1))
-        cells = [(w, a) for w, _ in cells]
-    return cells
 
 
 @st.composite
@@ -222,15 +187,17 @@ def valid_cells(draw, ctx, support):
 @given(element_inputs())
 def test_make_matches_oracle(args):
     ctx, cells, support = args
-    want = outcome(old_make, ctx, cells, support)
+    other = SUPPORTS["0|11"] if support.is_all() else SUPPORTS["X"]
     cantor._kept_shape.cache_clear()
-    for _ in ("cold", "warm"):  # a kept shape must not pass a defect
-        got = outcome(bp.PowerElement.make, ctx, cells, support)
-        if got[0] == "ok":
-            el = got[1]
-            assert el.support == support
-            got = ("ok", el.cells)
-        assert got == want
+    for s in (support, other):
+        want = outcome(old_make, ctx, cells, s)
+        for _ in ("cold", "warm"):  # a kept shape must not pass a defect
+            got = outcome(bp.PowerElement.make, ctx, cells, s)
+            if got[0] == "ok":
+                el = got[1]
+                assert el.support == s
+                got = ("ok", el.cells)
+            assert got == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -276,9 +243,6 @@ def test_make_edge_cases(cells, support, error):
     assert got == want
     if error is not None:
         assert got[1] == error
-
-
-SUPPORTS = {"X": Clopen.all(), "0|11": Clopen.make(["0", "11"])}
 
 
 @pytest.mark.parametrize(

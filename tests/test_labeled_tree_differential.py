@@ -1,9 +1,9 @@
 """Differential test of ``AutLabeling.act``, ``fiber`` and
 ``label_on_word`` of the tree-backed labeling against the cell-list
 labeling it replaced, kept here as the oracle: labelings as sorted
-(word, mapping) cells plus tail words, applied to elements on a pairwise
-common refinement of cell lists and merged by a stack scan of sorted
-cells.
+(word, mapping) cells plus tail words, applied to elements on the
+pairwise common refinement of cell lists (``oracles.old_refine``) and
+merged by a stack scan of sorted cells.
 
 Labelings come from ``rand`` (and their products, for deeper thresholds)
 on gf4-idempotent-reduct with one, two and three points and on gf2-ring
@@ -22,6 +22,8 @@ from boolpow import power as bp
 from boolpow.autgroup import AutLabeling
 from boolpow.cantor import Clopen, TailClopen
 from boolpow.rand import random_automorphism, random_labeling
+
+from oracles import old_refine
 
 GF4 = alg.gf4_idempotent_reduct()
 CTXS = {
@@ -51,18 +53,6 @@ def old_merge(cells):
     return tuple(merged)
 
 
-def old_meet(xs, ys):
-    """Pairwise prefix loop over two labeled antichains, sorted."""
-    out = []
-    for u, a in xs:
-        for v, b in ys:
-            if v.startswith(u):
-                out.append((v, a, b))
-            elif u.startswith(v):
-                out.append((u, a, b))
-    return sorted(out)
-
-
 def old_act(ctx, k, f_cells):
     threshold, cells, tails = k
     pts = ctx.points
@@ -79,7 +69,7 @@ def old_act(ctx, k, f_cells):
             (pts.cellword(i, j), tail_label(i, j)) for j in range(threshold + 1, T)
         ]
         part.append((pts.nbhd_word(i, T), tail_label(i, T)))
-    return old_merge(sorted((w, m[a]) for w, m, a in old_meet(part, f_cells)))
+    return old_merge(sorted((w, m[a]) for w, (m, a) in old_refine([part, f_cells])))
 
 
 def triple(k: AutLabeling):

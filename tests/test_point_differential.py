@@ -1,13 +1,16 @@
 """Differential tests of the points of X against ``Point``, the class that
-held them before they were plain ``EPSeq`` values over "01", kept here
-verbatim as the oracle together with the ``locate``, ``point_in`` and
-``apply_point`` walk that read it.
+held them before they were plain ``EPSeq`` values over "01", kept here as
+the oracle together with the ``locate``, ``point_in`` and ``apply_point``
+walk that read it.  The class as deleted built its canonical form with
+``EPSeq.make``; here ``Point.make`` finds the primitive period and the
+shortest preperiod by string loops of its own, so it is the one frozen
+check of the point normal form.
 
-On drawn points both sides must give the same canonical (pre, per), the
-same bits, prefixes, prefix tests, shifts and prepends, the same location
-in contexts of 0-3 distinguished points, the same clopen membership, and
-the same image under seeded random homeomorphisms, on drawn points and on
-the witness sample.
+On drawn points, with periods of 1 to 6 letters, both sides must give the
+same canonical (pre, per), the same bits, prefixes, prefix tests, shifts
+and prepends, the same location in contexts of 0-3 distinguished points,
+the same clopen membership, and the same image under seeded random
+homeomorphisms, on drawn points and on the witness sample.
 """
 
 from __future__ import annotations
@@ -39,8 +42,15 @@ class Point:
     def make(pre: str, per: str) -> "Point":
         if not per or any(c not in "01" for c in pre + per):
             raise ValueError((pre, per))
-        s = EPSeq.make(pre, per)
-        return Point(s.head, s.word)
+        n = len(per)
+        for d in range(1, n):  # the primitive period
+            if n % d == 0 and per == per[:d] * (n // d):
+                per = per[:d]
+                break
+        while pre and pre[-1] == per[-1]:  # the shortest preperiod
+            per = per[-1] + per[:-1]
+            pre = pre[:-1]
+        return Point(pre, per)
 
     def bit(self, i: int) -> str:
         if i < len(self.pre):
@@ -138,7 +148,8 @@ def old_pair(x: Point) -> tuple[str, str]:
 runs = st.lists(st.sampled_from(["0", "1", "00", "11", "000", "01", "10"]), max_size=4)
 point_args = st.tuples(
     runs.map("".join),
-    st.sampled_from(["0", "1", "01", "10", "001", "011", "0101", "0000"]) | st.text("01", min_size=1, max_size=4),
+    st.sampled_from(["0", "1", "01", "10", "001", "011", "0101", "0000", "00101", "010101", "011011"])
+    | st.text("01", min_size=1, max_size=6),
 )
 clopens = st.lists(st.text("01", max_size=5), max_size=5).map(Clopen.make)
 

@@ -49,6 +49,8 @@ from boolpow.rand import (
 )
 from boolpow.seqs import EPSet
 
+from oracles import old_max_branch_index, outcome
+
 GF2 = alg.gf2_ring()
 GF4 = alg.gf4_idempotent_reduct()
 CTXS = {
@@ -91,26 +93,6 @@ def old_prepend_root(b, root):
 
 def old_table_apply_clopen(table, b):
     return old_apply_pairs_clopen(table.pairs, b)
-
-
-def old_max_branch_index(ctx, words):
-    """The largest j of a cell(i, j) holding one of the words, 0 for none."""
-    depth = 0
-    for w in words:
-        for i in range(1, ctx.n + 1):
-            pre = "1" * (i - 1)
-            if not w.startswith(pre):
-                continue
-            rest = w[i - 1:]
-            if not rest or rest[0] != "0":
-                continue
-            if "1" not in rest:
-                raise ValueError(f"clopen word {w!r} covers a distinguished point")
-            j = 0
-            while rest[j] == "0":
-                j += 1
-            depth = max(depth, j)
-    return depth
 
 
 def old_apply(h, b):
@@ -295,14 +277,6 @@ def homeos(draw):
 
 # ---------------------------------------------------------------------------
 # EPHomeo.apply
-
-
-def outcome(fn, *args):
-    """The value of fn(*args), or the type and message it raised."""
-    try:
-        return ("ok", fn(*args))
-    except Exception as exc:  # the exception itself is what is compared
-        return (type(exc), str(exc))
 
 
 @settings(max_examples=150, deadline=None)

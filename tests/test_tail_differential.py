@@ -1,8 +1,9 @@
 """Differential tests of the one eventually-periodic normal form
-(``seqs.EPSeq`` and the shared minimal-threshold rule) against the four
-encodings it replaced, kept here as oracles: the packed-int ``EPSet``,
-the string tails of ``TailClopen``, the tuple tails of ``AutLabeling``
-and the pre/per strings of the points of X.
+(``seqs.EPSeq`` and the shared minimal-threshold rule) against three of
+the four encodings it replaced, kept here as oracles: the packed-int
+``EPSet``, the string tails of ``TailClopen`` and the tuple tails of
+``AutLabeling``.  The fourth, the pre/per strings of the points of X, is
+the oracle of ``test_point_differential``.
 
 The clopen and labeling oracles work cell by cell, on ``Clopen`` values
 and dicts of cell words, and share no code with the tail-labeled tree
@@ -10,10 +11,12 @@ behind ``TailClopen`` and ``AutLabeling``.  They are the one frozen check
 of ``TailClopen``'s make, raising, Boolean operations, emptiness and point
 membership, and of ``AutLabeling``'s make, multiply, invert and
 from_fibers, refusals included: both sides must return the same normal
-form or raise the same exception type with the same message.  Clopens of
-X° are drawn on one to three points; labelings on gf4-idempotent-reduct
-with filters (0,), (0, 1), (0, 1, 0) and (1, 0, 1) and on gf2-ring with
-filters (0, 0, 0), cut from region(threshold) or taken from ``rand``."""
+form or raise the same exception type with the same message (for a
+labeling's cells, the messages ``AutLabeling.make`` passes to
+``cantor.build``).  Clopens of X° are drawn on one to three points;
+labelings on gf4-idempotent-reduct with filters (0,), (0, 1), (0, 1, 0)
+and (1, 0, 1) and on gf2-ring with filters (0, 0, 0), cut from
+region(threshold) or taken from ``rand``."""
 
 from __future__ import annotations
 
@@ -33,6 +36,8 @@ from boolpow.errors import ContextMismatch, TailLabelViolation
 from boolpow.homeo import witness_points
 from boolpow.rand import random_automorphism, random_labeling
 from boolpow.seqs import EPSeq, EPSet
+
+from oracles import outcome
 
 # ---------------------------------------------------------------------------
 # oracle: eventually periodic sets as packed ints
@@ -153,22 +158,6 @@ class OracleEPSet:
         per = _bit_positions(self.wbits)
         m = len(per)
         return self.hlen + 1 + (k // m) * self.wlen + per[k % m]
-
-
-# ---------------------------------------------------------------------------
-# oracle: points as pre/per strings with their own loops
-
-
-def oracle_point(pre, per):
-    n = len(per)
-    for d in range(1, n):
-        if n % d == 0 and per == (per[:d] * (n // d)):
-            per = per[:d]
-            break
-    while pre and pre[-1] == per[-1]:
-        per = per[-1] + per[:-1]
-        pre = pre[:-1]
-    return pre, per
 
 
 # ---------------------------------------------------------------------------
@@ -578,14 +567,6 @@ def labeling_inputs(draw):
     return ctx, d, [cells[i] for i in order], tails
 
 
-def outcome(fn, *args):
-    """The value of fn(*args), or the type and message it raised."""
-    try:
-        return ("ok", fn(*args))
-    except Exception as exc:  # the exception itself is what is compared
-        return (type(exc), str(exc))
-
-
 # ---------------------------------------------------------------------------
 # the tests
 
@@ -655,12 +636,6 @@ def test_epseq_shift_and_zip(a, k):
     pairs = s.zip_with(lambda x, y: (x, y), s.shift(k))
     assert all(pairs.at(j) == (s.at(j), s.at(j + k)) for j in range(1, 16))
     assert EPSeq.make(pairs.head, pairs.word * 2) == pairs
-
-
-@given(st.text("01", max_size=5), char_words)
-def test_point_make_matches_oracle(pre, per):
-    x = EPSeq.make(pre, per)
-    assert (x.head, x.word) == oracle_point(pre, per)
 
 
 @settings(max_examples=200, deadline=None)

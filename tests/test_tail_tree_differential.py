@@ -55,6 +55,8 @@ from boolpow.rand import (
 )
 from boolpow.seqs import EPSeq, common_threshold
 
+from oracles import old_max_branch_index
+
 # ---------------------------------------------------------------------------
 # oracle: the kernel labeling with its own canonical form and pushforward
 
@@ -144,25 +146,6 @@ class OldAutLabeling:
         )
         tails = tuple(EPSeq((), t).shift(d - self.threshold).word for t in self.tail_ids)
         return OldAutLabeling(self.ctx, d, tree, tails)
-
-
-def old_max_branch_index(ctx, words):
-    depth = 0
-    for w in words:
-        for i in range(1, ctx.n + 1):
-            pre = "1" * (i - 1)
-            if not w.startswith(pre):
-                continue
-            rest = w[i - 1:]
-            if not rest or rest[0] != "0":
-                continue
-            if "1" not in rest:
-                raise ValueError(f"clopen word {w!r} covers a distinguished point")
-            j = 0
-            while rest[j] == "0":
-                j += 1
-            depth = max(depth, j)
-    return depth
 
 
 def _ident(size):

@@ -3,10 +3,10 @@ refinement of labeled antichains (once the linear ``meet``, now the
 lockstep walk ``cantor._common_cells`` of their trees) against the code
 they replaced, kept here as oracles: ``element_through_homeo`` pushing
 each value fiber through the general ``EPHomeo.apply``, and the pairwise
-prefix loop over two antichains.  ``AutLabeling.multiply`` and ``act``
-are checked in ``test_tail_differential`` and
-``test_labeled_tree_differential``, ``refine`` in
-``test_element_differential``.
+prefix loop over two antichains (``oracles.old_refine``).
+``AutLabeling.multiply`` and ``act`` are checked in
+``test_tail_differential`` and ``test_labeled_tree_differential``,
+``refine`` in ``test_element_differential``.
 
 Automorphisms come from ``rand.random_automorphism`` on gf4-idempotent-
 reduct with filters (0, 1) and on gf2-ring with filter 0; elements are
@@ -25,13 +25,15 @@ from boolpow.autgroup import element_through_homeo
 from boolpow.cantor import Clopen, TailClopen, _common_cells, build, point_in
 from boolpow.rand import random_automorphism
 
+from oracles import old_refine
+
 CTXS = {
     "gf2": bp.make_context(alg.gf2_ring(), (0,)),
     "gf4": bp.make_context(alg.gf4_idempotent_reduct(), (0, 1)),
 }
 
 # ---------------------------------------------------------------------------
-# oracles: the code before cell-by-cell transport
+# oracle: the code before cell-by-cell transport
 
 
 def old_element_through_homeo(f, h):
@@ -48,18 +50,6 @@ def old_element_through_homeo(f, h):
                 raise AssertionError("point membership lost in transport")
         cells += [(w, a) for w in img.words]
     return bp.PowerElement.make(ctx, cells)
-
-
-def old_meet(xs, ys):
-    """Pairwise prefix loop over two labeled antichains, sorted."""
-    out = []
-    for u, a in xs:
-        for v, b in ys:
-            if v.startswith(u):
-                out.append((v, a, b))
-            elif u.startswith(v):
-                out.append((u, a, b))
-    return sorted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +118,7 @@ def meet(xs, ys):
     support = Clopen.make([w for w, _ in xs])._t
     tx = build([(w, k) for k, (w, _) in enumerate(xs)], support)
     ty = build([(w, k) for k, (w, _) in enumerate(ys)], support)
-    return [(w, xs[i][1], ys[j][1]) for w, (i, j) in _common_cells([tx, ty], "", [])]
+    return [(w, (xs[i][1], ys[j][1])) for w, (i, j) in _common_cells([tx, ty], "", [])]
 
 
 @st.composite
@@ -154,8 +144,8 @@ def antichain_pairs(draw):
 def test_meet_matches_pairwise_oracle_on_shuffled_antichains(pair):
     xs, ys = pair
     got = meet(sorted(xs), sorted(ys))
-    assert got == old_meet(xs, ys)
-    assert [w for w, _, _ in got] == sorted(w for w, _, _ in got)
+    assert got == old_refine([xs, ys])
+    assert [w for w, _ in got] == sorted(w for w, _ in got)
 
 
 @pytest.mark.parametrize(
@@ -169,8 +159,8 @@ def test_meet_matches_pairwise_oracle_on_shuffled_antichains(pair):
     ],
 )
 def test_meet_on_antichains_of_unequal_depth(xs, ys):
-    assert meet(xs, ys) == old_meet(xs, ys)
-    assert meet(ys, xs) == [(w, b, a) for w, a, b in old_meet(xs, ys)]
+    assert meet(xs, ys) == old_refine([xs, ys])
+    assert meet(ys, xs) == [(w, (b, a)) for w, (a, b) in old_refine([xs, ys])]
 
 
 @pytest.mark.parametrize(
